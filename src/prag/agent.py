@@ -4,10 +4,11 @@ plan_step asks a backend for an action line, retrying with feedback on
 malformed or undecomposable replies up to max_retries times (so at most
 max_retries + 1 backend calls). decompose expands a parsed action into a
 sequence of low-level simulator actions using the navigation planner.
-run_episode drives one task episode end to end: per step it encodes the goal
-and the current scene graph, retrieves the top-K similar trajectories when
-the database is non-empty, builds the prompt, plans, executes, and finally
-packages the trajectory as a TaskRecord for the database.
+run_episode drives one task episode end to end: it encodes the goal once,
+then per step encodes the current scene graph, retrieves the top-K similar
+trajectories when the database is non-empty, builds the prompt, plans,
+executes, and finally packages the trajectory as a TaskRecord for the
+database.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .backends import BackendError, PlannerBackend, StepContext
-from .embedding import Encoder
+from .embedding import Encoder, EncoderError
 from .gridworld.sim import EpisodeResult, Simulator
 from .gridworld.solver import shortest_solution_steps
 from .gridworld.tasks import Task
@@ -215,7 +216,7 @@ class EpisodeOutcome:
 
     result: EpisodeResult
     record: TaskRecord | None
-    failure: str | None = None  # None | planner-failure | backend-error
+    failure: str | None = None  # None | planner-failure | backend-error | encoder-error
     retrieval_calls: int = 0
     actions: list[str] = field(default_factory=list)
 
@@ -236,12 +237,14 @@ def run_episode(
 ) -> EpisodeOutcome:
     """Run one task episode under the progressive retrieval loop.
 
-    Per planning step: encode the goal text and the pre-action scene graph,
-    query the database only when it is non-empty, prompt the backend, expand
-    the chosen action, and execute it in the simulator. The stored record
+    The goal text is encoded once, at the first planning step. Per planning
+    step: encode the pre-action scene graph, query the database only when it
+    is non-empty, prompt the backend, expand the chosen action, and execute
+    it in the simulator. The stored record
     pairs each action with the post-action scene text, while the embedding
     kept for step t is the pre-action scene (the state the action was chosen
-    in). Episodes whose backend fails before any action yield no record.
+    in). A backend or encoder error ends the episode as a failure, not the
+    run. Episodes that fail before any action yield no record.
     The number of planning steps is capped by the simulator step budget, so
     action-free decompositions cannot loop forever.
     """
@@ -262,13 +265,20 @@ def run_episode(
     failure: str | None = None
     retrieval_calls = 0
     done = False
+    goal_embedding: np.ndarray | None = None
 
     for step_index in range(sim.max_steps):
         if done:
             break
         scene_text = render_text(extract(observation))
-        goal_embedding = encoder.encode(task.goal)
-        obs_embedding = encoder.encode(scene_text)
+        try:
+            if goal_embedding is None:
+                goal_embedding = encoder.encode(task.goal)
+            obs_embedding = encoder.encode(scene_text)
+        except EncoderError as exc:
+            failure = "encoder-error"
+            log("encoder-error", step=step_index, detail=str(exc))
+            break
         hits: tuple[RetrievalHit, ...] = ()
         if len(db) > 0:
             hits = tuple(db.retrieve_top_k(RetrievalQuery(goal_embedding, obs_embedding), k))
@@ -332,7 +342,7 @@ def run_episode(
             task_id=task.id,
             iteration=iteration,
             goal_text=task.goal,
-            goal_embedding=encoder.encode(task.goal),
+            goal_embedding=goal_embedding,
             obs_embeddings=tuple(obs_embeddings),
             history=tuple(history),
             done=sim.succeeded,

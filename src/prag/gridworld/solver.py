@@ -18,10 +18,12 @@ the solver against exhaustive search driven through the simulator itself.
 
 from __future__ import annotations
 
+from dataclasses import astuple
+
 from .tasks import AgentHolds, GoalPredicate, ItemsInContainerToggled, PlacedAt, Task
 from .world import CELL_ITEM_CAPACITY, HEADING_DELTAS, HEADING_ORDER, World
 
-_CACHE: dict[str, int] = {}
+_CACHE: dict[tuple, int] = {}
 
 
 class UnsolvableTaskError(Exception):
@@ -32,18 +34,32 @@ class SolverLimitation(Exception):
     """The task falls outside the solver's state model."""
 
 
-def clear_solution_cache() -> None:
-    _CACHE.clear()
-
-
 def shortest_solution_steps(task: Task) -> int:
     """Minimal number of low-level actions that completes ``task``.
 
-    Memoized per task id for the lifetime of the process.
+    Memoized for the lifetime of the process by the initial world and the
+    goal predicate, the only inputs of the search; tasks that share an id
+    but not a layout each get their own optimum.
     """
-    if task.id not in _CACHE:
-        _CACHE[task.id] = _solve(task)
-    return _CACHE[task.id]
+    key = _problem_key(task)
+    if key not in _CACHE:
+        _CACHE[key] = _solve(task)
+    return _CACHE[key]
+
+
+def _problem_key(task: Task) -> tuple:
+    world = task.world
+    return (
+        task.predicate,
+        world.width,
+        world.height,
+        world.walls,
+        world.agent_position,
+        world.agent_heading,
+        world.agent_inventory,
+        tuple(astuple(world.objects[label]) for label in sorted(world.objects)),
+        tuple(sorted(world.stacks().items())),
+    )
 
 
 def _goal_check(predicate: GoalPredicate, cell_index, world: World):

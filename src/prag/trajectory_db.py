@@ -2,13 +2,25 @@
 
 One record per task id. A record stores the goal embedding, one scene-graph
 embedding per step, the (action, observation) history, and whether the task
-was completed. Retrieval is an exact linear scan scored as
+was completed. Retrieval is exact and scores every record as
 
     score = cosine(query_goal, record_goal)
           + max over steps t of cosine(query_obs, record_obs[t])
 
 with ties broken toward the more recent iteration, then lexicographic task
-id. The store is a single line-delimited JSON file with a header line, so a
+id. ``score`` computes this for one record and is the reference.
+``retrieve_top_k`` scans all records at once, in the style of an exact
+inner-product index: a goal matrix with one row per record (in task id
+order), an observation matrix stacking every step vector, and the offsets
+where each record's steps begin. A query takes one row-dot per matrix,
+divides by row norms computed when the matrices are built (a zero vector
+scores 0) and keeps each record's best step with ``np.maximum.reduceat``.
+The records within rounding distance of the k-th best, usually just k, are
+then scored by ``score`` and sorted, so hits carry the reference's exact
+values and tie order. The matrices are built on the first retrieval after
+the store changes.
+
+The store is a single line-delimited JSON file with a header line, so a
 checkpoint can be inspected with standard shell tools.
 """
 
@@ -144,6 +156,57 @@ def score(query: RetrievalQuery, record: TaskRecord) -> float:
     return goal_term + obs_term
 
 
+# Sums of the same terms in another order can differ in the last bit, and
+# distinct stored vectors often tie exactly (hashed embeddings are integer
+# counts, so their cosines are equal ratios). The matrix scores therefore
+# only select candidates: every record within this margin of the k-th best
+# is scored again by ``score``, whose values and tie order are the
+# reference. Rounding moves a score by about 1e-13 at most.
+_CANDIDATE_MARGIN = 1e-9
+
+
+def _row_cosines(matrix: np.ndarray, norms: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """Cosine of each row of ``matrix`` with ``vector``; zero vectors give 0."""
+    denominators = norms * math.sqrt(float(np.dot(vector, vector)))
+    dots = np.einsum("ij,j->i", matrix, vector)
+    return np.divide(
+        dots, denominators, out=np.zeros_like(dots), where=denominators != 0.0
+    )
+
+
+class _MatrixIndex:
+    """Every record's vectors stacked for one-pass scoring, in task id order."""
+
+    def __init__(self, records: list[TaskRecord]):
+        self.records = records
+        self.goals = np.stack([r.goal_embedding for r in records])
+        # One stack over the flat list: stacking per record and concatenating
+        # would hold every step vector twice while it runs.
+        self.observations = np.stack([v for r in records for v in r.obs_embeddings])
+        self.goal_norms = np.sqrt(np.einsum("ij,ij->i", self.goals, self.goals))
+        self.observation_norms = np.sqrt(
+            np.einsum("ij,ij->i", self.observations, self.observations)
+        )
+        # Every record has at least one step, so no segment is empty.
+        lengths = [len(r.obs_embeddings) for r in records]
+        self.starts = np.cumsum([0] + lengths[:-1])
+
+    def top_k(self, query: RetrievalQuery, k: int) -> list[RetrievalHit]:
+        goal_terms = _row_cosines(self.goals, self.goal_norms, query.goal_embedding)
+        step_terms = _row_cosines(
+            self.observations, self.observation_norms, query.obs_embedding
+        )
+        scores = goal_terms + np.maximum.reduceat(step_terms, self.starts)
+        cut = max(scores.size - k, 0)
+        kth_best = np.partition(scores, cut)[cut]
+        hits = [
+            RetrievalHit(score=score(query, self.records[i]), record=self.records[i])
+            for i in np.flatnonzero(scores >= kth_best - _CANDIDATE_MARGIN)
+        ]
+        hits.sort(key=lambda h: (-h.score, -h.record.iteration, h.record.task_id))
+        return hits[:k]
+
+
 class TrajectoryDB:
     """In-memory record store with exact top-k retrieval and JSONL persistence."""
 
@@ -152,6 +215,7 @@ class TrajectoryDB:
             raise ValueError(f"dimension must be positive, got {dimension}")
         self._dimension = dimension
         self._records: dict[str, TaskRecord] = {}
+        self._index: _MatrixIndex | None = None
         self.retrieval_count = 0
 
     def __len__(self) -> int:
@@ -192,6 +256,7 @@ class TrajectoryDB:
         task_ids = [r.task_id for r in batch]
         if len(set(task_ids)) != len(task_ids):
             raise ValueError("batch contains more than one record for a task")
+        self._index = None
         for record in batch:
             self._check_dimension(record)
             stored = self._records.get(record.task_id)
@@ -200,20 +265,26 @@ class TrajectoryDB:
             self._records[record.task_id] = record
 
     def retrieve_top_k(self, query: RetrievalQuery, k: int) -> list[RetrievalHit]:
-        """Exact linear scan returning the k best records.
+        """Exact scan over every record returning the k best.
 
         Ordering: score descending, then iteration descending, then task id
         ascending. Returns fewer than k hits when the database is smaller.
+        Hit scores are the values ``score`` returns.
         """
         if k < 1:
             raise ValueError(f"k must be positive, got {k}")
         self.retrieval_count += 1
-        scored = [
-            RetrievalHit(score=score(query, record), record=record)
-            for record in self._records.values()
-        ]
-        scored.sort(key=lambda h: (-h.score, -h.record.iteration, h.record.task_id))
-        return scored[:k]
+        if not self._records:
+            return []
+        for name in ("goal_embedding", "obs_embedding"):
+            size = getattr(query, name).size
+            if size != self._dimension:
+                raise ValueError(
+                    f"query {name} has dimension {size}, database uses {self._dimension}"
+                )
+        if self._index is None:
+            self._index = _MatrixIndex(self.records())
+        return self._index.top_k(query, k)
 
     def save(self, path: str | Path) -> None:
         """Write the database as line-delimited JSON with a header line."""
@@ -231,54 +302,56 @@ class TrajectoryDB:
     @classmethod
     def load(cls, path: str | Path) -> "TrajectoryDB":
         path = Path(path)
+        # Read line by line: the whole text at once would add its size (and a
+        # list of its lines) to the peak memory of every load.
         with path.open("r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-        if not lines:
-            raise DatabaseFormatError("empty file, missing header line", line_number=1)
+            first = fh.readline()
+            if not first:
+                raise DatabaseFormatError("empty file, missing header line", line_number=1)
 
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
-            raise DatabaseFormatError(f"invalid header JSON: {exc}", line_number=1)
-        if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
-            raise DatabaseFormatError(
-                f"not a {FORMAT_NAME} file (format={header.get('format')!r})"
-                if isinstance(header, dict)
-                else "header is not a JSON object",
-                line_number=1,
-            )
-        if header.get("version") != FORMAT_VERSION:
-            raise DatabaseFormatError(
-                f"unsupported version {header.get('version')!r}", line_number=1
-            )
-        dimension = header.get("dimension")
-        if dimension is not None and (not isinstance(dimension, int) or dimension < 1):
-            raise DatabaseFormatError(
-                f"invalid dimension {dimension!r}", line_number=1
-            )
-
-        db = cls(dimension=dimension)
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
             try:
-                data = json.loads(line)
+                header = json.loads(first)
             except json.JSONDecodeError as exc:
-                raise DatabaseFormatError(f"invalid JSON: {exc}", line_number=lineno)
-            try:
-                record = TaskRecord.from_json_dict(data)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DatabaseFormatError(f"invalid record: {exc}", line_number=lineno)
-            if db._dimension is not None and record.dimension != db._dimension:
+                raise DatabaseFormatError(f"invalid header JSON: {exc}", line_number=1)
+            if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
                 raise DatabaseFormatError(
-                    f"record dimension {record.dimension} does not match "
-                    f"header dimension {db._dimension}",
-                    line_number=lineno,
+                    f"not a {FORMAT_NAME} file (format={header.get('format')!r})"
+                    if isinstance(header, dict)
+                    else "header is not a JSON object",
+                    line_number=1,
                 )
-            if record.task_id in db._records:
+            if header.get("version") != FORMAT_VERSION:
                 raise DatabaseFormatError(
-                    f"duplicate task_id {record.task_id!r}", line_number=lineno
+                    f"unsupported version {header.get('version')!r}", line_number=1
                 )
-            db._check_dimension(record)
-            db._records[record.task_id] = record
-        return db
+            dimension = header.get("dimension")
+            if dimension is not None and (not isinstance(dimension, int) or dimension < 1):
+                raise DatabaseFormatError(
+                    f"invalid dimension {dimension!r}", line_number=1
+                )
+
+            db = cls(dimension=dimension)
+            for lineno, line in enumerate(fh, start=2):
+                if not line.strip():
+                    continue
+                try:
+                    data = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DatabaseFormatError(f"invalid JSON: {exc}", line_number=lineno)
+                try:
+                    record = TaskRecord.from_json_dict(data)
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise DatabaseFormatError(f"invalid record: {exc}", line_number=lineno)
+                if db._dimension is not None and record.dimension != db._dimension:
+                    raise DatabaseFormatError(
+                        f"record dimension {record.dimension} does not match "
+                        f"header dimension {db._dimension}",
+                        line_number=lineno,
+                    )
+                if record.task_id in db._records:
+                    raise DatabaseFormatError(
+                        f"duplicate task_id {record.task_id!r}", line_number=lineno
+                    )
+                db._check_dimension(record)
+                db._records[record.task_id] = record
+            return db

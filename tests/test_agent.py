@@ -14,7 +14,7 @@ from prag.agent import (
     run_episode,
 )
 from prag.backends import BackendError, PlannerBackend, StepContext
-from prag.embedding import HashingEncoder
+from prag.embedding import EncoderError, HashingEncoder
 from prag.prompting import (
     OUTPUT_INSTRUCTION,
     HighLevelAction,
@@ -206,6 +206,22 @@ class TestPlanStep:
 SOLVE_BALL = ["Action: pickup(ball_1)", "Action: drop(table_1)"]
 
 
+class StubEncoder:
+    """Hashing encoder that logs every text and raises after ``limit`` calls."""
+
+    def __init__(self, limit=None):
+        self.inner = HashingEncoder(dimension=64)
+        self.dimension = self.inner.dimension
+        self.limit = limit
+        self.texts = []
+
+    def encode(self, text):
+        if self.limit is not None and len(self.texts) >= self.limit:
+            raise EncoderError("encoder down")
+        self.texts.append(text)
+        return self.inner.encode(text)
+
+
 class TestRunEpisode:
     def setup_method(self):
         self.encoder = HashingEncoder(dimension=64)
@@ -287,6 +303,31 @@ class TestRunEpisode:
         outcome = run_episode(ball_task, Exploding(), self.encoder, self.db)
         assert outcome.failure == "backend-error"
         assert outcome.result.success is False
+
+    def test_goal_is_encoded_once_per_episode(self, ball_task):
+        encoder = StubEncoder()
+        outcome = run_episode(ball_task, ScriptedBackend(SOLVE_BALL), encoder, self.db)
+        assert encoder.texts.count(ball_task.goal) == 1
+        assert len(encoder.texts) == 1 + len(outcome.record.history)
+        assert np.array_equal(
+            outcome.record.goal_embedding, self.encoder.encode(ball_task.goal)
+        )
+
+    def test_encoder_error_is_recorded_not_raised(self, ball_task):
+        backend = ScriptedBackend(SOLVE_BALL)
+        outcome = run_episode(ball_task, backend, StubEncoder(limit=0), self.db)
+        assert outcome.failure == "encoder-error"
+        assert outcome.result.success is False
+        assert outcome.record is None
+        assert backend.calls == 0
+
+    def test_encoder_error_midway_keeps_partial_history(self, ball_task):
+        # Calls: goal, first scene, then the second scene fails.
+        encoder = StubEncoder(limit=2)
+        outcome = run_episode(ball_task, ScriptedBackend(SOLVE_BALL), encoder, self.db)
+        assert outcome.failure == "encoder-error"
+        assert outcome.result.success is False
+        assert [a for a, _ in outcome.record.history] == ["pickup(ball_1)"]
 
     def test_partial_history_is_recorded_after_midway_failure(self, ball_task):
         backend = ScriptedBackend(["Action: pickup(ball_1)"] + ["garbage"] * 40)

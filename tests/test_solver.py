@@ -6,10 +6,10 @@ from collections import deque
 
 import pytest
 
+from prag.gridworld import solver
 from prag.gridworld.solver import (
     SolverLimitation,
     UnsolvableTaskError,
-    clear_solution_cache,
     shortest_solution_steps,
 )
 from prag.gridworld.tasks import AgentHolds, PlacedAt, Task, bundled_suite
@@ -68,7 +68,6 @@ BUNDLED_OPTIMA = {
 
 class TestBundledOptima:
     def test_pinned_step_counts(self):
-        clear_solution_cache()
         for task in bundled_suite():
             assert shortest_solution_steps(task) == BUNDLED_OPTIMA[task.id], task.id
 
@@ -79,11 +78,36 @@ class TestBundledOptima:
         task = next(t for t in bundled_suite() if t.id == task_id)
         assert simulation_bfs(task) == BUNDLED_OPTIMA[task_id]
 
-    def test_memoized_per_task_id(self, ball_task):
-        clear_solution_cache()
-        first = shortest_solution_steps(ball_task)
-        second = shortest_solution_steps(ball_task)
+    def test_memoized_per_layout(self, monkeypatch):
+        solves = []
+
+        def counting_solve(task):
+            solves.append(task.id)
+            return original(task)
+
+        original = solver._solve
+        monkeypatch.setattr(solver, "_CACHE", {})
+        monkeypatch.setattr(solver, "_solve", counting_solve)
+        first = shortest_solution_steps(make_ball_task())
+        second = shortest_solution_steps(make_ball_task())
         assert first == second == 6
+        assert solves == ["ball_task"]
+
+    def test_same_id_layouts_get_their_own_optima(self, monkeypatch):
+        monkeypatch.setattr(solver, "_CACHE", {})
+        near = make_ball_task(task_id="shared")
+        world = World(7, 5, walls=border_walls(7, 5), agent_position=(1, 3), agent_heading="N")
+        world.place_object("table_1", "table", (5, 1))
+        world.place_object("ball_1", "ball", (1, 1))
+        far = Task(
+            id="shared",
+            goal=near.goal,
+            world=world,
+            predicate=PlacedAt("ball_1", "table_1"),
+            max_steps=near.max_steps,
+        )
+        assert shortest_solution_steps(near) == 6
+        assert shortest_solution_steps(far) == simulation_bfs(far) == 8
 
 
 class TestSmallWorlds:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -99,12 +100,13 @@ class TestScore:
         assert score(query, record) == pytest.approx(2.0, abs=1e-12)
 
 
-class TestRetrieveTopK:
-    def brute_force(self, db, query, k):
-        scored = [(score(query, r), r) for r in db.records()]
-        scored.sort(key=lambda pair: (-pair[0], -pair[1].iteration, pair[1].task_id))
-        return scored[:k]
+def brute_force(db, query, k):
+    scored = [(score(query, r), r) for r in db.records()]
+    scored.sort(key=lambda pair: (-pair[0], -pair[1].iteration, pair[1].task_id))
+    return scored[:k]
 
+
+class TestRetrieveTopK:
     def test_matches_brute_force_order(self):
         rng = random.Random(11)
         for trial in range(30):
@@ -115,7 +117,7 @@ class TestRetrieveTopK:
             query = make_query(rng)
             k = rng.randint(1, count + 2)
             hits = db.retrieve_top_k(query, k)
-            expected = self.brute_force(db, query, k)
+            expected = brute_force(db, query, k)
             assert [h.record.task_id for h in hits] == [r.task_id for _, r in expected]
             for hit, (expected_score, _) in zip(hits, expected):
                 assert hit.score == pytest.approx(expected_score, abs=1e-12)
@@ -163,6 +165,179 @@ class TestRetrieveTopK:
         db = TrajectoryDB(dimension=8)
         with pytest.raises(ValueError):
             db.retrieve_top_k(make_query(random.Random(0)), 0)
+
+
+def random_record(gen: np.random.Generator, task_id: str, dimension: int, iteration: int = 1):
+    steps = int(gen.integers(1, 5))
+    return TaskRecord(
+        task_id=task_id,
+        iteration=iteration,
+        goal_text=f"goal for {task_id}",
+        goal_embedding=gen.uniform(-1, 1, dimension),
+        obs_embeddings=tuple(gen.uniform(-1, 1, dimension) for _ in range(steps)),
+        history=tuple(("done()", "") for _ in range(steps)),
+        done=False,
+    )
+
+
+class TestMatrixScan:
+    """retrieve_top_k scores all records at once; ``score`` is the reference."""
+
+    @pytest.mark.parametrize("rows", [3, 5, 7, 13, 1001])
+    def test_duplicates_score_bit_identically_at_any_row(self, rows):
+        dim = 384
+        gen = np.random.default_rng(rows)
+        twin = random_record(gen, "twin", dim)
+        # Task ids fix the rows: the copies land on the first row, the last
+        # row and row 1 or 5, neither a multiple of 4.
+        middle = 1 if rows < 7 else 5
+        copies = {0: ("a_first", 1), middle: ("m_middle", 2), rows - 1: ("z_last", 1)}
+        batches: dict[int, list[TaskRecord]] = {1: [], 2: []}
+        for row in range(rows):
+            if row in copies:
+                task_id, iteration = copies[row]
+                batches[iteration].append(
+                    TaskRecord(
+                        task_id=task_id,
+                        iteration=iteration,
+                        goal_text=twin.goal_text,
+                        goal_embedding=twin.goal_embedding.copy(),
+                        obs_embeddings=tuple(v.copy() for v in twin.obs_embeddings),
+                        history=twin.history,
+                        done=False,
+                    )
+                )
+            else:
+                batches[1].append(random_record(gen, f"filler_{row:04d}", dim))
+        db = TrajectoryDB(dimension=dim)
+        db.update_after_iteration(batches[1])
+        db.update_after_iteration(batches[2])
+        assert [r.task_id for r in db.records()].index("z_last") == rows - 1
+        query = RetrievalQuery(twin.goal_embedding * 0.5, twin.obs_embeddings[-1] * 3.0)
+        hits = db.retrieve_top_k(query, 3)
+        assert [h.record.task_id for h in hits] == ["m_middle", "a_first", "z_last"]
+        assert hits[0].score == hits[1].score == hits[2].score
+        assert hits[0].score == pytest.approx(score(query, twin), abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_exact_ties_between_distinct_vectors_keep_reference_order(self, seed):
+        # Each step vector permutes one set of integer counts over the
+        # coordinates where the query is constant, so every record ties
+        # exactly; summing in another order can still move the last bit.
+        dim = 384
+        gen = np.random.default_rng(seed)
+        support = gen.choice(dim, 60, replace=False)
+        query_vec = np.zeros(dim)
+        query_vec[support] = 1.0
+        counts = gen.integers(-3, 4, size=60).astype(np.float64)
+        records = []
+        for i in range(40):
+            step = np.zeros(dim)
+            step[gen.permutation(support)] = counts
+            records.append(
+                TaskRecord(
+                    task_id=f"t{i:03d}",
+                    iteration=1,
+                    goal_text="g",
+                    goal_embedding=query_vec / math.sqrt(60),
+                    obs_embeddings=(step / np.linalg.norm(step),),
+                    history=(("done()", ""),),
+                    done=False,
+                )
+            )
+        db = TrajectoryDB(dimension=dim)
+        db.update_after_iteration(records)
+        query = RetrievalQuery(query_vec, query_vec)
+        hits = db.retrieve_top_k(query, 3)
+        expected = brute_force(db, query, 3)
+        assert [(h.record.task_id, h.score) for h in hits] == [
+            (r.task_id, s) for s, r in expected
+        ]
+
+    def test_zero_vectors_score_zero(self):
+        dim = 8
+        zero = np.zeros(dim)
+        unit = np.eye(dim)[0]
+
+        def record(task_id, goal, steps):
+            return TaskRecord(
+                task_id=task_id,
+                iteration=1,
+                goal_text="g",
+                goal_embedding=goal,
+                obs_embeddings=steps,
+                history=tuple(("done()", "") for _ in steps),
+                done=False,
+            )
+
+        db = TrajectoryDB(dimension=dim)
+        db.update_after_iteration(
+            [
+                record("all_zero", zero, (zero,)),
+                record("zero_goal", zero, (zero, unit)),
+                record("zero_step", unit, (zero,)),
+            ]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hits = db.retrieve_top_k(RetrievalQuery(unit, unit), 3)
+            by_id = {h.record.task_id: h.score for h in hits}
+            assert by_id == {"all_zero": 0.0, "zero_goal": 1.0, "zero_step": 1.0}
+            hits = db.retrieve_top_k(RetrievalQuery(zero, zero), 3)
+            assert [h.score for h in hits] == [0.0, 0.0, 0.0]
+            assert [h.record.task_id for h in hits] == ["all_zero", "zero_goal", "zero_step"]
+
+    def test_index_follows_updates(self):
+        rng = random.Random(31)
+        db = TrajectoryDB(dimension=8)
+        db.update_after_iteration([make_record(rng, f"t{i}") for i in range(4)])
+        query = make_query(rng)
+        assert "new" not in [h.record.task_id for h in db.retrieve_top_k(query, 5)]
+        exact = TaskRecord(
+            task_id="new",
+            iteration=2,
+            goal_text="g",
+            goal_embedding=query.goal_embedding,
+            obs_embeddings=(query.obs_embedding,),
+            history=(("done()", ""),),
+            done=False,
+        )
+        replaced = make_record(rng, "t0", iteration=2)
+        db.update_after_iteration([exact, replaced])
+        hits = db.retrieve_top_k(query, 5)
+        assert hits[0].record is exact
+        assert next(h for h in hits if h.record.task_id == "t0").record is replaced
+        assert [h.record.task_id for h in hits] == [
+            r.task_id for _, r in brute_force(db, query, 5)
+        ]
+
+    def test_retrieval_after_reload_equals_live_store(self, tmp_path):
+        rng = random.Random(32)
+        db = TrajectoryDB(dimension=8)
+        db.update_after_iteration([make_record(rng, f"t{i}") for i in range(6)])
+        db.update_after_iteration([make_record(rng, f"t{i}", iteration=2) for i in range(3, 9)])
+        queries = [make_query(rng) for _ in range(5)]
+        live = [db.retrieve_top_k(q, 4) for q in queries]
+        path = tmp_path / "db.jsonl"
+        db.save(path)
+        loaded = TrajectoryDB.load(path)
+        for query, expected in zip(queries, live):
+            hits = loaded.retrieve_top_k(query, 4)
+            assert [(h.record.task_id, h.record.iteration, h.score) for h in hits] == [
+                (h.record.task_id, h.record.iteration, h.score) for h in expected
+            ]
+
+    def test_empty_store_returns_nothing(self):
+        query = make_query(random.Random(0))
+        assert TrajectoryDB().retrieve_top_k(query, 3) == []
+        assert TrajectoryDB(dimension=8).retrieve_top_k(query, 3) == []
+
+    def test_query_dimension_must_match(self):
+        rng = random.Random(33)
+        db = TrajectoryDB(dimension=8)
+        db.update_after_iteration([make_record(rng, "t0")])
+        with pytest.raises(ValueError, match="dimension"):
+            db.retrieve_top_k(make_query(rng, dimension=4), 1)
 
 
 class TestUpdatePolicy:
