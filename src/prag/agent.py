@@ -8,7 +8,9 @@ run_episode drives one task episode end to end: it encodes the goal once,
 then per step encodes the current scene graph, retrieves the top-K similar
 trajectories when the database is non-empty, builds the prompt, plans,
 executes, and finally packages the trajectory as a TaskRecord for the
-database.
+database. Each executed action costs one observation and one scene graph:
+the post-action scene text stored in the record is also the next step's
+pre-action scene.
 """
 
 from __future__ import annotations
@@ -48,14 +50,6 @@ from .scene_graph import extract, render_text
 from .trajectory_db import RetrievalHit, RetrievalQuery, TaskRecord, TrajectoryDB
 
 DEFAULT_MAX_RETRIES = 3
-
-_PRIMITIVE_FOR_VERB = {
-    "pickup": "pickup",
-    "drop": "drop",
-    "toggle": "toggle",
-    "open": "open",
-    "close": "close",
-}
 
 LogFn = Callable[..., None]
 
@@ -161,9 +155,9 @@ def decompose(action: HighLevelAction, observation: Observation) -> Decompositio
     for step_from, step_to in zip(path, path[1:]):
         end_heading = heading_between(step_from, step_to)
     actions.extend(turns_between(end_heading, heading_between(stand, target)))
-    primitive = _PRIMITIVE_FOR_VERB.get(action.verb)
-    if primitive is not None:
-        actions.append(primitive)
+    if action.verb != "navigate":
+        # Manipulation verbs share their names with the simulator primitives.
+        actions.append(action.verb)
     return Decomposition(tuple(actions))
 
 
@@ -239,12 +233,13 @@ def run_episode(
 
     The goal text is encoded once, at the first planning step. Per planning
     step: encode the pre-action scene graph, query the database only when it
-    is non-empty, prompt the backend, expand the chosen action, and execute
-    it in the simulator. The stored record
-    pairs each action with the post-action scene text, while the embedding
-    kept for step t is the pre-action scene (the state the action was chosen
-    in). A backend or encoder error ends the episode as a failure, not the
-    run. Episodes that fail before any action yield no record.
+    is non-empty, prompt the backend, expand the chosen action, execute its
+    primitives in the simulator, then observe and render the scene once. The
+    stored record pairs each action with that post-action scene text, while
+    the embedding kept for step t is the pre-action scene (the state the
+    action was chosen in). A backend or encoder error ends the episode as a
+    failure, not the run. Episodes that fail before any action yield no
+    record.
     The number of planning steps is capped by the simulator step budget, so
     action-free decompositions cannot loop forever.
     """
@@ -266,11 +261,11 @@ def run_episode(
     retrieval_calls = 0
     done = False
     goal_embedding: np.ndarray | None = None
+    scene_text = render_text(extract(observation))
 
     for step_index in range(sim.max_steps):
         if done:
             break
-        scene_text = render_text(extract(observation))
         try:
             if goal_embedding is None:
                 goal_embedding = encoder.encode(task.goal)
@@ -314,12 +309,14 @@ def run_episode(
             log("stop", step=step_index)
             break
         for low_level in decomposition.actions:
-            observation, done = sim.step(low_level)
+            done = sim.step(low_level)
             if done:
                 break
+        observation = sim.observe()
+        scene_text = render_text(extract(observation))
         action_text = render_action(action)
         executed.append(action_text)
-        history.append((action_text, render_text(extract(observation))))
+        history.append((action_text, scene_text))
         obs_embeddings.append(obs_embedding)
         log(
             "step",

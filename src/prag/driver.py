@@ -9,7 +9,8 @@ updates) on a held-out task set after training.
 
 Each iteration writes a database checkpoint ``db_iter_NN.jsonl``, a report
 ``report_iter_NN.json``, and per-episode JSONL logs, so any iteration can be
-reproduced by reloading the previous checkpoint.
+reproduced by reloading the previous checkpoint. Checkpoints and reports are
+replaced atomically, so a killed run leaves each of them whole.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import IO, Any
 import yaml
 
 from .agent import run_episode
+from .atomic_io import open_atomic
 from .backends import (
     PlannerBackend,
     RemoteChatBackend,
@@ -273,7 +275,8 @@ def run_pass(
 
 def _write_report(report: IterationReport, path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
+    with open_atomic(path) as fh:
+        fh.write(json.dumps(report.to_dict(), indent=2) + "\n")
 
 
 def format_summary(reports: list[IterationReport]) -> str:

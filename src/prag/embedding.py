@@ -3,8 +3,12 @@
 The default encoder is a deterministic feature-hashing embedder: it needs no
 network, no model weights, and produces bitwise-identical vectors for equal
 input on every platform. It is not semantically meaningful, but it is exact,
-which is what the retrieval math and the test suite need. A remote HTTP
-encoder with the same interface can be swapped in for real runs.
+which is what the retrieval math and the test suite need. Each encoder
+instance memoizes the hashed bucket and sign of every token it has seen
+(scene texts reuse a small vocabulary) and sums the signs with one
+``np.bincount``; sums of +-1.0 are exact in any order, so the vectors equal
+the per-token accumulation bit for bit. A remote HTTP encoder with the same
+interface can be swapped in for real runs.
 """
 
 from __future__ import annotations
@@ -68,18 +72,30 @@ class HashingEncoder:
     """
 
     dimension: int = DEFAULT_DIMENSION
+    # token -> bucket * 2 + sign bit; depends only on the token and dimension.
+    _codes: dict[str, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.dimension < 1:
             raise ValueError(f"dimension must be positive, got {self.dimension}")
 
+    def _code(self, token: str) -> int:
+        h = fnv1a64(token.encode("utf-8"))
+        code = ((h >> 1) % self.dimension) * 2 + (h & 1)
+        self._codes[token] = code
+        return code
+
     def encode(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dimension, dtype=np.float64)
-        for token in tokenize(text):
-            h = fnv1a64(token.encode("utf-8"))
-            sign = 1.0 if h & 1 else -1.0
-            index = (h >> 1) % self.dimension
-            vec[index] += sign
+        codes = self._codes
+        packed = np.array(
+            [codes[t] if t in codes else self._code(t) for t in tokenize(text)],
+            dtype=np.int64,
+        )
+        weights = (packed & 1) * 2.0 - 1.0
+        vec = np.bincount(packed >> 1, weights=weights, minlength=self.dimension)
+        vec = vec.astype(np.float64, copy=False)  # bincount of no tokens is int64
         norm = math.sqrt(float(np.dot(vec, vec)))
         if norm > 0.0:
             vec /= norm

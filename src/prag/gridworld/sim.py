@@ -3,6 +3,11 @@
 The simulator owns the done flag. An episode finishes when the goal predicate
 first holds (success latches, it cannot un-happen) or when the step budget is
 spent. Stepping a finished episode is a caller bug and raises.
+
+``step`` applies one primitive and reports only ``done``; ``observe`` takes
+the snapshot. A caller that executes several primitives per decision
+observes once, after the last of them, instead of copying the world after
+every primitive.
 """
 
 from __future__ import annotations
@@ -67,7 +72,14 @@ class Simulator:
         self._done = False
         return self._world.observe(0)
 
-    def step(self, action: str) -> tuple[Observation, bool]:
+    def observe(self) -> Observation:
+        """Frozen snapshot of the live world at the current step count."""
+        if self._world is None:
+            raise SimulationError("observe() before reset()")
+        return self._world.observe(self.step_count)
+
+    def step(self, action: str) -> bool:
+        """Apply one low-level action; return whether the episode is done."""
         if self._world is None:
             raise SimulationError("step() before reset()")
         if self._done:
@@ -77,4 +89,4 @@ class Simulator:
         if not self._succeeded and self.task.predicate.holds(self._world):
             self._succeeded = True
         self._done = self._succeeded or self.step_count >= self.max_steps
-        return self._world.observe(self.step_count), self._done
+        return self._done

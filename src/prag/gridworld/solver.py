@@ -207,13 +207,20 @@ def _solve(task: Task) -> int:
         depth += 1
         next_frontier = []
         for agent, heading, held, flags, positions in frontier:
-            succs = [
+            # Turns and forward change only the pose, which no goal check
+            # reads, and the parent state already failed the check.
+            moves = [
                 (agent, (heading - 1) % 4, held, flags, positions),
                 (agent, (heading + 1) % 4, held, flags, positions),
             ]
             fwd = forward_to[agent][heading]
             if fwd >= 0:
-                succs.append((fwd, heading, held, flags, positions))
+                moves.append((fwd, heading, held, flags, positions))
+            for succ in moves:
+                if succ not in visited:
+                    visited.add(succ)
+                    next_frontier.append(succ)
+            succs = []
             faced = faced_idx[agent][heading]
             if faced >= 0:
                 sealed = (sealed_mask[faced] & flags) != sealed_mask[faced]

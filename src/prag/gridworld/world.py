@@ -104,10 +104,10 @@ class ObjectView:
 
 @dataclass(frozen=True)
 class Observation:
-    """Full-observability snapshot returned by reset() and step().
+    """Full-observability snapshot returned by reset() and observe().
 
-    Holds a frozen copy of the world so relation queries keep answering about
-    the moment of observation even after the live world moves on.
+    Holds a frozen copy of the world, so its stacks, walls and navigable grid
+    keep describing the moment of observation after the live world moves on.
     """
 
     width: int
@@ -118,12 +118,6 @@ class Observation:
     agent_inventory: str | None
     objects: dict[str, ObjectView]
     world: "World"
-
-    def relation(self, subject: str, obj: str, name: str) -> bool:
-        return self.world.relation_query(subject, obj, name)
-
-    def visible_labels(self) -> list[str]:
-        return list(self.objects)
 
     def navigable_grid(self) -> np.ndarray:
         return self.world.navigable_grid()
@@ -336,7 +330,12 @@ class World:
             raise ValueError(f"unknown low-level action: {action!r}")
 
     def relation_query(self, subject: str, obj: str, name: str) -> bool:
-        """Decide one relation triple against the current state."""
+        """Decide one relation triple against the current state.
+
+        ``scene_graph.extract`` derives every true triple at once from the
+        stacks; this per-triple definition is the reference it is tested
+        against.
+        """
         if name not in RELATION_NAMES:
             raise ValueError(f"unknown relation name: {name!r}")
         if name == "held_by":

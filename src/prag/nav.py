@@ -2,11 +2,10 @@
 
 The planner is a simplified fast-marching scheme: grow a distance field out
 of the source, then walk back from the sink by always stepping to the
-minimum-distance neighbor. The default field is the geodesic wavefront
-(unit-cost BFS, 4-connected), under which the backtrack strictly descends and
-always terminates. A literal straight-line variant is kept behind the
-``method`` flag for comparison; around concave obstacles its local minima can
-stall the backtrack, which is exactly why it is not the default.
+minimum-distance neighbor. The field is the geodesic wavefront (unit-cost
+BFS, 4-connected), under which the backtrack strictly descends and always
+terminates; the backtrack still checks for a stall, so a corrupted field
+raises instead of looping.
 """
 
 from __future__ import annotations
@@ -21,9 +20,6 @@ from .gridworld.world import HEADING_DELTAS, HEADING_ORDER, Cell
 # Fixed tie-break order for neighbor inspection.
 NEIGHBOR_ORDER = tuple(HEADING_DELTAS[h] for h in HEADING_ORDER)
 
-GEODESIC = "geodesic"
-EUCLIDEAN = "euclidean"
-
 
 class NoPathError(Exception):
     """Raised when no route to the requested sink exists."""
@@ -35,7 +31,6 @@ class DistanceField:
 
     distances: np.ndarray
     source: Cell
-    method: str
 
     def at(self, cell: Cell) -> float:
         x, y = cell
@@ -49,8 +44,8 @@ def _check_grid(navigable: np.ndarray) -> np.ndarray:
     return grid
 
 
-def distance_field(navigable, source: Cell, method: str = GEODESIC) -> DistanceField:
-    """Compute the distance of every navigable cell from ``source``.
+def distance_field(navigable, source: Cell) -> DistanceField:
+    """Compute the BFS distance of every navigable cell from ``source``.
 
     ``navigable`` is indexed [y, x]; cells are (x, y). The source must be
     navigable. Unreachable and blocked cells get inf.
@@ -62,24 +57,18 @@ def distance_field(navigable, source: Cell, method: str = GEODESIC) -> DistanceF
         raise ValueError(f"source {source} is not a navigable cell")
 
     distances = np.full((height, width), np.inf, dtype=np.float64)
-    if method == GEODESIC:
-        distances[sy, sx] = 0.0
-        frontier = deque([source])
-        while frontier:
-            x, y = frontier.popleft()
-            base = distances[y, x]
-            for dx, dy in NEIGHBOR_ORDER:
-                nx, ny = x + dx, y + dy
-                if 0 <= nx < width and 0 <= ny < height and grid[ny, nx]:
-                    if distances[ny, nx] == np.inf:
-                        distances[ny, nx] = base + 1.0
-                        frontier.append((nx, ny))
-    elif method == EUCLIDEAN:
-        ys, xs = np.nonzero(grid)
-        distances[ys, xs] = np.hypot(xs - sx, ys - sy)
-    else:
-        raise ValueError(f"unknown distance method: {method!r}")
-    return DistanceField(distances=distances, source=source, method=method)
+    distances[sy, sx] = 0.0
+    frontier = deque([source])
+    while frontier:
+        x, y = frontier.popleft()
+        base = distances[y, x]
+        for dx, dy in NEIGHBOR_ORDER:
+            nx, ny = x + dx, y + dy
+            if 0 <= nx < width and 0 <= ny < height and grid[ny, nx]:
+                if distances[ny, nx] == np.inf:
+                    distances[ny, nx] = base + 1.0
+                    frontier.append((nx, ny))
+    return DistanceField(distances=distances, source=source)
 
 
 def backtrack_path(field: DistanceField, sink: Cell) -> list[Cell]:
@@ -87,7 +76,8 @@ def backtrack_path(field: DistanceField, sink: Cell) -> list[Cell]:
 
     Neighbor ties resolve in N, E, S, W order. Returns the path from source
     to sink inclusive. Raises NoPathError when the sink is unreachable or the
-    descent stalls (possible under the straight-line field).
+    descent stalls (impossible on a BFS field; checked so a bad field fails
+    loudly).
     """
     height, width = field.distances.shape
     x, y = sink
@@ -112,12 +102,10 @@ def backtrack_path(field: DistanceField, sink: Cell) -> list[Cell]:
                     best_dist = dist
                     best = (nx, ny)
         if best is None or best_dist >= field.distances[cy, cx]:
-            raise NoPathError(
-                f"backtrack stalled at {current} (method={field.method!r})"
-            )
+            raise NoPathError(f"backtrack stalled at {current}")
         current = best
         path.append(current)
-    raise NoPathError(f"backtrack exceeded {limit} steps (method={field.method!r})")
+    raise NoPathError(f"backtrack exceeded {limit} steps")
 
 
 def heading_between(a: Cell, b: Cell) -> str:

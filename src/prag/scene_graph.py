@@ -5,6 +5,11 @@ object instance labels (landmarks first) plus the relation triples that
 currently hold. Only true relations are kept, and the rendered form is one
 ``subject/object/relation: True`` line per triple, sorted, so equal world
 states always produce byte-identical text.
+
+``extract`` derives the relations from the world's cell stacks and object
+states in one pass over the occupied cells and their neighbours, rather than
+asking ``World.relation_query`` about every label pair and relation; the
+tests keep that per-triple sweep as the reference.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from typing import Callable, Iterable
 
 AGENT_LABEL = "agent"
 
-# Closed relation vocabulary. The first three are spatial and queried over
+# Closed relation vocabulary. The first three are spatial and hold between
 # ordered pairs of distinct objects; held_by ties an object to the agent;
 # toggled_on and is_open are object states recorded as self-relations.
 SPATIAL_RELATIONS = ("on_top_of", "inside_of", "next_to")
@@ -85,34 +90,60 @@ def order_landmark_first(
 def extract(observation) -> SceneGraph:
     """Build a SceneGraph from a simulator observation.
 
-    ``observation`` must expose ``objects`` (an ordered mapping of label to a
-    view with ``landmark`` and ``held`` attributes) and a
-    ``relation(subject, obj, name)`` predicate. Every true spatial relation
-    over distinct object pairs is recorded, object states become
-    self-relations, and held objects relate to the agent pseudo-node.
+    ``observation`` must expose ``world``, the frozen world snapshot with
+    ``objects``, ``agent_inventory`` and ``stacks()``. Spatial relations
+    are read off the stacks in one pass: ``on_top_of`` pairs consecutive
+    stack entries whose lower entry is not a container, ``inside_of`` ties
+    every other label of a stack to its container, and ``next_to`` pairs
+    distinct labels in the same or an 8-neighbouring cell. Object states
+    become self-relations, and a held object relates to the agent
+    pseudo-node. Triples come out in (subject, object, relation) order, the
+    order of a sweep over every sorted label pair.
     """
-    labels = sorted(observation.objects)
-    nodes = order_landmark_first(labels, lambda l: observation.objects[l].landmark)
+    world = observation.world
+    objects = world.objects
+    labels = sorted(objects)
+    rank = {label: i for i, label in enumerate(labels)}
+    nodes = order_landmark_first(labels, lambda l: objects[l].landmark)
 
-    relations: list[tuple[str, str, str]] = []
-    for subject in labels:
-        for obj in labels:
-            if subject == obj:
-                continue
-            for name in SPATIAL_RELATIONS:
-                if observation.relation(subject, obj, name):
-                    relations.append((subject, name, obj))
+    stacks = world.stacks()
+    # (subject rank, object rank, index into SPATIAL_RELATIONS)
+    spatial: list[tuple[int, int, int]] = []
+    for (x, y), stack in stacks.items():
+        for lower, upper in zip(stack, stack[1:]):
+            if not objects[lower].container:
+                spatial.append((rank[upper], rank[lower], 0))
+        for holder in stack:
+            if objects[holder].container:
+                spatial.extend(
+                    (rank[label], rank[holder], 1) for label in stack if label != holder
+                )
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                neighbour = stacks.get((x + dx, y + dy))
+                if neighbour is None:
+                    continue
+                for subject in stack:
+                    spatial.extend(
+                        (rank[subject], rank[obj], 2)
+                        for obj in neighbour
+                        if obj != subject
+                    )
+    spatial.sort()
+    relations = [
+        (labels[subject], SPATIAL_RELATIONS[name], labels[obj])
+        for subject, obj, name in spatial
+    ]
     for label in labels:
-        for name in STATE_RELATIONS:
-            if observation.relation(label, label, name):
-                relations.append((label, name, label))
-    agent_needed = False
-    for label in labels:
-        if observation.relation(label, AGENT_LABEL, "held_by"):
-            relations.append((label, "held_by", AGENT_LABEL))
-            agent_needed = True
-    if agent_needed:
-        nodes = nodes + [AGENT_LABEL]
+        state = objects[label]
+        if state.toggleable and state.toggled:
+            relations.append((label, "toggled_on", label))
+        if state.openable and state.open:
+            relations.append((label, "is_open", label))
+    held = world.agent_inventory
+    if held is not None:
+        relations.append((held, "held_by", AGENT_LABEL))
+        nodes.append(AGENT_LABEL)
     return SceneGraph(nodes=tuple(nodes), relations=tuple(relations))
 
 

@@ -33,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic_io import open_atomic
 from .embedding import cosine
 
 FORMAT_NAME = "prag-trajectory-db"
@@ -287,14 +288,18 @@ class TrajectoryDB:
         return self._index.top_k(query, k)
 
     def save(self, path: str | Path) -> None:
-        """Write the database as line-delimited JSON with a header line."""
+        """Write the database as line-delimited JSON with a header line.
+
+        The file is replaced atomically: a failed write leaves the previous
+        checkpoint in place.
+        """
         path = Path(path)
         header = {
             "format": FORMAT_NAME,
             "version": FORMAT_VERSION,
             "dimension": self._dimension,
         }
-        with path.open("w", encoding="utf-8") as fh:
+        with open_atomic(path) as fh:
             fh.write(json.dumps(header) + "\n")
             for record in self.records():
                 fh.write(json.dumps(record.to_json_dict()) + "\n")

@@ -351,6 +351,49 @@ class TestRunEpisode:
         outcome = run_episode(ball_task, backend, self.encoder, self.db, max_steps=3)
         assert outcome.result.steps_taken <= 3
 
+    def count_snapshots(self, monkeypatch):
+        """Count scene-graph extracts and world snapshots during a run."""
+        import prag.agent as agent_module
+        from prag.gridworld.world import World
+
+        counts = {"extract": 0, "observe": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(agent_module, "extract", counting("extract", extract))
+        monkeypatch.setattr(World, "observe", counting("observe", World.observe))
+        return counts
+
+    def test_one_snapshot_and_one_scene_graph_per_step(self, ball_task, monkeypatch):
+        counts = self.count_snapshots(monkeypatch)
+        backend = ScriptedBackend(SOLVE_BALL)
+        outcome = run_episode(ball_task, backend, self.encoder, self.db)
+        assert outcome.result.success is True
+        assert outcome.result.steps_taken > len(outcome.actions) == 2
+        # One per planning step plus one per episode (the initial scene) ...
+        assert counts["extract"] == backend.calls + 1 == 3
+        # ... and one world snapshot per executed action, plus the reset.
+        assert counts["observe"] == len(outcome.actions) + 1 == 3
+
+    @pytest.mark.parametrize(
+        "replies",
+        [
+            ["Action: pickup(ball_1)", "Action: done()"],
+            ["Action: navigate(1,3)", "Action: navigate(2,3)", "Action: done()"],
+            ["Action: done()"],
+        ],
+    )
+    def test_stopped_episodes_snapshot_once_per_action(self, ball_task, monkeypatch, replies):
+        counts = self.count_snapshots(monkeypatch)
+        outcome = run_episode(ball_task, ScriptedBackend(replies), self.encoder, self.db)
+        assert len(outcome.actions) == len(replies) - 1
+        assert counts["extract"] == counts["observe"] == len(outcome.actions) + 1
+
     def test_episodes_are_deterministic(self, ball_task):
         def once():
             backend = ScriptedBackend(SOLVE_BALL)

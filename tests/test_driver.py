@@ -6,11 +6,13 @@ import json
 
 import pytest
 
+from prag.atomic_io import open_atomic
 from prag.driver import (
     ConfigError,
     EpisodeLog,
     IterationReport,
     RunConfig,
+    _write_report,
     build_backend,
     build_encoder,
     format_summary,
@@ -187,6 +189,51 @@ class TestIterationReport:
             retrieval_calls=0,
         )
         assert report.done_vector == {"a": True, "b": False}
+
+
+class TestAtomicWrites:
+    def make_report(self, iteration=1):
+        return IterationReport(
+            iteration=iteration,
+            phase="train",
+            results=[EpisodeResult(task_id="a", success=True, steps_taken=7, shortest_steps=6)],
+            total_sr=1.0,
+            task_sr=1.0,
+            spl=6 / 7,
+            retrieval_calls=0,
+        )
+
+    def test_write_that_raises_midway_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("previous\n")
+        with pytest.raises(RuntimeError):
+            with open_atomic(path) as fh:
+                fh.write("half of the new ")
+                fh.flush()
+                raise RuntimeError("killed")
+        assert path.read_text() == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_failed_report_write_keeps_the_previous_report(self, tmp_path):
+        path = tmp_path / "report_iter_01.json"
+        report = self.make_report()
+        _write_report(report, path)
+
+        class Unserializable:
+            def to_dict(self):
+                return {"iteration": 2, "results": [object()]}
+
+        with pytest.raises(TypeError):
+            _write_report(Unserializable(), path)
+        assert IterationReport.from_dict(json.loads(path.read_text())) == report
+        assert [p.name for p in tmp_path.iterdir()] == ["report_iter_01.json"]
+
+    def test_report_write_replaces_the_file(self, tmp_path):
+        path = tmp_path / "reports" / "report_iter_01.json"
+        _write_report(self.make_report(1), path)
+        _write_report(self.make_report(2), path)
+        assert IterationReport.from_dict(json.loads(path.read_text())) == self.make_report(2)
+        assert [p.name for p in path.parent.iterdir()] == ["report_iter_01.json"]
 
 
 class TestBuilders:

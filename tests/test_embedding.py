@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 import re
 
 import numpy as np
@@ -40,6 +41,31 @@ def reference_encode(text: str, dimension: int) -> np.ndarray:
     if norm > 0.0:
         vector = [v / norm for v in vector]
     return np.asarray(vector, dtype=np.float64)
+
+
+def loop_encode(text: str, dimension: int) -> np.ndarray:
+    """The per-token accumulation, step for step, for bitwise comparison."""
+    vec = np.zeros(dimension, dtype=np.float64)
+    for token in re.findall(r"[^\W_]+", text.lower(), re.UNICODE):
+        h = reference_fnv1a64(token.encode("utf-8"))
+        vec[(h >> 1) % dimension] += 1.0 if h & 1 else -1.0
+    norm = math.sqrt(float(np.dot(vec, vec)))
+    if norm > 0.0:
+        vec /= norm
+    return vec
+
+
+def cancelling_pair(dimension: int) -> tuple[str, str]:
+    """Two tokens that hash to one bucket with opposite signs."""
+    seen: dict[int, tuple[str, int]] = {}
+    for i in range(10_000):
+        token = f"w{i}"
+        h = reference_fnv1a64(token.encode("utf-8"))
+        bucket, sign = (h >> 1) % dimension, h & 1
+        if bucket in seen and seen[bucket][1] != sign:
+            return seen[bucket][0], token
+        seen.setdefault(bucket, (token, sign))
+    raise AssertionError("no cancelling pair found")
 
 
 class TestFnv1a64:
@@ -96,6 +122,37 @@ class TestHashingEncoder:
         a = encoder.encode("Wash the Mugs")
         b = encoder.encode("wash the mugs")
         np.testing.assert_array_equal(a, b)
+
+    def test_bit_identical_to_per_token_loop(self):
+        rng = random.Random(7)
+        a, b = cancelling_pair(16)
+        words = ["plant_1", "sink_1", "next_to", "True", "Mug", "ünï", "42", a, b]
+        texts = ["", "!!! --- /:", "\n\n", f"{a} {b}", f"{a}/{b}/{a}: True", f"{a} {b} {a}"]
+        for _ in range(300):
+            texts.append(
+                rng.choice([" ", "/", ": ", "\n", "_", ""]).join(
+                    rng.choice(words) for _ in range(rng.randint(0, 30))
+                )
+            )
+        for dimension in (1, 16, 384):
+            encoder = HashingEncoder(dimension=dimension)
+            # Twice over, so the second pass reads every token from the memo.
+            for text in texts + texts:
+                vector = encoder.encode(text)
+                assert vector.dtype == np.float64 and vector.shape == (dimension,)
+                assert vector.tobytes() == loop_encode(text, dimension).tobytes(), text
+
+    def test_cancelling_tokens_give_the_zero_vector(self):
+        a, b = cancelling_pair(16)
+        vector = HashingEncoder(dimension=16).encode(f"{a} {b}")
+        assert vector.tobytes() == np.zeros(16).tobytes()  # +0.0, not -0.0
+
+    def test_token_memo_is_not_part_of_identity(self):
+        used = HashingEncoder(dimension=16)
+        used.encode("plant sink mug")
+        assert used == HashingEncoder(dimension=16)
+        assert hash(used) == hash(HashingEncoder(dimension=16))
+        assert repr(used) == "HashingEncoder(dimension=16)"
 
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):

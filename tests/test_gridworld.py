@@ -347,7 +347,7 @@ class TestSimulator:
         done = False
         for action in script:
             assert not done
-            obs, done = sim.step(action)
+            done = sim.step(action)
         assert done
         assert sim.succeeded
 
@@ -356,7 +356,7 @@ class TestSimulator:
         sim = Simulator(task)
         sim.reset()
         sim.step("turn_left")
-        _, done = sim.step("turn_left")
+        done = sim.step("turn_left")
         assert done
         assert not sim.succeeded
         with pytest.raises(SimulationError):
@@ -368,7 +368,7 @@ class TestSimulator:
         sim.reset()
         done = False
         while not done:
-            _, done = sim.step("turn_left")
+            done = sim.step("turn_left")
         assert sim.step_count == 3
         assert not sim.succeeded
 

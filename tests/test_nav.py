@@ -10,6 +10,7 @@ import pytest
 
 from prag.gridworld.world import World
 from prag.nav import (
+    DistanceField,
     NoPathError,
     backtrack_path,
     distance_field,
@@ -72,18 +73,6 @@ class TestDistanceField:
         with pytest.raises(ValueError):
             distance_field(grid, (0, 0))
 
-    def test_euclidean_mode_ignores_walls(self):
-        grid = np.ones((3, 3), dtype=bool)
-        grid[1, 1] = False
-        field = distance_field(grid, (0, 0), method="euclidean")
-        assert field.at((2, 0)) == pytest.approx(2.0)
-        assert field.at((2, 2)) == pytest.approx(np.hypot(2, 2))
-        assert np.isinf(field.at((1, 1)))  # blocked stays blocked
-
-    def test_unknown_method_raises(self):
-        grid = np.ones((3, 3), dtype=bool)
-        with pytest.raises(ValueError):
-            distance_field(grid, (0, 0), method="manhattan")
 
 
 class TestBacktrackPath:
@@ -111,16 +100,11 @@ class TestBacktrackPath:
         with pytest.raises(NoPathError):
             backtrack_path(field, (2, 0))
 
-    def test_euclidean_literal_mode_can_stall(self):
-        # A U-shaped pocket: straight-line distance decreases into the cul-de-sac,
-        # so greedy descent on the euclidean field gets stuck and must raise.
-        grid = np.ones((5, 5), dtype=bool)
-        grid[1:4, 2] = False
-        grid[1, 1] = False
-        grid[3, 1] = False
-        field = distance_field(grid, (1, 2), method="euclidean")
-        with pytest.raises(NoPathError):
-            backtrack_path(field, (4, 2))
+    def test_stalled_descent_raises(self):
+        # No BFS field has a local minimum; a hand-made one must raise, not loop.
+        field = DistanceField(distances=np.array([[0.0, 5.0, 3.0]]), source=(0, 0))
+        with pytest.raises(NoPathError, match="stalled"):
+            backtrack_path(field, (2, 0))
 
     def test_source_equals_sink(self):
         grid = np.ones((3, 3), dtype=bool)

@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import random
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prag.gridworld.world import World
+from prag.gridworld.world import KINDS, LOW_LEVEL_ACTIONS, World
 from prag.scene_graph import (
+    AGENT_LABEL,
     RELATION_NAMES,
+    SPATIAL_RELATIONS,
+    STATE_RELATIONS,
     SceneGraph,
     SceneTextError,
     extract,
+    order_landmark_first,
     parse_text,
     render_text,
 )
@@ -82,6 +87,122 @@ class TestExtract:
         graph = extract(world.observe())
         assert ("sink_1", "toggled_on", "sink_1") not in graph.relations
         assert all(len(triple) == 3 for triple in graph.relations)
+
+
+def sweep_extract(observation) -> SceneGraph:
+    """Reference: ask ``relation_query`` about every label pair and relation."""
+    world = observation.world
+    labels = sorted(observation.objects)
+    nodes = order_landmark_first(labels, lambda l: observation.objects[l].landmark)
+    relations = []
+    for subject in labels:
+        for obj in labels:
+            if subject == obj:
+                continue
+            for name in SPATIAL_RELATIONS:
+                if world.relation_query(subject, obj, name):
+                    relations.append((subject, name, obj))
+    for label in labels:
+        for name in STATE_RELATIONS:
+            if world.relation_query(label, label, name):
+                relations.append((label, name, label))
+    agent_needed = False
+    for label in labels:
+        if world.relation_query(label, AGENT_LABEL, "held_by"):
+            relations.append((label, "held_by", AGENT_LABEL))
+            agent_needed = True
+    if agent_needed:
+        nodes = nodes + [AGENT_LABEL]
+    return SceneGraph(nodes=tuple(nodes), relations=tuple(relations))
+
+
+_LANDMARK_KINDS = sorted(k for k, info in KINDS.items() if info.landmark)
+_ITEM_KINDS = sorted(k for k, info in KINDS.items() if not info.landmark)
+
+
+def random_world(rng: random.Random) -> World:
+    """A crowded bordered room: landmarks in random states, items stacked."""
+    side = rng.choice((5, 6, 7))
+    world = World(side, side, walls=border_walls(side, side), agent_position=(1, 1))
+    interior = [(x, y) for y in range(1, side - 1) for x in range(1, side - 1)]
+    for i in range(rng.randint(2, 4)):
+        kind = rng.choice(_LANDMARK_KINDS)
+        info = KINDS[kind]
+        cell = rng.choice(interior)
+        try:
+            world.place_object(
+                f"{kind}_{i}",
+                kind,
+                cell,
+                toggled=info.toggleable and rng.random() < 0.5,
+                open=info.openable and rng.random() < 0.5,
+            )
+        except ValueError:
+            pass  # landmark overlap or the agent's cell
+    # Items go to few cells so stacks of three and crowded neighbourhoods occur.
+    hot_cells = rng.sample(interior, 4)
+    for i in range(rng.randint(4, 9)):
+        kind = rng.choice(_ITEM_KINDS)
+        try:
+            world.place_object(f"{kind}_{i}", kind, rng.choice(hot_cells))
+        except ValueError:
+            pass  # cell full
+    return world
+
+
+def _features(world: World, graph: SceneGraph) -> set:
+    """Which of the cases the sweep comparison should cover this graph shows."""
+    found = set()
+    if world.agent_inventory is not None:
+        found.add("held")
+    for stack in world.stacks().values():
+        if len(stack) >= 3:
+            found.add("three-stack")
+    for subject, name, obj in graph.relations:
+        if name == "inside_of" and world.objects[obj].openable:
+            found.add("inside-open" if world.objects[obj].open else "inside-closed")
+        elif name == "toggled_on":
+            found.add("toggled")
+        elif name == "next_to":
+            a, b = world.objects[subject].position, world.objects[obj].position
+            if a == b:
+                found.add("same-cell-next-to")
+            elif a[0] != b[0] and a[1] != b[1]:
+                found.add("diagonal-next-to")
+    return found
+
+
+class TestExtractMatchesRelationSweep:
+    def test_random_worlds_under_random_actions(self):
+        rng = random.Random(20241)
+        seen = set()
+        for _ in range(60):
+            world = random_world(rng)
+            for _step in range(80):
+                observation = world.observe()
+                graph = extract(observation)
+                assert graph == sweep_extract(observation)
+                seen.update(_features(world, graph))
+                world.apply_action(rng.choice(LOW_LEVEL_ACTIONS))
+        assert seen >= {
+            "held",
+            "three-stack",
+            "inside-open",
+            "inside-closed",
+            "toggled",
+            "same-cell-next-to",
+            "diagonal-next-to",
+        }
+
+    def test_held_item_has_no_spatial_relations(self):
+        world = small_world()
+        world.agent_position = (4, 3)
+        world.apply_action("pickup")  # mug_1 out of sink_1
+        graph = extract(world.observe())
+        assert graph == sweep_extract(world.observe())
+        assert [t for t in graph.relations if "mug_1" in t] == [
+            ("mug_1", "held_by", AGENT_LABEL)
+        ]
 
 
 class TestRenderParse:

@@ -458,6 +458,38 @@ class TestPersistence:
             TrajectoryDB.load(path)
 
 
+    def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        rng = random.Random(24)
+        db = TrajectoryDB(dimension=4)
+        db.update_after_iteration([make_record(rng, f"t{i}", dimension=4) for i in range(3)])
+        path = tmp_path / "db.jsonl"
+        db.save(path)
+        before = path.read_bytes()
+        db.update_after_iteration([make_record(rng, f"u{i}", dimension=4) for i in range(3)])
+
+        original = TaskRecord.to_json_dict
+        written = []
+
+        def fails_on_the_second_record(record):
+            if len(written) == 1:
+                raise OSError("disk full")
+            written.append(record.task_id)
+            return original(record)
+
+        monkeypatch.setattr(TaskRecord, "to_json_dict", fails_on_the_second_record)
+        with pytest.raises(OSError, match="disk full"):
+            db.save(path)
+        assert written == ["t0"]  # the header and one record went out first
+        assert path.read_bytes() == before
+        assert [r.task_id for r in TrajectoryDB.load(path).records()] == ["t0", "t1", "t2"]
+        assert [p.name for p in tmp_path.iterdir()] == ["db.jsonl"]
+
+        monkeypatch.setattr(TaskRecord, "to_json_dict", original)
+        db.save(path)
+        assert len(TrajectoryDB.load(path)) == 6
+        assert [p.name for p in tmp_path.iterdir()] == ["db.jsonl"]
+
+
 class TestTaskRecordValidation:
     def test_requires_at_least_one_step(self):
         with pytest.raises(ValueError):
