@@ -201,10 +201,14 @@ class World:
         )
 
     def navigable_grid(self) -> np.ndarray:
-        grid = np.zeros((self.height, self.width), dtype=bool)
-        for y in range(self.height):
-            for x in range(self.width):
-                grid[y, x] = self.navigable((x, y))
+        """``navigable`` for every cell, indexed ``[y, x]``."""
+        grid = np.ones((self.height, self.width), dtype=bool)
+        for x, y in self.walls:
+            grid[y, x] = False
+        for obj in self.objects.values():
+            if obj.landmark:  # never picked up, so always placed
+                x, y = obj.position
+                grid[y, x] = False
         return grid
 
     def faced_cell(self) -> Cell:

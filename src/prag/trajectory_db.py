@@ -12,13 +12,17 @@ id. ``score`` computes this for one record and is the reference.
 ``retrieve_top_k`` scans all records at once, in the style of an exact
 inner-product index: a goal matrix with one row per record (in task id
 order), an observation matrix stacking every step vector, and the offsets
-where each record's steps begin. A query takes one row-dot per matrix,
-divides by row norms computed when the matrices are built (a zero vector
-scores 0) and keeps each record's best step with ``np.maximum.reduceat``.
-The records within rounding distance of the k-th best, usually just k, are
-then scored by ``score`` and sorted, so hits carry the reference's exact
-values and tie order. The matrices are built on the first retrieval after
-the store changes.
+where each record's steps begin. Each matrix keeps only the columns that
+some stored vector uses: hashed scene texts fill a few dozen of 384, so a
+query reads a small fraction of the store, while a dense store keeps every
+column and scans them all. A query takes one matrix-vector product per
+matrix over the used entries of the query, divides by the stored vectors'
+norms times the whole query's norm (a zero vector scores 0) and keeps each
+record's best step with ``np.maximum.reduceat``. The records within
+rounding distance of the k-th best, usually just k, are then scored by
+``score`` and sorted, so hits carry the reference's exact values and tie
+order. The matrices are built on the first retrieval after the store
+changes.
 
 The store is a single line-delimited JSON file with a header line, so a
 checkpoint can be inspected with standard shell tools.
@@ -166,37 +170,50 @@ def score(query: RetrievalQuery, record: TaskRecord) -> float:
 _CANDIDATE_MARGIN = 1e-9
 
 
-def _row_cosines(matrix: np.ndarray, norms: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    """Cosine of each row of ``matrix`` with ``vector``; zero vectors give 0."""
-    denominators = norms * math.sqrt(float(np.dot(vector, vector)))
-    dots = np.einsum("ij,j->i", matrix, vector)
-    return np.divide(
-        dots, denominators, out=np.zeros_like(dots), where=denominators != 0.0
-    )
+class _UsedColumns:
+    """Stored vectors cut to the columns any of them uses, for cosines.
+
+    Dropped columns are zero in every stored vector, so they add nothing to
+    a dot product. Rows are filled one by one, so a dense store (every
+    column used) is never held twice at full width.
+    """
+
+    def __init__(self, vectors: list[np.ndarray]):
+        used = np.zeros(vectors[0].size, dtype=bool)
+        for v in vectors:
+            used |= v != 0.0
+        self.columns = np.flatnonzero(used)
+        self.matrix = np.empty((len(vectors), self.columns.size))
+        for row, v in enumerate(vectors):
+            self.matrix[row] = v[self.columns]
+        # The dropped entries are zero, so these are the full vectors' norms.
+        self.norms = np.sqrt(np.einsum("ij,ij->i", self.matrix, self.matrix))
+
+    def cosines(self, vector: np.ndarray) -> np.ndarray:
+        """Cosine of each row with ``vector``; zero vectors give 0."""
+        # The query's norm is over all its entries: its mass on dropped
+        # columns adds nothing to the dots but still scales every cosine.
+        denominators = self.norms * math.sqrt(float(np.dot(vector, vector)))
+        dots = self.matrix @ vector[self.columns]
+        return np.divide(
+            dots, denominators, out=np.zeros_like(dots), where=denominators != 0.0
+        )
 
 
 class _MatrixIndex:
-    """Every record's vectors stacked for one-pass scoring, in task id order."""
+    """Every record's vectors in two column-trimmed matrices, in task id order."""
 
     def __init__(self, records: list[TaskRecord]):
         self.records = records
-        self.goals = np.stack([r.goal_embedding for r in records])
-        # One stack over the flat list: stacking per record and concatenating
-        # would hold every step vector twice while it runs.
-        self.observations = np.stack([v for r in records for v in r.obs_embeddings])
-        self.goal_norms = np.sqrt(np.einsum("ij,ij->i", self.goals, self.goals))
-        self.observation_norms = np.sqrt(
-            np.einsum("ij,ij->i", self.observations, self.observations)
-        )
+        self.goals = _UsedColumns([r.goal_embedding for r in records])
+        self.observations = _UsedColumns([v for r in records for v in r.obs_embeddings])
         # Every record has at least one step, so no segment is empty.
         lengths = [len(r.obs_embeddings) for r in records]
         self.starts = np.cumsum([0] + lengths[:-1])
 
     def top_k(self, query: RetrievalQuery, k: int) -> list[RetrievalHit]:
-        goal_terms = _row_cosines(self.goals, self.goal_norms, query.goal_embedding)
-        step_terms = _row_cosines(
-            self.observations, self.observation_norms, query.obs_embedding
-        )
+        goal_terms = self.goals.cosines(query.goal_embedding)
+        step_terms = self.observations.cosines(query.obs_embedding)
         scores = goal_terms + np.maximum.reduceat(step_terms, self.starts)
         cut = max(scores.size - k, 0)
         kth_best = np.partition(scores, cut)[cut]
@@ -233,14 +250,20 @@ class TrajectoryDB:
         """All records, ordered by task id."""
         return [self._records[k] for k in sorted(self._records)]
 
-    def _check_dimension(self, record: TaskRecord) -> None:
-        if self._dimension is None:
-            self._dimension = record.dimension
-        elif record.dimension != self._dimension:
-            raise ValueError(
-                f"record {record.task_id!r} has dimension {record.dimension}, "
-                f"database uses {self._dimension}"
-            )
+    def _check_dimension(self, records: list[TaskRecord]) -> None:
+        """Reject the records unless all share the store's dimension.
+
+        An empty store takes the first record's dimension, but only once
+        every record has passed, so a rejected batch changes nothing.
+        """
+        dimension = self._dimension or records[0].dimension
+        for record in records:
+            if record.dimension != dimension:
+                raise ValueError(
+                    f"record {record.task_id!r} has dimension {record.dimension}, "
+                    f"database uses {dimension}"
+                )
+        self._dimension = dimension
 
     def update_after_iteration(self, batch: list[TaskRecord]) -> None:
         """Merge one iteration's records, one per task, newest-wins.
@@ -257,9 +280,9 @@ class TrajectoryDB:
         task_ids = [r.task_id for r in batch]
         if len(set(task_ids)) != len(task_ids):
             raise ValueError("batch contains more than one record for a task")
+        self._check_dimension(batch)
         self._index = None
         for record in batch:
-            self._check_dimension(record)
             stored = self._records.get(record.task_id)
             if stored is not None and stored.done and not record.done:
                 continue
@@ -357,6 +380,6 @@ class TrajectoryDB:
                     raise DatabaseFormatError(
                         f"duplicate task_id {record.task_id!r}", line_number=lineno
                     )
-                db._check_dimension(record)
+                db._check_dimension([record])
                 db._records[record.task_id] = record
             return db

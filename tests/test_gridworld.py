@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import random
 import textwrap
 
+import numpy as np
 import pytest
 
 from prag.gridworld.sim import EpisodeResult, SimulationError, Simulator
@@ -17,8 +19,37 @@ from prag.gridworld.tasks import (
     bundled_task,
     load_task_text,
 )
-from prag.gridworld.world import CELL_ITEM_CAPACITY, World, turn
+from prag.gridworld.world import (
+    CELL_ITEM_CAPACITY,
+    KINDS,
+    LOW_LEVEL_ACTIONS,
+    World,
+    turn,
+)
 from tests.conftest import border_walls, make_ball_task, make_ball_world
+
+
+def random_walled_world(rng: random.Random) -> World:
+    """A bordered room with inner walls, a few landmarks and loose items."""
+    width, height = rng.randint(5, 9), rng.randint(5, 9)
+    interior = [(x, y) for y in range(1, height - 1) for x in range(1, width - 1)]
+    inner_walls = set(rng.sample(interior, len(interior) // 6))
+    free = [cell for cell in interior if cell not in inner_walls]
+    world = World(
+        width,
+        height,
+        walls=border_walls(width, height) | inner_walls,
+        agent_position=rng.choice(free),
+        agent_heading=rng.choice("NESW"),
+    )
+    kinds = sorted(KINDS)
+    for i in range(rng.randint(3, 10)):
+        kind = rng.choice(kinds)
+        try:
+            world.place_object(f"{kind}_{i}", kind, rng.choice(free))
+        except ValueError:
+            pass  # landmark overlap, the agent's cell or a full cell
+    return world
 
 
 class TestHeadings:
@@ -215,6 +246,34 @@ class TestObservation:
         assert not grid[1, 3]            # table_1 landmark at (3,1)
         assert grid[1, 1]                # ball cell is walkable
         assert grid.shape == (5, 5)
+        # The grid is built from walls and landmark positions; per-cell
+        # ``navigable`` scans each stack and is the reference. Snapshots are
+        # taken as the agent moves, picks up and drops items.
+        rng = random.Random(7)
+        seen = set()
+        for _ in range(30):
+            world = random_walled_world(rng)
+            for _step in range(80):
+                observation = world.observe()
+                expected = np.array(
+                    [
+                        [observation.world.navigable((x, y)) for x in range(world.width)]
+                        for y in range(world.height)
+                    ]
+                )
+                assert np.array_equal(observation.navigable_grid(), expected)
+                position, held = world.agent_position, world.agent_inventory
+                world.apply_action(rng.choice(LOW_LEVEL_ACTIONS))
+                if world.agent_position != position:
+                    seen.add("move")
+                if world.agent_inventory != held:
+                    seen.add("pickup" if held is None else "drop")
+            if any(
+                len(stack) > 1 and world.objects[stack[0]].landmark
+                for stack in world.stacks().values()
+            ):
+                seen.add("item-on-landmark")
+        assert seen == {"move", "pickup", "drop", "item-on-landmark"}
 
     def test_conservation_of_labels(self):
         world = make_ball_world()

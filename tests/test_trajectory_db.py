@@ -9,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prag.trajectory_db import (
     DatabaseFormatError,
@@ -340,6 +342,169 @@ class TestMatrixScan:
             db.retrieve_top_k(make_query(rng, dimension=4), 1)
 
 
+_VALUES = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.floats(-2.0, 2.0).filter(lambda x: abs(x) > 1e-3),
+)
+
+
+@st.composite
+def sparse_vector(draw, dimension: int, columns: list[int]) -> np.ndarray:
+    """Values on a drawn subset of ``columns``; the subset may be empty."""
+    vector = np.zeros(dimension)
+    if columns:
+        for column in draw(st.lists(st.sampled_from(columns), unique=True)):
+            vector[column] = draw(_VALUES)
+    return vector
+
+
+@st.composite
+def stores_and_queries(draw):
+    """A store whose records use few columns, or every column, and a query
+    free to put mass on any column."""
+    dimension = draw(st.integers(1, 24))
+    everything = list(range(dimension))
+    dense = draw(st.booleans())
+    store_columns = everything if dense else draw(
+        st.lists(st.sampled_from(everything), unique=True, max_size=dimension // 2 + 1)
+    )
+
+    def stored_vector():
+        if dense and draw(st.booleans()):
+            return np.array(draw(st.lists(_VALUES, min_size=dimension, max_size=dimension)))
+        return draw(sparse_vector(dimension, store_columns))
+
+    batches: dict[int, list[TaskRecord]] = {1: [], 2: []}
+    for i in range(draw(st.integers(1, 8))):
+        steps = draw(st.integers(1, 3))
+        iteration = draw(st.sampled_from((1, 2)))
+        batches[iteration].append(
+            TaskRecord(
+                task_id=f"t{i}",
+                iteration=iteration,
+                goal_text="g",
+                goal_embedding=stored_vector(),
+                obs_embeddings=tuple(stored_vector() for _ in range(steps)),
+                history=tuple(("done()", "") for _ in range(steps)),
+                done=False,
+            )
+        )
+    db = TrajectoryDB(dimension=dimension)
+    db.update_after_iteration(batches[1])
+    db.update_after_iteration(batches[2])
+    query = RetrievalQuery(
+        draw(sparse_vector(dimension, everything)), draw(sparse_vector(dimension, everything))
+    )
+    return db, query, draw(st.integers(1, len(db) + 1))
+
+
+class TestUsedColumns:
+    """The index keeps only the columns some stored vector uses."""
+
+    @given(stores_and_queries())
+    @settings(max_examples=200, deadline=None)
+    def test_hits_equal_brute_force(self, case):
+        db, query, k = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hits = db.retrieve_top_k(query, k)
+        assert [(h.record.task_id, h.score) for h in hits] == [
+            (r.task_id, s) for s, r in brute_force(db, query, k)
+        ]
+
+    def test_query_mass_on_unused_columns_counts_in_its_norm(self):
+        unit = np.eye(4)
+
+        def record(task_id, goal, step):
+            return TaskRecord(
+                task_id=task_id,
+                iteration=1,
+                goal_text="g",
+                goal_embedding=goal,
+                obs_embeddings=(step,),
+                history=(("done()", ""),),
+                done=False,
+            )
+
+        db = TrajectoryDB(dimension=4)
+        db.update_after_iteration(
+            [
+                record("matching_step", np.zeros(4), unit[1]),
+                record("matching_goal", unit[0], unit[1] + unit[3]),
+            ]
+        )
+        # No stored goal uses column 2. Counted in the query's norm, its mass
+        # shrinks every goal term to 1/sqrt(101), so the exact step match wins.
+        query = RetrievalQuery(unit[0] + 10.0 * unit[2], unit[1])
+        hits = db.retrieve_top_k(query, 1)
+        assert [(h.record.task_id, h.score) for h in hits] == [
+            (r.task_id, s) for s, r in brute_force(db, query, 1)
+        ]
+        assert hits[0].record.task_id == "matching_step"
+
+    def test_index_is_as_wide_as_the_used_columns(self):
+        dim = 384
+        gen = np.random.default_rng(41)
+        goal_columns = gen.choice(dim, 12, replace=False)
+        step_columns = gen.choice(dim, 20, replace=False)
+        records = []
+        for i in range(50):
+            goal = np.zeros(dim)
+            goal[gen.choice(goal_columns, 4, replace=False)] = 1.0
+            steps = []
+            for _ in range(3):
+                step = np.zeros(dim)
+                step[gen.choice(step_columns, 5, replace=False)] = gen.integers(1, 4, 5)
+                steps.append(step)
+            records.append(
+                TaskRecord(
+                    task_id=f"t{i:02d}",
+                    iteration=1,
+                    goal_text="g",
+                    goal_embedding=goal,
+                    obs_embeddings=tuple(steps),
+                    history=tuple(("done()", "") for _ in steps),
+                    done=False,
+                )
+            )
+        db = TrajectoryDB(dimension=dim)
+        db.update_after_iteration(records)
+        db.retrieve_top_k(RetrievalQuery(np.ones(dim), np.ones(dim)), 3)
+        used_goal = np.flatnonzero(np.any([r.goal_embedding for r in records], axis=0))
+        used_step = np.flatnonzero(
+            np.any([v for r in records for v in r.obs_embeddings], axis=0)
+        )
+        assert db._index.goals.matrix.shape == (50, used_goal.size)
+        assert db._index.observations.matrix.shape == (150, used_step.size)
+        assert used_goal.size <= 12 and used_step.size <= 20
+
+    def test_update_with_new_columns_widens_the_index(self):
+        dim = 16
+        unit = np.eye(dim)
+
+        def record(task_id, iteration, vector):
+            return TaskRecord(
+                task_id=task_id,
+                iteration=iteration,
+                goal_text="g",
+                goal_embedding=vector,
+                obs_embeddings=(vector,),
+                history=(("done()", ""),),
+                done=False,
+            )
+
+        db = TrajectoryDB(dimension=dim)
+        db.update_after_iteration([record(f"old_{i}", 1, unit[i]) for i in range(3)])
+        query = RetrievalQuery(unit[9], unit[9] + unit[0])
+        assert [h.record.task_id for h in db.retrieve_top_k(query, 1)] == ["old_0"]
+        # Column 9 was unused when the index was first built; the new record
+        # wins only if the rebuilt index scores it.
+        db.update_after_iteration([record("new", 2, unit[9])])
+        hits = db.retrieve_top_k(query, 1)
+        assert [h.record.task_id for h in hits] == ["new"]
+        assert hits[0].score == score(query, db.get("new")) > 1.0
+
+
 class TestUpdatePolicy:
     def test_latest_iteration_wins(self):
         rng = random.Random(9)
@@ -379,6 +544,35 @@ class TestUpdatePolicy:
         db = TrajectoryDB(dimension=8)
         with pytest.raises(ValueError):
             db.update_after_iteration([make_record(rng, "a"), make_record(rng, "a")])
+
+    def test_rejected_dimension_leaves_the_store_unchanged(self):
+        rng = random.Random(16)
+        db = TrajectoryDB(dimension=4)
+        db.update_after_iteration([make_record(rng, "kept", dimension=4)])
+        kept = db.get("kept")
+        with pytest.raises(ValueError, match="dimension 5"):
+            db.update_after_iteration(
+                [
+                    make_record(rng, "a", dimension=4, iteration=2),
+                    make_record(rng, "kept", dimension=4, iteration=2),
+                    make_record(rng, "b", dimension=5, iteration=2),
+                ]
+            )
+        assert [r.task_id for r in db.records()] == ["kept"]
+        assert db.get("kept") is kept
+        assert db.dimension == 4
+
+    def test_rejected_batch_leaves_an_empty_store_without_a_dimension(self):
+        rng = random.Random(17)
+        db = TrajectoryDB()
+        with pytest.raises(ValueError, match="dimension 5"):
+            db.update_after_iteration(
+                [make_record(rng, "a", dimension=4), make_record(rng, "b", dimension=5)]
+            )
+        assert len(db) == 0
+        assert db.dimension is None
+        db.update_after_iteration([make_record(rng, "c", dimension=5)])
+        assert db.dimension == 5
 
     def test_one_record_per_task(self):
         rng = random.Random(15)
