@@ -241,8 +241,12 @@ def run_episode(
     failure, not the run. Episodes that fail before any action yield no
     record.
     The number of planning steps is capped by the simulator step budget, so
-    action-free decompositions cannot loop forever.
+    action-free decompositions cannot loop forever. The task's optimum is
+    solved (memoized per layout) before the episode starts, so a task the
+    solver rejects raises ``SolverLimitation`` or ``UnsolvableTaskError``
+    before any backend call.
     """
+    shortest_steps = shortest_solution_steps(task)
     sim = Simulator(task, seed=seed, max_steps=max_steps)
     observation = sim.reset()
     backend.begin_episode(task.id, iteration, task.goal, observation)
@@ -331,7 +335,7 @@ def run_episode(
         task_id=task.id,
         success=sim.succeeded,
         steps_taken=sim.step_count,
-        shortest_steps=shortest_solution_steps(task),
+        shortest_steps=shortest_steps,
     )
     record = None
     if history:

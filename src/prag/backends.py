@@ -21,7 +21,6 @@ import json
 import os
 import random
 from dataclasses import dataclass, field
-from typing import Callable
 
 import requests
 
@@ -76,8 +75,7 @@ class RemoteChatBackend(PlannerBackend):
     The API key is read from the environment (PRAG_CHAT_API_KEY by default)
     at request time; it is never taken as a constructor argument and never
     logged. Requests use temperature 0 so reruns are as stable as the remote
-    model allows. ``log`` receives ("request", payload) and
-    ("response", payload) pairs for every call.
+    model allows.
     """
 
     name = "remote-chat"
@@ -91,7 +89,6 @@ class RemoteChatBackend(PlannerBackend):
         timeout: float = DEFAULT_CHAT_TIMEOUT,
         api_key_env: str = CHAT_API_KEY_ENV,
         system_prompt: str = SYSTEM_PROMPT,
-        log: Callable[[str, dict], None] | None = None,
     ) -> None:
         if not base_url:
             raise ValueError("base_url must be a non-empty URL")
@@ -103,7 +100,6 @@ class RemoteChatBackend(PlannerBackend):
         self.timeout = timeout
         self.api_key_env = api_key_env
         self.system_prompt = system_prompt
-        self.log = log
 
     def complete(self, prompt: str, context: StepContext) -> str:
         payload = {
@@ -118,8 +114,6 @@ class RemoteChatBackend(PlannerBackend):
         api_key = os.environ.get(self.api_key_env)
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
-        if self.log is not None:
-            self.log("request", {"url": self.base_url, "payload": payload})
         try:
             response = requests.post(
                 f"{self.base_url}/chat/completions",
@@ -135,8 +129,6 @@ class RemoteChatBackend(PlannerBackend):
             raise BackendError(f"chat response is not JSON: {exc}") from exc
         except ValueError as exc:  # requests raises ValueError on bad JSON too
             raise BackendError(f"chat response is not JSON: {exc}") from exc
-        if self.log is not None:
-            self.log("response", {"payload": body})
         try:
             text = body["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:

@@ -7,8 +7,9 @@ Subcommands:
   db      inspect or validate a database file
 
 Exit status is 0 whenever the requested run completed, regardless of how many
-tasks succeeded; configuration and I/O problems exit nonzero. Remote
-credentials are read from environment variables only.
+tasks succeeded; configuration and I/O problems exit nonzero, as does a task
+the optimal-step solver cannot solve or cannot model. Remote credentials are
+read from environment variables only.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .driver import (
     run_eval,
     run_iterations,
 )
+from .gridworld.solver import SolverLimitation, UnsolvableTaskError
 from .gridworld.tasks import TaskFileError
 from .trajectory_db import DatabaseFormatError, TrajectoryDB
 
@@ -181,7 +183,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, TaskFileError, DatabaseFormatError) as exc:
+    except (
+        ConfigError,
+        TaskFileError,
+        DatabaseFormatError,
+        SolverLimitation,
+        UnsolvableTaskError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -44,9 +44,6 @@ class GoalPredicate(ABC):
     def relevant_labels(self) -> tuple[str, ...]:
         """Objects whose configuration the predicate depends on."""
 
-    @abstractmethod
-    def to_params(self) -> dict: ...
-
 
 @dataclass(frozen=True)
 class PlacedAt(GoalPredicate):
@@ -63,9 +60,6 @@ class PlacedAt(GoalPredicate):
 
     def relevant_labels(self) -> tuple[str, ...]:
         return (self.item, self.target)
-
-    def to_params(self) -> dict:
-        return {"kind": self.kind, "item": self.item, "target": self.target}
 
 
 @dataclass(frozen=True)
@@ -87,13 +81,6 @@ class ItemsInContainerToggled(GoalPredicate):
     def relevant_labels(self) -> tuple[str, ...]:
         return tuple(self.items) + (self.container,)
 
-    def to_params(self) -> dict:
-        return {
-            "kind": self.kind,
-            "items": list(self.items),
-            "container": self.container,
-        }
-
 
 @dataclass(frozen=True)
 class AgentHolds(GoalPredicate):
@@ -107,9 +94,6 @@ class AgentHolds(GoalPredicate):
 
     def relevant_labels(self) -> tuple[str, ...]:
         return (self.item,)
-
-    def to_params(self) -> dict:
-        return {"kind": self.kind, "item": self.item}
 
 
 def predicate_from_params(params: dict) -> GoalPredicate:

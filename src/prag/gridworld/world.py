@@ -413,26 +413,3 @@ class World:
             objects=views,
             world=snapshot,
         )
-
-    def render_ascii(self) -> str:
-        """Text dump for logs: walls, floor, top-of-stack objects, agent."""
-        agent_char = {"N": "^", "E": ">", "S": "v", "W": "<"}[self.agent_heading]
-        rows = []
-        for y in range(self.height):
-            row = []
-            for x in range(self.width):
-                cell = (x, y)
-                if cell == self.agent_position:
-                    row.append(agent_char)
-                elif cell in self.walls:
-                    row.append("#")
-                else:
-                    stack = self._stacks.get(cell)
-                    if stack:
-                        top = self.objects[stack[-1]]
-                        ch = top.kind[0]
-                        row.append(ch.upper() if top.landmark else ch)
-                    else:
-                        row.append(".")
-            rows.append("".join(row))
-        return "\n".join(rows)

@@ -72,10 +72,6 @@ def render_action(action: HighLevelAction) -> str:
     return f"{action.verb}({action.argument})"
 
 
-def action_line(action: HighLevelAction) -> str:
-    return f"Action: {render_action(action)}"
-
-
 def parse_action(text: str, observation: Observation) -> HighLevelAction | ParseFailure:
     """Parse the first well-formed action line out of a backend reply.
 

@@ -21,6 +21,57 @@ def task_dir(tmp_path):
     return d
 
 
+# The ball cannot reach the table: a wall ring seals it off.
+SEALED_TABLE = """\
+id: sealed_table
+goal: Put the ball on the sealed table
+max_steps: 30
+grid: |
+  #######
+  #.###.#
+  #.#T#.#
+  #.###.#
+  #B....#
+  #.....#
+  #######
+objects:
+  table_1: {kind: table, at: T}
+  ball_1: {kind: ball, at: B}
+agent:
+  at: [1, 5]
+  heading: N
+goal_predicate:
+  kind: placed_at
+  item: ball_1
+  target: table_1
+"""
+
+# A mug rests on the goal ball, which the solver's model cannot move.
+BURIED_BALL = """\
+id: buried_ball
+goal: Put the buried ball on the table
+max_steps: 30
+grid: |
+  ######
+  #B.T.#
+  #....#
+  #....#
+  #....#
+  ######
+objects:
+  table_1: {kind: table, at: T}
+  ball_1: {kind: ball, at: B}
+  mug_1: {kind: mug, on: ball_1}
+agent:
+  at: [1, 4]
+  heading: N
+goal_predicate:
+  kind: placed_at
+  item: ball_1
+  target: table_1
+"""
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -100,6 +151,29 @@ class TestRunCommand:
         )
         assert code == 0
         assert "eval" in out
+
+    @pytest.mark.parametrize(
+        "task_id, text, message",
+        [
+            ("sealed_table", SEALED_TABLE, "error: task 'sealed_table' has no solution"),
+            ("buried_ball", BURIED_BALL, "error: task 'buried_ball': scenery item 'mug_1'"),
+        ],
+        ids=["unsolvable", "out-of-model"],
+    )
+    def test_task_the_solver_rejects_exits_two_before_its_episode(
+        self, capsys, task_dir, tmp_path, task_id, text, message
+    ):
+        (task_dir / f"{task_id}.yaml").write_text(text)
+        out_dir = tmp_path / "run_out"
+        code, _, err = run_cli(
+            capsys, "run", "--tasks", str(task_dir), "--iterations", "1", "--out", str(out_dir)
+        )
+        assert code == 2
+        assert err.startswith(message)
+        assert len(err.splitlines()) == 1
+        # The task failed before its episode started: nothing was logged.
+        assert (out_dir / "train_iter_01" / f"{task_id}.jsonl").read_text() == ""
+        assert not (out_dir / "report_iter_01.json").exists()
 
     def test_unknown_backend_is_an_argparse_error(self, task_dir):
         with pytest.raises(SystemExit) as info:

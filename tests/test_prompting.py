@@ -14,7 +14,6 @@ from prag.prompting import (
     HighLevelAction,
     ParseFailure,
     PromptBundle,
-    action_line,
     action_space_text,
     build_prompt,
     experiences_from_hits,
@@ -75,9 +74,6 @@ class TestActionValues:
         assert render_action(HighLevelAction("done")) == "done()"
         assert render_action(HighLevelAction("pickup", "ball_1")) == "pickup(ball_1)"
         assert render_action(HighLevelAction("navigate", (2, 3))) == "navigate(2,3)"
-
-    def test_action_line_prefix(self):
-        assert action_line(HighLevelAction("done")) == "Action: done()"
 
 
 class TestParseAction:
@@ -152,7 +148,7 @@ class TestParseAction:
         ],
     )
     def test_render_parse_round_trip(self, observation, action):
-        assert parse_action(action_line(action), observation) == action
+        assert parse_action("Action: " + render_action(action), observation) == action
 
 
 class TestActionSpaceText:
