@@ -244,7 +244,8 @@ def run_episode(
     action-free decompositions cannot loop forever. The task's optimum is
     solved (memoized per layout) before the episode starts, so a task the
     solver rejects raises ``SolverLimitation`` or ``UnsolvableTaskError``
-    before any backend call.
+    before any backend call. Events passed to ``log`` do not name the task;
+    a caller that logs several episodes to one place adds the task id.
     """
     shortest_steps = shortest_solution_steps(task)
     sim = Simulator(task, seed=seed, max_steps=max_steps)
@@ -252,7 +253,6 @@ def run_episode(
     backend.begin_episode(task.id, iteration, task.goal, observation)
     log(
         "episode-start",
-        task_id=task.id,
         iteration=iteration,
         goal=task.goal,
         seed=seed,
@@ -350,7 +350,6 @@ def run_episode(
         )
     log(
         "episode-end",
-        task_id=task.id,
         success=sim.succeeded,
         steps=sim.step_count,
         failure=failure,

@@ -22,8 +22,6 @@ import os
 import random
 from dataclasses import dataclass, field
 
-import requests
-
 from .embedding import fnv1a64
 from .gridworld.world import Observation
 from .trajectory_db import RetrievalHit
@@ -102,6 +100,8 @@ class RemoteChatBackend(PlannerBackend):
         self.system_prompt = system_prompt
 
     def complete(self, prompt: str, context: StepContext) -> str:
+        import requests  # deferred: only remote clients need it, and it is slow to import
+
         payload = {
             "model": self.model,
             "messages": [

@@ -7,15 +7,22 @@ never see each other. Two modes exist: ``self-iter`` iterates one task set,
 ``train-eval`` additionally runs a frozen evaluation pass (no database
 updates) on a held-out task set after training.
 
+Every task of both task sets is solved for its optimal step count before
+the first pass, so a task the solver rejects stops the run before any
+episode starts (the solver memoizes, so each episode's own call is free).
+
 Each iteration writes a database checkpoint ``db_iter_NN.jsonl``, a report
-``report_iter_NN.json``, and per-episode JSONL logs, so any iteration can be
-reproduced by reloading the previous checkpoint. Checkpoints and reports are
-replaced atomically, so a killed run leaves each of them whole.
+``report_iter_NN.json``, and one JSONL event log per pass,
+``<phase>_iter_NN.jsonl``, holding every episode's events in task order,
+each line tagged with its ``task_id``. Any iteration can be reproduced by
+reloading the previous checkpoint. Checkpoints and reports are replaced
+atomically, so a killed run leaves each of them whole.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,6 +30,7 @@ from typing import IO, Any
 
 import yaml
 
+from . import agent
 from .agent import run_episode
 from .atomic_io import open_atomic
 from .backends import (
@@ -180,15 +188,20 @@ class IterationReport:
 
 
 class EpisodeLog:
-    """Line-delimited JSON event log for one episode."""
+    """Line-delimited JSON event log for one pass over the task set.
+
+    Payloads JSON cannot encode are written as their ``repr``.
+    """
 
     def __init__(self, path: Path) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         self._handle: IO[str] = path.open("w", encoding="utf-8")
+        # ``json.dumps(..., default=repr)`` would build this encoder per event.
+        self._encode = json.JSONEncoder(default=repr).encode
 
     def __call__(self, event: str, **payload: Any) -> None:
         record = {"event": event, **payload}
-        self._handle.write(json.dumps(record, default=repr) + "\n")
+        self._handle.write(self._encode(record) + "\n")
 
     def close(self) -> None:
         self._handle.close()
@@ -217,6 +230,19 @@ def load_tasks(source: str) -> list[Task]:
     return load_task_dir(source)
 
 
+def _load_tasks_or_fail(source: str) -> list[Task]:
+    try:
+        return load_tasks(source)
+    except OSError as exc:
+        raise ConfigError(f"cannot load tasks from {source!r}: {exc}") from exc
+
+
+def _solve_all(tasks: list[Task]) -> None:
+    """Solve every task's optimum now, so a task the solver rejects fails first."""
+    for task in tasks:
+        agent.shortest_solution_steps(task)
+
+
 def run_pass(
     tasks: list[Task],
     db: TrajectoryDB,
@@ -228,16 +254,20 @@ def run_pass(
     phase: str = "train",
     out_dir: Path | None = None,
 ) -> IterationReport:
-    """One pass over the task set. Commits new records only in train phase."""
+    """One pass over the task set. Commits new records only in train phase.
+
+    With ``out_dir``, every episode's events go to one log,
+    ``<phase>_iter_NN.jsonl``, each line tagged with the episode's task id.
+    """
     start_calls = db.retrieval_count
     results: list[EpisodeResult] = []
     failures: dict[str, str] = {}
     batch = []
-    for task in tasks:
-        log = None
-        if out_dir is not None:
-            log = EpisodeLog(out_dir / f"{phase}_iter_{iteration:02d}" / f"{task.id}.jsonl")
-        try:
+    log = None
+    if out_dir is not None:
+        log = EpisodeLog(out_dir / f"{phase}_iter_{iteration:02d}.jsonl")
+    try:
+        for task in tasks:
             outcome = run_episode(
                 task,
                 backend,
@@ -249,16 +279,20 @@ def run_pass(
                 max_retries=config.max_retries,
                 max_steps=config.max_steps,
                 history_limit=config.history_limit,
-                log=log if log is not None else (lambda event, **payload: None),
+                log=(
+                    functools.partial(log, task_id=task.id)
+                    if log is not None
+                    else (lambda event, **payload: None)
+                ),
             )
-        finally:
-            if log is not None:
-                log.close()
-        results.append(outcome.result)
-        if outcome.failure is not None:
-            failures[task.id] = outcome.failure
-        if phase == "train" and outcome.record is not None:
-            batch.append(outcome.record)
+            results.append(outcome.result)
+            if outcome.failure is not None:
+                failures[task.id] = outcome.failure
+            if phase == "train" and outcome.record is not None:
+                batch.append(outcome.record)
+    finally:
+        if log is not None:
+            log.close()
     if phase == "train":
         db.update_after_iteration(batch)
     return IterationReport(
@@ -302,10 +336,12 @@ def run_iterations(config: RunConfig) -> list[IterationReport]:
     config.validate()
     encoder = build_encoder(config)
     backend = build_backend(config)
-    try:
-        tasks = load_tasks(config.tasks)
-    except OSError as exc:
-        raise ConfigError(f"cannot load tasks from {config.tasks!r}: {exc}") from exc
+    tasks = _load_tasks_or_fail(config.tasks)
+    eval_tasks: list[Task] = []
+    if config.mode == "train-eval":
+        assert config.eval_tasks is not None
+        eval_tasks = _load_tasks_or_fail(config.eval_tasks)
+    _solve_all(tasks + eval_tasks)
 
     out_dir = None
     if config.out is not None:
@@ -331,11 +367,6 @@ def run_iterations(config: RunConfig) -> list[IterationReport]:
         previous_vector = report.done_vector
 
     if config.mode == "train-eval":
-        assert config.eval_tasks is not None
-        try:
-            eval_tasks = load_tasks(config.eval_tasks)
-        except OSError as exc:
-            raise ConfigError(f"cannot load tasks from {config.eval_tasks!r}: {exc}") from exc
         eval_report = run_pass(
             eval_tasks,
             db,
@@ -368,10 +399,8 @@ def run_eval(
             f" {encoder.dimension}"
         )
     backend = build_backend(config)
-    try:
-        tasks = load_tasks(config.tasks)
-    except OSError as exc:
-        raise ConfigError(f"cannot load tasks from {config.tasks!r}: {exc}") from exc
+    tasks = _load_tasks_or_fail(config.tasks)
+    _solve_all(tasks)
     report = run_pass(
         tasks, db, backend, encoder, config, iteration=1, phase="eval", out_dir=out_dir
     )

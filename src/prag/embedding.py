@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Protocol
 
 import numpy as np
-import requests
 
 DEFAULT_DIMENSION = 384
 
@@ -119,6 +118,8 @@ class RemoteEncoder:
     extra_headers: dict[str, str] = field(default_factory=dict)
 
     def encode(self, text: str) -> np.ndarray:
+        import requests  # deferred: only remote clients need it, and it is slow to import
+
         headers = {"Content-Type": "application/json", **self.extra_headers}
         api_key = os.environ.get(self.api_key_env)
         if api_key:

@@ -67,6 +67,20 @@ def _as_vector(values, name: str) -> np.ndarray:
     return vec
 
 
+def _vector_json(vec: np.ndarray) -> str:
+    """``json.dumps(vec.tolist())`` for a non-empty vector, without a list."""
+    parts = []
+    end = 0
+    nonzero = np.flatnonzero((vec != 0.0) | np.signbit(vec))
+    for index, value in zip(nonzero.tolist(), vec[nonzero].tolist()):
+        parts.append("0.0, " * (index - end))
+        parts.append(repr(value))
+        parts.append(", ")
+        end = index + 1
+    parts.append("0.0, " * (vec.size - end))
+    return "[" + "".join(parts)[:-2] + "]"
+
+
 @dataclass
 class TaskRecord:
     """One task's latest trajectory, as stored in the database."""
@@ -108,16 +122,28 @@ class TaskRecord:
     def dimension(self) -> int:
         return int(self.goal_embedding.size)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "task_id": self.task_id,
-            "iteration": self.iteration,
-            "goal_text": self.goal_text,
-            "done": self.done,
-            "goal_embedding": self.goal_embedding.tolist(),
-            "obs_embeddings": [v.tolist() for v in self.obs_embeddings],
-            "history": [[a, o] for a, o in self.history],
-        }
+    def to_json_line(self) -> str:
+        """The record as one JSON object, without the newline.
+
+        The bytes are those of ``json.dumps`` of the record's fields in
+        order. Most stored entries are zero, so each vector is written as
+        runs of ``0.0`` around the ``repr`` of its other entries; ``-0.0``
+        counts as non-zero, since JSON writes it with its sign.
+        """
+        head = json.dumps(
+            {
+                "task_id": self.task_id,
+                "iteration": self.iteration,
+                "goal_text": self.goal_text,
+                "done": self.done,
+            }
+        )
+        steps = ", ".join(_vector_json(v) for v in self.obs_embeddings)
+        history = json.dumps([[a, o] for a, o in self.history])
+        return (
+            f'{head[:-1]}, "goal_embedding": {_vector_json(self.goal_embedding)},'
+            f' "obs_embeddings": [{steps}], "history": {history}}}'
+        )
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TaskRecord":
@@ -325,7 +351,7 @@ class TrajectoryDB:
         with open_atomic(path) as fh:
             fh.write(json.dumps(header) + "\n")
             for record in self.records():
-                fh.write(json.dumps(record.to_json_dict()) + "\n")
+                fh.write(record.to_json_line() + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "TrajectoryDB":

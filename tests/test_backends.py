@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import requests
 
+import prag
 from prag.backends import (
     CHAT_API_KEY_ENV,
     SYSTEM_PROMPT,
@@ -356,3 +361,16 @@ class TestRemoteChatBackend:
         obs = make_ball_world().observe()
         with pytest.raises(BackendError, match="not a string"):
             self.make_backend().complete("p", make_context(obs))
+
+
+def test_importing_prag_leaves_requests_unimported():
+    """Only the remote clients need ``requests``; a plain run never pays for it."""
+    src = Path(prag.__file__).resolve().parents[1]
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import prag, prag.cli;"
+        " print('requests' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
+    )
+    assert result.stdout.strip() == "False"

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from prag.backends import ReplayOracleBackend
 from prag.cli import main
 
 from tests.test_driver import TASK_A, TASK_B
@@ -161,9 +162,14 @@ class TestRunCommand:
         ids=["unsolvable", "out-of-model"],
     )
     def test_task_the_solver_rejects_exits_two_before_its_episode(
-        self, capsys, task_dir, tmp_path, task_id, text, message
+        self, capsys, monkeypatch, task_dir, tmp_path, task_id, text, message
     ):
         (task_dir / f"{task_id}.yaml").write_text(text)
+        calls = []
+        for name in ("begin_episode", "complete"):
+            monkeypatch.setattr(
+                ReplayOracleBackend, name, lambda *args, _name=name: calls.append(_name)
+            )
         out_dir = tmp_path / "run_out"
         code, _, err = run_cli(
             capsys, "run", "--tasks", str(task_dir), "--iterations", "1", "--out", str(out_dir)
@@ -171,8 +177,10 @@ class TestRunCommand:
         assert code == 2
         assert err.startswith(message)
         assert len(err.splitlines()) == 1
-        # The task failed before its episode started: nothing was logged.
-        assert (out_dir / "train_iter_01" / f"{task_id}.jsonl").read_text() == ""
+        # Every task is solved before the first episode, so whatever the load
+        # order, no episode started and no log was opened.
+        assert calls == []
+        assert not (out_dir / "train_iter_01.jsonl").exists()
         assert not (out_dir / "report_iter_01.json").exists()
 
     def test_unknown_backend_is_an_argparse_error(self, task_dir):

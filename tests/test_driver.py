@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
@@ -342,11 +343,22 @@ class TestRunIterations:
             "summary.txt",
         ):
             assert (out / name).exists(), name
-        for task_id in ("easy_ball", "mug_to_sink"):
-            log = out / "train_iter_01" / f"{task_id}.jsonl"
-            events = [json.loads(line) for line in log.read_text().splitlines()]
-            assert events[0]["event"] == "episode-start"
-            assert events[-1]["event"] == "episode-end"
+        assert not (out / "train_iter_01").exists()
+        for name in ("train_iter_01.jsonl", "train_iter_02.jsonl"):
+            lines = (out / name).read_text().splitlines()
+            # The driver tags every line with its task id, once.
+            assert all(line.count('"task_id"') == 1 for line in lines)
+            events = [json.loads(line) for line in lines]
+            # One contiguous run of events per episode, in task order.
+            runs = [
+                (task_id, [e["event"] for e in group])
+                for task_id, group in itertools.groupby(events, key=lambda e: e["task_id"])
+            ]
+            assert [task_id for task_id, _ in runs] == ["easy_ball", "mug_to_sink"]
+            for _, names in runs:
+                assert names[0] == "episode-start"
+                assert names[-1] == "episode-end"
+                assert names.count("episode-start") == names.count("episode-end") == 1
 
     def test_saved_reports_match_returned_ones(self, task_dir, tmp_path):
         out = tmp_path / "out"
@@ -392,6 +404,7 @@ class TestRunIterations:
         assert reports[-1].total_sr == 1.0
         eval_on_disk = json.loads((out / "report_eval.json").read_text())
         assert eval_on_disk["phase"] == "eval"
+        assert (out / "eval_iter_02.jsonl").read_text().count('"episode-end"') == 2
         # The eval pass must not have grown the saved database.
         assert (out / "db.jsonl").read_text() == (out / "db_iter_02.jsonl").read_text()
 

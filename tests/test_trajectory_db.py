@@ -661,7 +661,7 @@ class TestPersistence:
         before = path.read_bytes()
         db.update_after_iteration([make_record(rng, f"u{i}", dimension=4) for i in range(3)])
 
-        original = TaskRecord.to_json_dict
+        original = TaskRecord.to_json_line
         written = []
 
         def fails_on_the_second_record(record):
@@ -670,7 +670,7 @@ class TestPersistence:
             written.append(record.task_id)
             return original(record)
 
-        monkeypatch.setattr(TaskRecord, "to_json_dict", fails_on_the_second_record)
+        monkeypatch.setattr(TaskRecord, "to_json_line", fails_on_the_second_record)
         with pytest.raises(OSError, match="disk full"):
             db.save(path)
         assert written == ["t0"]  # the header and one record went out first
@@ -678,10 +678,90 @@ class TestPersistence:
         assert [r.task_id for r in TrajectoryDB.load(path).records()] == ["t0", "t1", "t2"]
         assert [p.name for p in tmp_path.iterdir()] == ["db.jsonl"]
 
-        monkeypatch.setattr(TaskRecord, "to_json_dict", original)
+        monkeypatch.setattr(TaskRecord, "to_json_line", original)
         db.save(path)
         assert len(TrajectoryDB.load(path)) == 6
         assert [p.name for p in tmp_path.iterdir()] == ["db.jsonl"]
+
+
+def reference_line(record: TaskRecord) -> str:
+    """A record's checkpoint line as ``json.dumps`` of its field dict writes it."""
+    return json.dumps(
+        {
+            "task_id": record.task_id,
+            "iteration": record.iteration,
+            "goal_text": record.goal_text,
+            "done": record.done,
+            "goal_embedding": record.goal_embedding.tolist(),
+            "obs_embeddings": [v.tolist() for v in record.obs_embeddings],
+            "history": [[a, o] for a, o in record.history],
+        }
+    )
+
+
+# Entries where a float's JSON text is easy to get wrong: a signed zero, the
+# smallest subnormal, and values whose repr switches to exponent form.
+_EDGE_FLOATS = [-0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-07, 1e-05, 0.1, 1.0]
+
+
+@st.composite
+def vectors(draw, dimension: int) -> np.ndarray:
+    """Sparse, dense or all-zero vectors of finite floats, edge values included."""
+    fill = draw(st.sampled_from(["zero", "sparse", "dense"]))
+    values = np.zeros(dimension)
+    if fill == "zero":
+        return values
+    entry = st.one_of(
+        st.sampled_from(_EDGE_FLOATS),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    if fill == "dense":
+        return np.array(draw(st.lists(entry, min_size=dimension, max_size=dimension)))
+    for index in draw(st.lists(st.integers(0, dimension - 1), max_size=4)):
+        values[index] = draw(entry)
+    return values
+
+
+@st.composite
+def records(draw) -> TaskRecord:
+    dimension = draw(st.integers(1, 12))
+    steps = draw(st.integers(1, 3))
+    return TaskRecord(
+        task_id=draw(st.text(min_size=1, max_size=6)),
+        iteration=draw(st.integers(1, 10**6)),
+        goal_text=draw(st.text(max_size=12)),
+        goal_embedding=draw(vectors(dimension)),
+        obs_embeddings=tuple(draw(vectors(dimension)) for _ in range(steps)),
+        history=tuple(
+            (draw(st.text(max_size=6)), draw(st.text(max_size=6))) for _ in range(steps)
+        ),
+        done=draw(st.booleans()),
+    )
+
+
+class TestCheckpointLine:
+    @given(records())
+    @settings(max_examples=300, deadline=None)
+    def test_line_is_byte_identical_to_json_dumps(self, record):
+        assert record.to_json_line() == reference_line(record)
+
+    def test_edge_values_and_zero_runs(self):
+        goal = np.zeros(12)
+        goal[[0, 3, 4, 11]] = [-0.0, 5e-324, 1e16, 1e-07]
+        record = TaskRecord(
+            task_id="t",
+            iteration=3,
+            goal_text='say "hi" \u00e9',
+            goal_embedding=goal,
+            obs_embeddings=(np.zeros(12), -goal),
+            history=(("a", "b"), ("c", "d")),
+            done=True,
+        )
+        line = record.to_json_line()
+        assert line == reference_line(record)
+        assert line.startswith('{"task_id": "t", "iteration": 3, "goal_text": "say \\"hi\\" \\u00e9"')
+        assert '"goal_embedding": [-0.0, 0.0, 0.0, 5e-324, 1e+16, ' in line
+        assert '"obs_embeddings": [[0.0, 0.0, 0.0, 0.0, ' in line
 
 
 class TestTaskRecordValidation:
