@@ -23,6 +23,7 @@ import numpy as np
 from .backends import BackendError, PlannerBackend, StepContext
 from .embedding import Encoder, EncoderError
 from .gridworld.sim import EpisodeResult, Simulator
+# Not called here: the driver solves tasks through this name, where the tracer wraps it.
 from .gridworld.solver import shortest_solution_steps
 from .gridworld.tasks import Task
 from .gridworld.world import Cell, HEADING_DELTAS, Observation
@@ -211,7 +212,7 @@ class EpisodeOutcome:
     result: EpisodeResult
     record: TaskRecord | None
     failure: str | None = None  # None | planner-failure | backend-error | encoder-error
-    retrieval_calls: int = 0
+    retrieval_calls: int = 0  # database queries; a pass sums them for its report
     actions: list[str] = field(default_factory=list)
 
 
@@ -221,6 +222,7 @@ def run_episode(
     encoder: Encoder,
     db: TrajectoryDB,
     *,
+    shortest_steps: int,
     iteration: int = 1,
     k: int = 3,
     seed: int = 0,
@@ -241,14 +243,13 @@ def run_episode(
     failure, not the run. Episodes that fail before any action yield no
     record.
     The number of planning steps is capped by the simulator step budget, so
-    action-free decompositions cannot loop forever. The task's optimum is
-    solved (memoized per layout) before the episode starts, so a task the
-    solver rejects raises ``SolverLimitation`` or ``UnsolvableTaskError``
-    before any backend call. Events passed to ``log`` do not name the task;
-    a caller that logs several episodes to one place adds the task id.
+    action-free decompositions cannot loop forever. ``shortest_steps`` is the
+    task's optimum, solved once by the caller (the driver solves every task
+    before its first pass) and copied into the result for path-weighted
+    success. Events passed to ``log`` do not name the task; a caller that
+    logs several episodes to one place adds the task id.
     """
-    shortest_steps = shortest_solution_steps(task)
-    sim = Simulator(task, seed=seed, max_steps=max_steps)
+    sim = Simulator(task, max_steps=max_steps)
     observation = sim.reset()
     backend.begin_episode(task.id, iteration, task.goal, observation)
     log(

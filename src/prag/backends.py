@@ -86,7 +86,6 @@ class RemoteChatBackend(PlannerBackend):
         temperature: float = 0.0,
         timeout: float = DEFAULT_CHAT_TIMEOUT,
         api_key_env: str = CHAT_API_KEY_ENV,
-        system_prompt: str = SYSTEM_PROMPT,
     ) -> None:
         if not base_url:
             raise ValueError("base_url must be a non-empty URL")
@@ -97,7 +96,6 @@ class RemoteChatBackend(PlannerBackend):
         self.temperature = temperature
         self.timeout = timeout
         self.api_key_env = api_key_env
-        self.system_prompt = system_prompt
 
     def complete(self, prompt: str, context: StepContext) -> str:
         import requests  # deferred: only remote clients need it, and it is slow to import
@@ -105,7 +103,7 @@ class RemoteChatBackend(PlannerBackend):
         payload = {
             "model": self.model,
             "messages": [
-                {"role": "system", "content": self.system_prompt},
+                {"role": "system", "content": SYSTEM_PROMPT},
                 {"role": "user", "content": prompt},
             ],
             "temperature": self.temperature,

@@ -7,9 +7,9 @@ never see each other. Two modes exist: ``self-iter`` iterates one task set,
 ``train-eval`` additionally runs a frozen evaluation pass (no database
 updates) on a held-out task set after training.
 
-Every task of both task sets is solved for its optimal step count before
-the first pass, so a task the solver rejects stops the run before any
-episode starts (the solver memoizes, so each episode's own call is free).
+Every task of both task sets is solved once, before the first pass, so a
+task the solver rejects stops the run before any episode starts. The run
+keeps each set's optima and hands every episode its task's optimum.
 
 Each iteration writes a database checkpoint ``db_iter_NN.jsonl``, a report
 ``report_iter_NN.json``, and one JSONL event log per pass,
@@ -83,6 +83,8 @@ class RunConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == "train-eval" and not self.eval_tasks:
             raise ConfigError("train-eval mode requires eval_tasks")
+        if self.mode != "train-eval" and self.eval_tasks:
+            raise ConfigError(f"eval_tasks is used only in train-eval mode, not {self.mode!r}")
         if self.iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
         if self.k < 1:
@@ -145,24 +147,7 @@ class IterationReport:
         return {r.task_id: r.success for r in self.results}
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "iteration": self.iteration,
-            "phase": self.phase,
-            "results": [
-                {
-                    "task_id": r.task_id,
-                    "success": r.success,
-                    "steps_taken": r.steps_taken,
-                    "shortest_steps": r.shortest_steps,
-                }
-                for r in self.results
-            ],
-            "total_sr": self.total_sr,
-            "task_sr": self.task_sr,
-            "spl": self.spl,
-            "retrieval_calls": self.retrieval_calls,
-            "failures": dict(self.failures),
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> IterationReport:
@@ -237,10 +222,10 @@ def _load_tasks_or_fail(source: str) -> list[Task]:
         raise ConfigError(f"cannot load tasks from {source!r}: {exc}") from exc
 
 
-def _solve_all(tasks: list[Task]) -> None:
-    """Solve every task's optimum now, so a task the solver rejects fails first."""
-    for task in tasks:
-        agent.shortest_solution_steps(task)
+def _solve_all(tasks: list[Task]) -> list[int]:
+    """Every task's optimum, solved now so a task the solver rejects fails first."""
+    # Looked up on ``agent``, where the benchmark's tracer wraps the solver.
+    return [agent.shortest_solution_steps(task) for task in tasks]
 
 
 def run_pass(
@@ -250,29 +235,33 @@ def run_pass(
     encoder: Encoder,
     config: RunConfig,
     *,
+    optima: list[int],
     iteration: int,
     phase: str = "train",
     out_dir: Path | None = None,
 ) -> IterationReport:
     """One pass over the task set. Commits new records only in train phase.
 
-    With ``out_dir``, every episode's events go to one log,
+    ``optima`` holds each task's shortest solution length, in task order.
+    The report's retrieval count is the sum of its episodes' counts. With
+    ``out_dir``, every episode's events go to one log,
     ``<phase>_iter_NN.jsonl``, each line tagged with the episode's task id.
     """
-    start_calls = db.retrieval_count
     results: list[EpisodeResult] = []
     failures: dict[str, str] = {}
     batch = []
+    retrieval_calls = 0
     log = None
     if out_dir is not None:
         log = EpisodeLog(out_dir / f"{phase}_iter_{iteration:02d}.jsonl")
     try:
-        for task in tasks:
+        for task, shortest_steps in zip(tasks, optima, strict=True):
             outcome = run_episode(
                 task,
                 backend,
                 encoder,
                 db,
+                shortest_steps=shortest_steps,
                 iteration=iteration,
                 k=config.k,
                 seed=config.seed,
@@ -286,6 +275,7 @@ def run_pass(
                 ),
             )
             results.append(outcome.result)
+            retrieval_calls += outcome.retrieval_calls
             if outcome.failure is not None:
                 failures[task.id] = outcome.failure
             if phase == "train" and outcome.record is not None:
@@ -302,7 +292,7 @@ def run_pass(
         total_sr=total_sr(results),
         task_sr=task_sr(results),
         spl=spl(results),
-        retrieval_calls=db.retrieval_count - start_calls,
+        retrieval_calls=retrieval_calls,
         failures=failures,
     )
 
@@ -341,7 +331,8 @@ def run_iterations(config: RunConfig) -> list[IterationReport]:
     if config.mode == "train-eval":
         assert config.eval_tasks is not None
         eval_tasks = _load_tasks_or_fail(config.eval_tasks)
-    _solve_all(tasks + eval_tasks)
+    optima = _solve_all(tasks)
+    eval_optima = _solve_all(eval_tasks)
 
     out_dir = None
     if config.out is not None:
@@ -356,7 +347,8 @@ def run_iterations(config: RunConfig) -> list[IterationReport]:
     previous_vector: dict[str, bool] | None = None
     for iteration in range(1, config.iterations + 1):
         report = run_pass(
-            tasks, db, backend, encoder, config, iteration=iteration, out_dir=out_dir
+            tasks, db, backend, encoder, config, optima=optima, iteration=iteration,
+            out_dir=out_dir,
         )
         reports.append(report)
         if out_dir is not None:
@@ -373,6 +365,7 @@ def run_iterations(config: RunConfig) -> list[IterationReport]:
             backend,
             encoder,
             config,
+            optima=eval_optima,
             iteration=reports[-1].iteration,
             phase="eval",
             out_dir=out_dir,
@@ -400,9 +393,10 @@ def run_eval(
         )
     backend = build_backend(config)
     tasks = _load_tasks_or_fail(config.tasks)
-    _solve_all(tasks)
+    optima = _solve_all(tasks)
     report = run_pass(
-        tasks, db, backend, encoder, config, iteration=1, phase="eval", out_dir=out_dir
+        tasks, db, backend, encoder, config, optima=optima, iteration=1, phase="eval",
+        out_dir=out_dir,
     )
     if out_dir is not None:
         _write_report(report, out_dir / "report_eval.json")

@@ -115,12 +115,11 @@ class RemoteEncoder:
     dimension: int = DEFAULT_DIMENSION
     timeout: float = 30.0
     api_key_env: str = "PRAG_ENCODER_API_KEY"
-    extra_headers: dict[str, str] = field(default_factory=dict)
 
     def encode(self, text: str) -> np.ndarray:
         import requests  # deferred: only remote clients need it, and it is slow to import
 
-        headers = {"Content-Type": "application/json", **self.extra_headers}
+        headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(self.api_key_env)
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"

@@ -41,9 +41,8 @@ class EpisodeResult:
 class Simulator:
     """Deterministic episode runner for one task."""
 
-    def __init__(self, task: Task, seed: int = 0, max_steps: int | None = None):
+    def __init__(self, task: Task, max_steps: int | None = None):
         self.task = task
-        self.seed = seed
         self.max_steps = task.max_steps if max_steps is None else max_steps
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")

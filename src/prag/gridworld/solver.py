@@ -53,12 +53,8 @@ dropped without changing the answer.
 
 from __future__ import annotations
 
-from dataclasses import astuple
-
 from .tasks import AgentHolds, GoalPredicate, ItemsInContainerToggled, PlacedAt, Task
 from .world import CELL_ITEM_CAPACITY, HEADING_DELTAS, HEADING_ORDER, World
-
-_CACHE: dict[tuple, int] = {}
 
 # Pose distance of an unreachable pose. A sum of a few stays above any real
 # solution length, which marks a state as unable to reach the goal.
@@ -71,34 +67,6 @@ class UnsolvableTaskError(Exception):
 
 class SolverLimitation(Exception):
     """The task falls outside the solver's state model."""
-
-
-def shortest_solution_steps(task: Task) -> int:
-    """Minimal number of low-level actions that completes ``task``.
-
-    Memoized for the lifetime of the process by the initial world and the
-    goal predicate, the only inputs of the search; tasks that share an id
-    but not a layout each get their own optimum.
-    """
-    key = _problem_key(task)
-    if key not in _CACHE:
-        _CACHE[key] = _solve(task)
-    return _CACHE[key]
-
-
-def _problem_key(task: Task) -> tuple:
-    world = task.world
-    return (
-        task.predicate,
-        world.width,
-        world.height,
-        world.walls,
-        world.agent_position,
-        world.agent_heading,
-        world.agent_inventory,
-        tuple(astuple(world.objects[label]) for label in sorted(world.objects)),
-        tuple(sorted(world.stacks().items())),
-    )
 
 
 def _goal_check(predicate: GoalPredicate, cell_index, world: World):
@@ -134,7 +102,12 @@ def _goal_check(predicate: GoalPredicate, cell_index, world: World):
     raise SolverLimitation(f"no solver model for predicate {type(predicate).__name__}")
 
 
-def _solve(task: Task) -> int:
+def shortest_solution_steps(task: Task) -> int:
+    """Minimal number of low-level actions that completes ``task``.
+
+    A pure function of the initial world and the goal predicate; a caller
+    that needs the optimum more than once keeps the result.
+    """
     model = _Model(task)
     start = model.start
     if model.is_goal(start):

@@ -260,7 +260,6 @@ class TrajectoryDB:
         self._dimension = dimension
         self._records: dict[str, TaskRecord] = {}
         self._index: _MatrixIndex | None = None
-        self.retrieval_count = 0
 
     def __len__(self) -> int:
         return len(self._records)
@@ -276,25 +275,12 @@ class TrajectoryDB:
         """All records, ordered by task id."""
         return [self._records[k] for k in sorted(self._records)]
 
-    def _check_dimension(self, records: list[TaskRecord]) -> None:
-        """Reject the records unless all share the store's dimension.
-
-        An empty store takes the first record's dimension, but only once
-        every record has passed, so a rejected batch changes nothing.
-        """
-        dimension = self._dimension or records[0].dimension
-        for record in records:
-            if record.dimension != dimension:
-                raise ValueError(
-                    f"record {record.task_id!r} has dimension {record.dimension}, "
-                    f"database uses {dimension}"
-                )
-        self._dimension = dimension
-
     def update_after_iteration(self, batch: list[TaskRecord]) -> None:
         """Merge one iteration's records, one per task, newest-wins.
 
-        The whole batch must carry the same iteration index. A stored
+        The whole batch must carry the same iteration index and the store's
+        dimension; an empty store takes the batch's dimension once every
+        record has passed, so a rejected batch changes nothing. A stored
         completed record is never replaced by a failed one, so the done flag
         of a task is monotone non-decreasing across iterations.
         """
@@ -306,7 +292,14 @@ class TrajectoryDB:
         task_ids = [r.task_id for r in batch]
         if len(set(task_ids)) != len(task_ids):
             raise ValueError("batch contains more than one record for a task")
-        self._check_dimension(batch)
+        dimension = self._dimension or batch[0].dimension
+        for record in batch:
+            if record.dimension != dimension:
+                raise ValueError(
+                    f"record {record.task_id!r} has dimension {record.dimension}, "
+                    f"database uses {dimension}"
+                )
+        self._dimension = dimension
         self._index = None
         for record in batch:
             stored = self._records.get(record.task_id)
@@ -323,7 +316,6 @@ class TrajectoryDB:
         """
         if k < 1:
             raise ValueError(f"k must be positive, got {k}")
-        self.retrieval_count += 1
         if not self._records:
             return []
         for name in ("goal_embedding", "obs_embedding"):
@@ -396,16 +388,18 @@ class TrajectoryDB:
                     record = TaskRecord.from_json_dict(data)
                 except (KeyError, TypeError, ValueError) as exc:
                     raise DatabaseFormatError(f"invalid record: {exc}", line_number=lineno)
-                if db._dimension is not None and record.dimension != db._dimension:
+                if db._dimension is None:
+                    db._dimension = record.dimension
+                elif record.dimension != db._dimension:
+                    source = "header" if dimension is not None else "first record"
                     raise DatabaseFormatError(
                         f"record dimension {record.dimension} does not match "
-                        f"header dimension {db._dimension}",
+                        f"{source} dimension {db._dimension}",
                         line_number=lineno,
                     )
                 if record.task_id in db._records:
                     raise DatabaseFormatError(
                         f"duplicate task_id {record.task_id!r}", line_number=lineno
                     )
-                db._check_dimension([record])
                 db._records[record.task_id] = record
             return db

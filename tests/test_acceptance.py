@@ -362,6 +362,7 @@ def test_criterion_6_iteration_one_offline_and_checkpoint_determinism(
                 build_backend(suite_run.config),
                 build_encoder(suite_run.config),
                 suite_run.config,
+                optima=[r.shortest_steps for r in reports[0].results],
                 iteration=index + 1,
             )
             assert replayed.to_dict() == reports[index].to_dict()
@@ -491,6 +492,7 @@ def test_criterion_8_retry_recovery_and_contained_failures(announce):
             backend,
             HashingEncoder(dimension=64),
             RunConfig(max_retries=3),
+            optima=[6, 6],
             iteration=1,
         )
         assert backend.calls == 6

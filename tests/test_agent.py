@@ -15,6 +15,7 @@ from prag.agent import (
 )
 from prag.backends import BackendError, PlannerBackend, StepContext
 from prag.embedding import EncoderError, HashingEncoder
+from prag.gridworld.solver import shortest_solution_steps
 from prag.prompting import (
     OUTPUT_INSTRUCTION,
     HighLevelAction,
@@ -222,6 +223,13 @@ class StubEncoder:
         return self.inner.encode(text)
 
 
+def episode(task, backend, encoder, db, **kwargs):
+    """``run_episode`` with the task's optimum solved here, as the driver does."""
+    return run_episode(
+        task, backend, encoder, db, shortest_steps=shortest_solution_steps(task), **kwargs
+    )
+
+
 class TestRunEpisode:
     def setup_method(self):
         self.encoder = HashingEncoder(dimension=64)
@@ -229,14 +237,14 @@ class TestRunEpisode:
 
     def test_empty_db_means_zero_retrieval_calls(self, ball_task):
         backend = ScriptedBackend(SOLVE_BALL)
-        outcome = run_episode(ball_task, backend, self.encoder, self.db)
+        outcome = episode(ball_task, backend, self.encoder, self.db)
         assert outcome.retrieval_calls == 0
         assert outcome.result.success is True
         assert outcome.failure is None
 
     def test_success_record_fields(self, ball_task):
         backend = ScriptedBackend(SOLVE_BALL)
-        outcome = run_episode(ball_task, backend, self.encoder, self.db, iteration=4)
+        outcome = episode(ball_task, backend, self.encoder, self.db, iteration=4)
         record = outcome.record
         assert record is not None
         assert record.task_id == ball_task.id
@@ -251,7 +259,7 @@ class TestRunEpisode:
 
     def test_record_pairs_pre_action_embeddings_with_post_action_text(self, ball_task):
         backend = ScriptedBackend(SOLVE_BALL)
-        outcome = run_episode(ball_task, backend, self.encoder, self.db)
+        outcome = episode(ball_task, backend, self.encoder, self.db)
         record = outcome.record
         initial_scene = render_text(extract(ball_task.world.observe()))
         # Embedding for step 1 is the scene the action was chosen in.
@@ -274,14 +282,14 @@ class TestRunEpisode:
         )
         self.db.update_after_iteration([seed_record])
         backend = ScriptedBackend(SOLVE_BALL + ["Action: done()"])
-        outcome = run_episode(ball_task, backend, self.encoder, self.db)
+        outcome = episode(ball_task, backend, self.encoder, self.db)
         # Two acting steps; success ends the episode before a third planning step.
         assert outcome.retrieval_calls == 2
         assert outcome.result.success is True
 
     def test_done_only_episode_yields_no_record(self, ball_task):
         backend = ScriptedBackend(["Action: done()"])
-        outcome = run_episode(ball_task, backend, self.encoder, self.db)
+        outcome = episode(ball_task, backend, self.encoder, self.db)
         assert outcome.record is None
         assert outcome.actions == []
         assert outcome.result.success is False
@@ -289,7 +297,7 @@ class TestRunEpisode:
 
     def test_planner_failure_is_recorded_not_raised(self, ball_task):
         backend = ScriptedBackend(["garbage"] * 40)
-        outcome = run_episode(ball_task, backend, self.encoder, self.db, max_retries=2)
+        outcome = episode(ball_task, backend, self.encoder, self.db, max_retries=2)
         assert outcome.failure == "planner-failure"
         assert outcome.result.success is False
         assert outcome.record is None
@@ -300,13 +308,13 @@ class TestRunEpisode:
             def complete(self, prompt, context):
                 raise BackendError("down")
 
-        outcome = run_episode(ball_task, Exploding(), self.encoder, self.db)
+        outcome = episode(ball_task, Exploding(), self.encoder, self.db)
         assert outcome.failure == "backend-error"
         assert outcome.result.success is False
 
     def test_goal_is_encoded_once_per_episode(self, ball_task):
         encoder = StubEncoder()
-        outcome = run_episode(ball_task, ScriptedBackend(SOLVE_BALL), encoder, self.db)
+        outcome = episode(ball_task, ScriptedBackend(SOLVE_BALL), encoder, self.db)
         assert encoder.texts.count(ball_task.goal) == 1
         assert len(encoder.texts) == 1 + len(outcome.record.history)
         assert np.array_equal(
@@ -315,7 +323,7 @@ class TestRunEpisode:
 
     def test_encoder_error_is_recorded_not_raised(self, ball_task):
         backend = ScriptedBackend(SOLVE_BALL)
-        outcome = run_episode(ball_task, backend, StubEncoder(limit=0), self.db)
+        outcome = episode(ball_task, backend, StubEncoder(limit=0), self.db)
         assert outcome.failure == "encoder-error"
         assert outcome.result.success is False
         assert outcome.record is None
@@ -324,14 +332,14 @@ class TestRunEpisode:
     def test_encoder_error_midway_keeps_partial_history(self, ball_task):
         # Calls: goal, first scene, then the second scene fails.
         encoder = StubEncoder(limit=2)
-        outcome = run_episode(ball_task, ScriptedBackend(SOLVE_BALL), encoder, self.db)
+        outcome = episode(ball_task, ScriptedBackend(SOLVE_BALL), encoder, self.db)
         assert outcome.failure == "encoder-error"
         assert outcome.result.success is False
         assert [a for a, _ in outcome.record.history] == ["pickup(ball_1)"]
 
     def test_partial_history_is_recorded_after_midway_failure(self, ball_task):
         backend = ScriptedBackend(["Action: pickup(ball_1)"] + ["garbage"] * 40)
-        outcome = run_episode(ball_task, backend, self.encoder, self.db, max_retries=1)
+        outcome = episode(ball_task, backend, self.encoder, self.db, max_retries=1)
         assert outcome.failure == "planner-failure"
         assert outcome.record is not None
         assert outcome.record.done is False
@@ -341,14 +349,14 @@ class TestRunEpisode:
         task = make_ball_task(max_steps=5)
         # Navigating to the agent's own cell decomposes to zero simulator steps.
         backend = ScriptedBackend(["Action: navigate(1,3)"] * 100)
-        outcome = run_episode(task, backend, self.encoder, self.db)
+        outcome = episode(task, backend, self.encoder, self.db)
         assert outcome.result.success is False
         assert len(outcome.actions) == 5
         assert backend.calls == 5
 
     def test_max_steps_override_caps_the_simulator(self, ball_task):
         backend = ScriptedBackend(["Action: navigate(2,3)", "Action: navigate(1,3)"] * 50)
-        outcome = run_episode(ball_task, backend, self.encoder, self.db, max_steps=3)
+        outcome = episode(ball_task, backend, self.encoder, self.db, max_steps=3)
         assert outcome.result.steps_taken <= 3
 
     def count_snapshots(self, monkeypatch):
@@ -372,7 +380,7 @@ class TestRunEpisode:
     def test_one_snapshot_and_one_scene_graph_per_step(self, ball_task, monkeypatch):
         counts = self.count_snapshots(monkeypatch)
         backend = ScriptedBackend(SOLVE_BALL)
-        outcome = run_episode(ball_task, backend, self.encoder, self.db)
+        outcome = episode(ball_task, backend, self.encoder, self.db)
         assert outcome.result.success is True
         assert outcome.result.steps_taken > len(outcome.actions) == 2
         # One per planning step plus one per episode (the initial scene) ...
@@ -390,14 +398,14 @@ class TestRunEpisode:
     )
     def test_stopped_episodes_snapshot_once_per_action(self, ball_task, monkeypatch, replies):
         counts = self.count_snapshots(monkeypatch)
-        outcome = run_episode(ball_task, ScriptedBackend(replies), self.encoder, self.db)
+        outcome = episode(ball_task, ScriptedBackend(replies), self.encoder, self.db)
         assert len(outcome.actions) == len(replies) - 1
         assert counts["extract"] == counts["observe"] == len(outcome.actions) + 1
 
     def test_episodes_are_deterministic(self, ball_task):
         def once():
             backend = ScriptedBackend(SOLVE_BALL)
-            return run_episode(
+            return episode(
                 make_ball_task(), backend, HashingEncoder(dimension=64), TrajectoryDB(dimension=64)
             )
 

@@ -266,6 +266,23 @@ class TestReportCommand:
         assert code == 2
         assert "no report files" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"iteration": 1, "phase": "train", "results": null, "total_sr": 0.0,'
+            ' "task_sr": 0.0, "spl": 0.0, "retrieval_calls": 0}',
+            "[1, 2]",
+        ],
+    )
+    def test_report_on_a_malformed_file_exits_two(self, capsys, tmp_path, text):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "report_iter_01.json").write_text(text)
+        code, _, err = run_cli(capsys, "report", str(run_dir))
+        assert code == 2
+        assert err.startswith("error: cannot parse reports")
+        assert len(err.splitlines()) == 1
+
 
 class TestDbCommand:
     def test_db_summarises_records(self, capsys, task_dir, tmp_path):

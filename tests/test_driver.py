@@ -13,6 +13,7 @@ from prag.driver import (
     EpisodeLog,
     IterationReport,
     RunConfig,
+    _solve_all,
     _write_report,
     build_backend,
     build_encoder,
@@ -24,6 +25,8 @@ from prag.driver import (
 )
 from prag.embedding import HashingEncoder
 from prag.gridworld.sim import EpisodeResult
+from prag.gridworld.solver import shortest_solution_steps
+from prag.gridworld.tasks import load_task_text
 from prag.trajectory_db import TrajectoryDB
 
 from tests.conftest import ScriptedBackend, make_ball_task
@@ -109,6 +112,7 @@ class TestRunConfig:
             ({"max_retries": -1}, "max_retries"),
             ({"max_steps": 0}, "max_steps"),
             ({"history_limit": 0}, "history_limit"),
+            ({"eval_tasks": "held_out"}, "train-eval"),
         ],
     )
     def test_validation_failures(self, changes, message):
@@ -261,7 +265,7 @@ class TestRunPass:
         encoder = HashingEncoder(dimension=32)
         backend = ScriptedBackend(["Action: pickup(ball_1)", "Action: drop(table_1)"])
         report = run_pass(
-            [ball_task], db, backend, encoder, RunConfig(), iteration=1
+            [ball_task], db, backend, encoder, RunConfig(), optima=[6], iteration=1
         )
         assert report.total_sr == 1.0
         assert report.retrieval_calls == 0
@@ -273,7 +277,7 @@ class TestRunPass:
         encoder = HashingEncoder(dimension=32)
         backend = ScriptedBackend(["Action: pickup(ball_1)", "Action: drop(table_1)"])
         report = run_pass(
-            [ball_task], db, backend, encoder, RunConfig(), iteration=1, phase="eval"
+            [ball_task], db, backend, encoder, RunConfig(), optima=[6], iteration=1, phase="eval"
         )
         assert report.phase == "eval"
         assert report.total_sr == 1.0
@@ -282,12 +286,14 @@ class TestRunPass:
     def test_episodes_in_one_pass_are_isolated(self, task_dir):
         config = mini_config(task_dir)
         db = TrajectoryDB(dimension=config.dimension)
+        tasks = load_tasks(str(task_dir))
         report = run_pass(
-            load_tasks(str(task_dir)),
+            tasks,
             db,
             build_backend(config),
             build_encoder(config),
             config,
+            optima=_solve_all(tasks),
             iteration=1,
         )
         # The database was empty throughout the pass, so no episode retrieved.
@@ -303,10 +309,33 @@ class TestRunPass:
             backend,
             HashingEncoder(dimension=32),
             RunConfig(max_retries=1),
+            optima=[6],
             iteration=1,
         )
         assert report.failures == {ball_task.id: "planner-failure"}
         assert report.total_sr == 0.0
+
+    def test_retrieval_calls_count_the_store_queries(self, task_dir, monkeypatch):
+        config = mini_config(task_dir)
+        tasks = load_tasks(str(task_dir))
+        db = TrajectoryDB(dimension=config.dimension)
+        backend, encoder = build_backend(config), build_encoder(config)
+        queries = []
+        original = TrajectoryDB.retrieve_top_k
+
+        def counting(self, query, k):
+            queries.append(k)
+            return original(self, query, k)
+
+        monkeypatch.setattr(TrajectoryDB, "retrieve_top_k", counting)
+        optima = _solve_all(tasks)
+        for iteration in (1, 2, 3):
+            before = len(queries)
+            report = run_pass(
+                tasks, db, backend, encoder, config, optima=optima, iteration=iteration
+            )
+            assert report.retrieval_calls == len(queries) - before
+        assert report.retrieval_calls > 0
 
 
 class TestRunIterations:
@@ -372,12 +401,14 @@ class TestRunIterations:
         reports = run_iterations(config)
 
         db = TrajectoryDB.load(out / "db_iter_02.jsonl")
+        tasks = load_tasks(str(task_dir))
         rerun = run_pass(
-            load_tasks(str(task_dir)),
+            tasks,
             db,
             build_backend(config),
             build_encoder(config),
             config,
+            optima=_solve_all(tasks),
             iteration=3,
         )
         assert rerun.to_dict() == reports[2].to_dict()
@@ -407,6 +438,50 @@ class TestRunIterations:
         assert (out / "eval_iter_02.jsonl").read_text().count('"episode-end"') == 2
         # The eval pass must not have grown the saved database.
         assert (out / "db.jsonl").read_text() == (out / "db_iter_02.jsonl").read_text()
+
+    def test_each_task_is_solved_once_per_run(self, task_dir, monkeypatch):
+        import prag.agent as agent_module
+
+        solved = []
+
+        def counting(task):
+            solved.append(task.id)
+            return shortest_solution_steps(task)
+
+        monkeypatch.setattr(agent_module, "shortest_solution_steps", counting)
+        config = mini_config(
+            task_dir, iterations=3, mode="train-eval", eval_tasks=str(task_dir)
+        )
+        reports = run_iterations(config)
+        assert [r.phase for r in reports] == ["train"] * 3 + ["eval"]
+        # Once per train task, then once per eval task; never per episode.
+        assert solved == ["easy_ball", "mug_to_sink"] * 2
+
+    def test_eval_task_sharing_a_train_id_keeps_its_own_optimum(
+        self, task_dir, tmp_path
+    ):
+        eval_dir = tmp_path / "eval_tasks"
+        eval_dir.mkdir()
+        # Same id as a train task, but the ball starts one row nearer the agent.
+        near_ball = TASK_A.replace("#...#\n  #B..#", "#B..#\n  #...#")
+        (eval_dir / "easy_ball.yaml").write_text(near_ball)
+        train_optimum = shortest_solution_steps(load_task_text(TASK_A))
+        eval_optimum = shortest_solution_steps(load_task_text(near_ball))
+        assert train_optimum != eval_optimum
+
+        out = tmp_path / "out"
+        config = mini_config(
+            task_dir, iterations=2, mode="train-eval", eval_tasks=str(eval_dir), out=str(out)
+        )
+        run_iterations(config)
+        train = json.loads((out / "report_iter_02.json").read_text())
+        evaluated = json.loads((out / "report_eval.json").read_text())
+        assert {r["task_id"]: r["shortest_steps"] for r in train["results"]}[
+            "easy_ball"
+        ] == train_optimum
+        assert [(r["task_id"], r["shortest_steps"]) for r in evaluated["results"]] == [
+            ("easy_ball", eval_optimum)
+        ]
 
     def test_empty_task_dir_reports_zero_tasks(self, tmp_path):
         empty = tmp_path / "none"

@@ -78,7 +78,7 @@ def simulation_bfs(task: Task, limit: int = 40) -> int | None:
 def bfs_solve(task: Task) -> int:
     """Reference solver: the breadth-first search A* replaced, kept verbatim.
 
-    Same state model, successor rules and exceptions as ``solver._solve``,
+    Same state model, successor rules and exceptions as ``shortest_solution_steps``,
     with no bound, so every optimum A* returns must equal this one.
     """
     world = task.world
@@ -267,23 +267,7 @@ class TestBundledOptima:
         task = next(t for t in bundled_suite() if t.id == task_id)
         assert simulation_bfs(task) == BUNDLED_OPTIMA[task_id]
 
-    def test_memoized_per_layout(self, monkeypatch):
-        solves = []
-
-        def counting_solve(task):
-            solves.append(task.id)
-            return original(task)
-
-        original = solver._solve
-        monkeypatch.setattr(solver, "_CACHE", {})
-        monkeypatch.setattr(solver, "_solve", counting_solve)
-        first = shortest_solution_steps(make_ball_task())
-        second = shortest_solution_steps(make_ball_task())
-        assert first == second == 6
-        assert solves == ["ball_task"]
-
-    def test_same_id_layouts_get_their_own_optima(self, monkeypatch):
-        monkeypatch.setattr(solver, "_CACHE", {})
+    def test_same_id_layouts_get_their_own_optima(self):
         near = make_ball_task(task_id="shared")
         world = World(7, 5, walls=border_walls(7, 5), agent_position=(1, 3), agent_heading="N")
         world.place_object("table_1", "table", (5, 1))
@@ -517,13 +501,14 @@ def outcome(solve, task: Task):
 class TestAStarMatchesBreadthFirst:
     def test_bundled_suite(self):
         for task in bundled_suite():
-            assert solver._solve(task) == bfs_solve(task) == BUNDLED_OPTIMA[task.id], task.id
+            optimum = shortest_solution_steps(task)
+            assert optimum == bfs_solve(task) == BUNDLED_OPTIMA[task.id], task.id
 
     def test_generated_rooms(self):
         seen = {}
         for task in random_tasks(seed=7, count=600):
             expected = outcome(bfs_solve, task)
-            assert outcome(solver._solve, task) == expected, task.id
+            assert outcome(shortest_solution_steps, task) == expected, task.id
             key = expected if isinstance(expected, type) else task.predicate.kind
             seen[key] = seen.get(key, 0) + 1
         # The draw covers every goal shape solved, and both ways to fail.

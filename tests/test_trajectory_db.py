@@ -154,15 +154,6 @@ class TestRetrieveTopK:
         # All scores tie at 2.0: iteration 2 first, then lexicographic ids.
         assert [h.record.task_id for h in hits] == ["mid", "alpha", "zeta"]
 
-    def test_retrieval_count_increments(self):
-        rng = random.Random(5)
-        db = TrajectoryDB(dimension=8)
-        db.update_after_iteration([make_record(rng, "t0")])
-        assert db.retrieval_count == 0
-        db.retrieve_top_k(make_query(rng), 1)
-        db.retrieve_top_k(make_query(rng), 1)
-        assert db.retrieval_count == 2
-
     def test_invalid_k_raises(self):
         db = TrajectoryDB(dimension=8)
         with pytest.raises(ValueError):
@@ -651,6 +642,25 @@ class TestPersistence:
         with pytest.raises(DatabaseFormatError):
             TrajectoryDB.load(path)
 
+    def test_without_header_dimension_the_first_record_sets_it(self, tmp_path):
+        rng = random.Random(25)
+        path = tmp_path / "db.jsonl"
+        path.write_text(
+            "\n".join(
+                [
+                    '{"format": "prag-trajectory-db", "version": 1, "dimension": null}',
+                    make_record(rng, "a", dimension=4).to_json_line(),
+                    make_record(rng, "b", dimension=3).to_json_line(),
+                ]
+            )
+            + "\n"
+        )
+        with pytest.raises(DatabaseFormatError) as caught:
+            TrajectoryDB.load(path)
+        message = str(caught.value)
+        assert message.startswith("line 3: ")
+        assert "first record dimension 4" in message
+        assert "header" not in message
 
     def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
         rng = random.Random(24)
