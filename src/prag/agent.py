@@ -11,6 +11,14 @@ executes, and finally packages the trajectory as a TaskRecord for the
 database. Each executed action costs one observation and one scene graph:
 the post-action scene text stored in the record is also the next step's
 pre-action scene.
+
+Navigation work is shared across an episode's steps through one
+NavigationMemo that run_episode owns and hands to plan_step and decompose.
+Walls never change and landmarks are never picked up, so the navigable grid
+built at the episode's first decomposition holds for the whole episode, and
+a distance field depends only on its source, the agent's cell: each field
+is grown once per source cell per episode. A direct call without a memo
+starts an empty one.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from .gridworld.tasks import Task
 from .gridworld.world import Cell, HEADING_DELTAS, Observation
 from .nav import (
     NEIGHBOR_ORDER,
+    DistanceField,
     NoPathError,
     backtrack_path,
     distance_field,
@@ -82,16 +91,45 @@ class Decomposition:
     stop: bool = False
 
 
+@dataclass
+class NavigationMemo:
+    """One episode's navigable grid and its distance fields, by source cell.
+
+    Valid only within one episode: the grid is fixed there (walls never
+    change, landmarks are never picked up), so a field depends only on its
+    source. Both are read-only, since every later step reads them.
+    """
+
+    grid: np.ndarray | None = None
+    fields: dict[Cell, DistanceField] = field(default_factory=dict)
+
+    def navigable_grid(self, observation: Observation) -> np.ndarray:
+        if self.grid is None:
+            self.grid = observation.navigable_grid()
+            self.grid.setflags(write=False)
+        return self.grid
+
+    def field_from(self, observation: Observation) -> DistanceField:
+        """The distance field from the agent's cell."""
+        source = observation.agent_position
+        field_ = self.fields.get(source)
+        if field_ is None:
+            field_ = distance_field(self.navigable_grid(observation), source)
+            field_.distances.setflags(write=False)
+            self.fields[source] = field_
+        return field_
+
+
 def _stand_and_face(
-    observation: Observation, target: Cell
+    observation: Observation, target: Cell, nav: NavigationMemo
 ) -> tuple[Cell, list[Cell]]:
     """Pick the reachable navigable cell 4-adjacent to target, plus the path.
 
     Ties between equally near stand cells resolve in N, E, S, W order around
     the target. Raises DecompositionError when no adjacent cell is reachable.
     """
-    grid = observation.navigable_grid()
-    field_ = distance_field(grid, observation.agent_position)
+    grid = nav.navigable_grid(observation)
+    field_ = nav.field_from(observation)
     best: tuple[float, int, Cell] | None = None
     for order, (dx, dy) in enumerate(NEIGHBOR_ORDER):
         cell = (target[0] + dx, target[1] + dy)
@@ -110,13 +148,20 @@ def _stand_and_face(
     return best[2], path
 
 
-def decompose(action: HighLevelAction, observation: Observation) -> Decomposition:
+def decompose(
+    action: HighLevelAction,
+    observation: Observation,
+    nav: NavigationMemo | None = None,
+) -> Decomposition:
     """Expand a high-level action into simulator actions.
 
     navigate moves next to its target (or onto it, for a cell argument) and
     turns to face it. Manipulation verbs navigate the same way and append
-    their single primitive. done() produces a stop marker.
+    their single primitive. done() produces a stop marker. ``nav`` is the
+    episode's navigation memo; without one, an empty memo is used.
     """
+    if nav is None:
+        nav = NavigationMemo()
     if action.verb == "done":
         return Decomposition(stop=True)
 
@@ -136,10 +181,10 @@ def decompose(action: HighLevelAction, observation: Observation) -> Decompositio
 
     if action.verb == "navigate" and isinstance(arg, tuple):
         # Walking onto a cell rather than next to an object: no facing turn.
-        grid = observation.navigable_grid()
+        grid = nav.navigable_grid(observation)
         if not grid[target[1], target[0]]:
             raise DecompositionError(f"cell {target} is not walkable")
-        field_ = distance_field(grid, observation.agent_position)
+        field_ = nav.field_from(observation)
         try:
             path = backtrack_path(field_, target)
         except NoPathError as exc:
@@ -150,7 +195,7 @@ def decompose(action: HighLevelAction, observation: Observation) -> Decompositio
         if target in observation.world.walls:
             raise DecompositionError(f"cell {target} is a wall")
 
-    stand, path = _stand_and_face(observation, target)
+    stand, path = _stand_and_face(observation, target, nav)
     actions = path_to_actions(path, heading)
     end_heading = heading
     for step_from, step_to in zip(path, path[1:]):
@@ -170,12 +215,14 @@ def plan_step(
     *,
     max_retries: int = DEFAULT_MAX_RETRIES,
     log: LogFn = _no_log,
+    nav: NavigationMemo | None = None,
 ) -> tuple[HighLevelAction, Decomposition]:
     """Obtain one executable action, retrying bad replies with feedback.
 
     Parse failures and decomposition failures share the same retry budget.
     Raises PlannerFailure once max_retries + 1 replies were all unusable;
-    BackendError propagates to the caller untouched.
+    BackendError propagates to the caller untouched. ``nav`` is passed to
+    every decompose call.
     """
     if max_retries < 0:
         raise ValueError(f"max_retries must be >= 0, got {max_retries}")
@@ -191,7 +238,7 @@ def plan_step(
             failure = parsed
         else:
             try:
-                return parsed, decompose(parsed, observation)
+                return parsed, decompose(parsed, observation, nav)
             except DecompositionError as exc:
                 failure = ParseFailure("invalid-argument", str(exc))
         failures.append(failure)
@@ -267,6 +314,7 @@ def run_episode(
     done = False
     goal_embedding: np.ndarray | None = None
     scene_text = render_text(extract(observation))
+    nav = NavigationMemo()
 
     for step_index in range(sim.max_steps):
         if done:
@@ -300,7 +348,8 @@ def run_episode(
         )
         try:
             action, decomposition = plan_step(
-                backend, bundle, observation, context, max_retries=max_retries, log=log
+                backend, bundle, observation, context,
+                max_retries=max_retries, log=log, nav=nav,
             )
         except PlannerFailure as exc:
             failure = "planner-failure"

@@ -108,10 +108,15 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _load_reports(run_dir: Path) -> list[IterationReport]:
-    paths = sorted(run_dir.glob("report_iter_*.json"))
-    reports = []
-    for path in paths:
-        reports.append(IterationReport.from_dict(json.loads(path.read_text(encoding="utf-8"))))
+    """The run's iteration reports in iteration order, then its eval report."""
+    # By the ``iteration`` field: file names sort 100 before 11.
+    reports = sorted(
+        (
+            IterationReport.from_dict(json.loads(path.read_text(encoding="utf-8")))
+            for path in run_dir.glob("report_iter_*.json")
+        ),
+        key=lambda report: report.iteration,
+    )
     eval_path = run_dir / "report_eval.json"
     if eval_path.exists():
         reports.append(IterationReport.from_dict(json.loads(eval_path.read_text(encoding="utf-8"))))

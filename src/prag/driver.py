@@ -24,6 +24,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import shutil
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Any
@@ -79,6 +81,15 @@ class RunConfig:
     out: str | None = None
 
     def validate(self) -> None:
+        hints = typing.get_type_hints(type(self))
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            allowed = typing.get_args(hints[f.name]) or (hints[f.name],)
+            # bool is a subclass of int, but ``k: true`` is not a count.
+            if not isinstance(value, allowed) or (
+                isinstance(value, bool) and bool not in allowed
+            ):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == "train-eval" and not self.eval_tasks:
@@ -375,7 +386,11 @@ def run_iterations(config: RunConfig) -> list[IterationReport]:
             _write_report(eval_report, out_dir / "report_eval.json")
 
     if out_dir is not None:
-        db.save(out_dir / "db.jsonl")
+        # The eval pass never changes the store, so the final store is the
+        # last checkpoint: copy its bytes rather than serialize again.
+        last = out_dir / f"db_iter_{reports[-1].iteration:02d}.jsonl"
+        with last.open(encoding="utf-8") as src, open_atomic(out_dir / "db.jsonl") as fh:
+            shutil.copyfileobj(src, fh)
         (out_dir / "summary.txt").write_text(format_summary(reports), encoding="utf-8")
     return reports
 

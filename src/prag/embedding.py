@@ -7,8 +7,17 @@ which is what the retrieval math and the test suite need. Each encoder
 instance memoizes the hashed bucket and sign of every token it has seen
 (scene texts reuse a small vocabulary) and sums the signs with one
 ``np.bincount``; sums of +-1.0 are exact in any order, so the vectors equal
-the per-token accumulation bit for bit. A remote HTTP encoder with the same
-interface can be swapped in for real runs.
+the per-token accumulation bit for bit. It also remembers the vector of each
+distinct text it has encoded, up to ``_TEXT_MEMO_LIMIT`` texts (a run's scene
+texts repeat: about three in four household encodes are of a text already
+seen), and every vector it returns is read-only, since a remembered vector
+is handed to every caller that encodes the same text. A remote HTTP encoder
+with the same interface can be swapped in for real runs; it remembers
+nothing.
+
+``cosine`` is the one similarity formula. Retrieval re-scores with
+``cosine_from_parts`` and norms from ``vector_norm``, the same expressions,
+so its scores equal ``cosine``'s bit for bit.
 """
 
 from __future__ import annotations
@@ -32,6 +41,10 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 # Alphanumeric runs of the lowercased text. Underscores split, so labels like
 # "plant_1" contribute the tokens "plant" and "1".
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+
+# Texts one HashingEncoder remembers; past this, the oldest is forgotten.
+# At the default dimension that holds about 12 MB of vectors.
+_TEXT_MEMO_LIMIT = 4096
 
 
 class EncoderError(Exception):
@@ -67,12 +80,17 @@ class HashingEncoder:
     Each token is hashed with FNV-1a 64. Bit 0 of the hash selects the sign
     and the remaining bits select the bucket, so the sign bit is disjoint
     from the index computation. Token contributions accumulate and the result
-    is L2-normalized; text with no tokens stays the all-zero vector.
+    is L2-normalized; text with no tokens stays the all-zero vector. The
+    returned vector is read-only and may be shared with other callers.
     """
 
     dimension: int = DEFAULT_DIMENSION
     # token -> bucket * 2 + sign bit; depends only on the token and dimension.
     _codes: dict[str, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    # text -> its vector, oldest first; depends only on the text and dimension.
+    _vectors: dict[str, np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -87,6 +105,16 @@ class HashingEncoder:
         return code
 
     def encode(self, text: str) -> np.ndarray:
+        vec = self._vectors.get(text)
+        if vec is None:
+            vec = self._encode(text)
+            vec.setflags(write=False)
+            if len(self._vectors) >= _TEXT_MEMO_LIMIT:
+                del self._vectors[next(iter(self._vectors))]
+            self._vectors[text] = vec
+        return vec
+
+    def _encode(self, text: str) -> np.ndarray:
         codes = self._codes
         packed = np.array(
             [codes[t] if t in codes else self._code(t) for t in tokenize(text)],
@@ -95,7 +123,7 @@ class HashingEncoder:
         weights = (packed & 1) * 2.0 - 1.0
         vec = np.bincount(packed >> 1, weights=weights, minlength=self.dimension)
         vec = vec.astype(np.float64, copy=False)  # bincount of no tokens is int64
-        norm = math.sqrt(float(np.dot(vec, vec)))
+        norm = vector_norm(vec)
         if norm > 0.0:
             vec /= norm
         return vec
@@ -147,14 +175,22 @@ class RemoteEncoder:
         return vec
 
 
+def vector_norm(vec: np.ndarray) -> float:
+    """Euclidean norm of a float64 vector, as ``cosine`` computes it."""
+    return math.sqrt(float(np.dot(vec, vec)))
+
+
+def cosine_from_parts(dot: float, norm_a: float, norm_b: float) -> float:
+    """Cosine from ``a . b`` and both norms; a zero vector scores 0.0."""
+    if norm_a == 0.0 or norm_b == 0.0:
+        return 0.0
+    return dot / (norm_a * norm_b)
+
+
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity, with the convention that zero vectors score 0.0."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    norm_a = math.sqrt(float(np.dot(a, a)))
-    norm_b = math.sqrt(float(np.dot(b, b)))
-    if norm_a == 0.0 or norm_b == 0.0:
-        return 0.0
-    return float(np.dot(a, b)) / (norm_a * norm_b)
+    return cosine_from_parts(float(np.dot(a, b)), vector_norm(a), vector_norm(b))

@@ -15,14 +15,16 @@ order), an observation matrix stacking every step vector, and the offsets
 where each record's steps begin. Each matrix keeps only the columns that
 some stored vector uses: hashed scene texts fill a few dozen of 384, so a
 query reads a small fraction of the store, while a dense store keeps every
-column and scans them all. A query takes one matrix-vector product per
-matrix over the used entries of the query, divides by the stored vectors'
-norms times the whole query's norm (a zero vector scores 0) and keeps each
-record's best step with ``np.maximum.reduceat``. The records within
-rounding distance of the k-th best, usually just k, are then scored by
-``score`` and sorted, so hits carry the reference's exact values and tie
-order. The matrices are built on the first retrieval after the store
-changes.
+column and scans them all. The index computes each stored vector's norm
+once, by the expression ``cosine`` uses. A query computes its own two norms
+once, takes one matrix-vector product per matrix over the used entries of
+the query, divides by the norm products (a zero vector scores 0) and keeps
+each record's best step with ``np.maximum.reduceat``. The records within
+rounding distance of the k-th best, usually just k, are then re-scored
+exactly: one full-width dot per stored vector, divided by the cached norms
+through ``cosine_from_parts``, which is ``cosine``'s own arithmetic, so hits
+carry ``score``'s values bit for bit and sort in its tie order. The matrices
+and norms are built on the first retrieval after the store changes.
 
 The store is a single line-delimited JSON file with a header line, so a
 checkpoint can be inspected with standard shell tools.
@@ -31,14 +33,13 @@ checkpoint can be inspected with standard shell tools.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .atomic_io import open_atomic
-from .embedding import cosine
+from .embedding import cosine, cosine_from_parts, vector_norm
 
 FORMAT_NAME = "prag-trajectory-db"
 FORMAT_VERSION = 1
@@ -212,14 +213,16 @@ class _UsedColumns:
         self.matrix = np.empty((len(vectors), self.columns.size))
         for row, v in enumerate(vectors):
             self.matrix[row] = v[self.columns]
-        # The dropped entries are zero, so these are the full vectors' norms.
-        self.norms = np.sqrt(np.einsum("ij,ij->i", self.matrix, self.matrix))
+        # Once per stored vector, as ``cosine`` computes it. The exact
+        # re-score divides by these Python floats; the scan by their array.
+        self.norms = [vector_norm(v) for v in vectors]
+        self.norm_array = np.array(self.norms)
 
-    def cosines(self, vector: np.ndarray) -> np.ndarray:
-        """Cosine of each row with ``vector``; zero vectors give 0."""
+    def cosines(self, vector: np.ndarray, norm: float) -> np.ndarray:
+        """Cosine of each row with ``vector`` of norm ``norm``; zero vectors give 0."""
         # The query's norm is over all its entries: its mass on dropped
         # columns adds nothing to the dots but still scales every cosine.
-        denominators = self.norms * math.sqrt(float(np.dot(vector, vector)))
+        denominators = self.norm_array * norm
         dots = self.matrix @ vector[self.columns]
         return np.divide(
             dots, denominators, out=np.zeros_like(dots), where=denominators != 0.0
@@ -238,15 +241,28 @@ class _MatrixIndex:
         self.starts = np.cumsum([0] + lengths[:-1])
 
     def top_k(self, query: RetrievalQuery, k: int) -> list[RetrievalHit]:
-        goal_terms = self.goals.cosines(query.goal_embedding)
-        step_terms = self.observations.cosines(query.obs_embedding)
+        goal, obs = query.goal_embedding, query.obs_embedding
+        goal_norm, obs_norm = vector_norm(goal), vector_norm(obs)
+        goal_terms = self.goals.cosines(goal, goal_norm)
+        step_terms = self.observations.cosines(obs, obs_norm)
         scores = goal_terms + np.maximum.reduceat(step_terms, self.starts)
         cut = max(scores.size - k, 0)
         kth_best = np.partition(scores, cut)[cut]
-        hits = [
-            RetrievalHit(score=score(query, self.records[i]), record=self.records[i])
-            for i in np.flatnonzero(scores >= kth_best - _CANDIDATE_MARGIN)
-        ]
+        step_norms = self.observations.norms
+        hits = []
+        for i in np.flatnonzero(scores >= kth_best - _CANDIDATE_MARGIN).tolist():
+            # ``score(query, record)``, from the cached norms.
+            record = self.records[i]
+            start = int(self.starts[i])
+            end = start + len(record.obs_embeddings)
+            goal_term = cosine_from_parts(
+                float(np.dot(goal, record.goal_embedding)), goal_norm, self.goals.norms[i]
+            )
+            obs_term = max(
+                cosine_from_parts(float(np.dot(obs, v)), obs_norm, norm)
+                for v, norm in zip(record.obs_embeddings, step_norms[start:end])
+            )
+            hits.append(RetrievalHit(score=goal_term + obs_term, record=record))
         hits.sort(key=lambda h: (-h.score, -h.record.iteration, h.record.task_id))
         return hits[:k]
 

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
+
+import prag.agent as agent_module
 
 from prag.agent import (
     Decomposition,
@@ -16,6 +20,9 @@ from prag.agent import (
 from prag.backends import BackendError, PlannerBackend, StepContext
 from prag.embedding import EncoderError, HashingEncoder
 from prag.gridworld.solver import shortest_solution_steps
+from prag.gridworld.tasks import bundled_suite
+from prag.gridworld.world import World
+from prag.nav import distance_field
 from prag.prompting import (
     OUTPUT_INSTRUCTION,
     HighLevelAction,
@@ -417,3 +424,80 @@ class TestRunEpisode:
             np.array_equal(x, y)
             for x, y in zip(a.record.obs_embeddings, b.record.obs_embeddings)
         )
+
+
+class TestNavigationMemo:
+    """An episode builds its grid once and grows each field once per source."""
+
+    def setup_method(self):
+        self.encoder = HashingEncoder(dimension=64)
+        self.db = TrajectoryDB(dimension=64)
+
+    def test_action_fuzz_never_changes_the_navigable_grid(self):
+        rng = random.Random(909)
+        actions = (
+            "forward", "turn_left", "turn_right", "pickup", "drop", "toggle", "open", "close"
+        )
+        pickups = 0
+        for task in bundled_suite():
+            world = task.world.copy()
+            first = world.navigable_grid()
+            for _ in range(2000):
+                held = world.agent_inventory
+                world.apply_action(rng.choice(actions))
+                pickups += held is None and world.agent_inventory is not None
+                assert np.array_equal(world.navigable_grid(), first)
+        assert pickups >= 20  # portable objects really moved
+
+    def count_navigation(self, monkeypatch):
+        """Record the source of every field grown and count grid builds."""
+        sources = []
+        grids = []
+
+        def counting_field(grid, source):
+            sources.append(source)
+            return distance_field(grid, source)
+
+        def counting_grid(world):
+            grids.append(world)
+            return navigable_grid(world)
+
+        navigable_grid = World.navigable_grid
+        monkeypatch.setattr(agent_module, "distance_field", counting_field)
+        monkeypatch.setattr(World, "navigable_grid", counting_grid)
+        return sources, grids
+
+    WANDER = [
+        "Action: navigate(2,3)",  # from (1,3)
+        "Action: navigate(1,3)",  # from (2,3)
+        "Action: navigate(0,0)",  # a wall: rejected, retried at the same cell
+        "Action: navigate(2,3)",  # from (1,3) again
+        "Action: pickup(ball_1)",  # from (2,3) again
+        "Action: done()",
+    ]
+
+    def test_one_field_per_distinct_source_in_an_episode(self, ball_task, monkeypatch):
+        sources, grids = self.count_navigation(monkeypatch)
+        backend = ScriptedBackend(self.WANDER)
+        outcome = episode(ball_task, backend, self.encoder, self.db)
+        assert outcome.actions == [
+            "navigate(2,3)", "navigate(1,3)", "navigate(2,3)", "pickup(ball_1)"
+        ]
+        assert sources == [(1, 3), (2, 3)]
+        assert len(grids) == 1
+
+    def test_a_second_episode_grows_its_own_fields(self, ball_task, monkeypatch):
+        sources, grids = self.count_navigation(monkeypatch)
+        for _ in range(2):
+            episode(ball_task, ScriptedBackend(self.WANDER), self.encoder, self.db)
+        assert sources == [(1, 3), (2, 3)] * 2
+        assert len(grids) == 2
+
+    def test_shared_fields_are_read_only(self, ball_task):
+        nav = agent_module.NavigationMemo()
+        observation = ball_task.world.observe()
+        decompose(HighLevelAction("navigate", (2, 3)), observation, nav)
+        with pytest.raises(ValueError):
+            nav.grid[1, 1] = False
+        with pytest.raises(ValueError):
+            nav.fields[(1, 3)].distances[1, 1] = 0.0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -9,6 +10,8 @@ import pytest
 
 from prag.backends import ReplayOracleBackend
 from prag.cli import main
+from prag.driver import IterationReport, _write_report, format_summary
+from prag.gridworld.sim import EpisodeResult
 
 from tests.test_driver import TASK_A, TASK_B
 
@@ -129,6 +132,16 @@ class TestRunCommand:
         )
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("line", ['iterations: "3"', "tasks: [1, 2]", "k: 2.5"])
+    def test_wrong_typed_config_value_exits_two(self, capsys, tmp_path, line):
+        config = tmp_path / "run.yaml"
+        config.write_text(line + "\n")
+        code, out, err = run_cli(capsys, "run", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {line.split(':')[0]} must be ")
+        assert len(err.splitlines()) == 1
 
     def test_missing_task_dir_exits_two(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -253,6 +266,34 @@ class TestReportCommand:
         assert lines[0].startswith("iter  phase")
         assert lines[1].lstrip().startswith("1  train")
         assert lines[2].lstrip().startswith("2  train")
+
+    def test_reports_are_shown_in_iteration_order(self, capsys, tmp_path):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        reports = []
+        for iteration in (9, 10, 11, 100):
+            solved = iteration in (10, 100)
+            report = IterationReport(
+                iteration=iteration,
+                phase="train",
+                results=[EpisodeResult("t1", solved, 6 if solved else 40, 6)],
+                total_sr=float(solved),
+                task_sr=float(solved),
+                spl=float(solved),
+                retrieval_calls=iteration,
+            )
+            reports.append(report)
+            # File names sort as 10, 100, 11, 9.
+            _write_report(report, run_dir / f"report_iter_{iteration:02d}.json")
+        eval_report = dataclasses.replace(reports[-1], phase="eval")
+        _write_report(eval_report, run_dir / "report_eval.json")
+        code, out, _ = run_cli(capsys, "report", str(run_dir))
+        assert code == 0
+        rows = [line.split()[:2] for line in out.splitlines()[1:6]]
+        assert rows == [
+            ["9", "train"], ["10", "train"], ["11", "train"], ["100", "train"], ["100", "eval"]
+        ]
+        assert out == format_summary(reports + [eval_report])
 
     def test_report_on_missing_directory_exits_two(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "report", str(tmp_path / "absent"))

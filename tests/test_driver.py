@@ -113,6 +113,13 @@ class TestRunConfig:
             ({"max_steps": 0}, "max_steps"),
             ({"history_limit": 0}, "history_limit"),
             ({"eval_tasks": "held_out"}, "train-eval"),
+            ({"iterations": "3"}, "iterations must be int, got '3'"),
+            ({"tasks": [1, 2]}, r"tasks must be str, got \[1, 2\]"),
+            ({"k": 2.5}, "k must be int, got 2.5"),
+            ({"seed": True}, "seed must be int, got True"),
+            ({"max_steps": False}, r"max_steps must be int \| None, got False"),
+            ({"early_stop": 1}, "early_stop must be bool, got 1"),
+            ({"eval_tasks": 7, "mode": "train-eval"}, r"eval_tasks must be str \| None, got 7"),
         ],
     )
     def test_validation_failures(self, changes, message):
@@ -419,6 +426,29 @@ class TestRunIterations:
         final = (out / "db.jsonl").read_text()
         last = (out / "db_iter_02.jsonl").read_text()
         assert final == last
+
+    @pytest.mark.parametrize("mode", ["self-iter", "train-eval"])
+    def test_final_db_is_the_last_checkpoint_saved_once_per_iteration(
+        self, task_dir, tmp_path, monkeypatch, mode
+    ):
+        saved = []
+        save = TrajectoryDB.save
+
+        def counting(db, path):
+            saved.append(path.name)
+            save(db, path)
+
+        monkeypatch.setattr(TrajectoryDB, "save", counting)
+        out = tmp_path / "out"
+        eval_tasks = str(task_dir) if mode == "train-eval" else None
+        config = mini_config(
+            task_dir, early_stop=True, mode=mode, eval_tasks=eval_tasks, out=str(out)
+        )
+        reports = run_iterations(config)
+        # Early stop ends the run at iteration 3 of 6.
+        assert [r.iteration for r in reports if r.phase == "train"] == [1, 2, 3]
+        assert saved == ["db_iter_01.jsonl", "db_iter_02.jsonl", "db_iter_03.jsonl"]
+        assert (out / "db.jsonl").read_bytes() == (out / "db_iter_03.jsonl").read_bytes()
 
     def test_train_eval_mode_appends_a_frozen_pass(self, task_dir, tmp_path):
         out = tmp_path / "out"

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prag import embedding
 from prag.embedding import (
     DEFAULT_DIMENSION,
     EncoderError,
@@ -150,6 +151,7 @@ class TestHashingEncoder:
     def test_token_memo_is_not_part_of_identity(self):
         used = HashingEncoder(dimension=16)
         used.encode("plant sink mug")
+        assert used._codes and used._vectors
         assert used == HashingEncoder(dimension=16)
         assert hash(used) == hash(HashingEncoder(dimension=16))
         assert repr(used) == "HashingEncoder(dimension=16)"
@@ -157,6 +159,32 @@ class TestHashingEncoder:
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):
             HashingEncoder(dimension=0)
+
+    def test_remembered_vector_equals_a_fresh_encoding(self):
+        encoder = HashingEncoder()
+        text = "mug_1 on table_1: True\nagent at (2, 3)"
+        first = encoder.encode(text)
+        assert encoder.encode(text) is first
+        assert first.tobytes() == HashingEncoder().encode(text).tobytes()
+
+    @pytest.mark.parametrize("text", ["plant sink mug", ""])
+    def test_returned_vectors_are_read_only(self, text):
+        encoder = HashingEncoder(dimension=16)
+        for vector in (encoder.encode(text), encoder.encode(text)):  # miss, then hit
+            with pytest.raises(ValueError):
+                vector[0] = 1.0
+            with pytest.raises(ValueError):
+                vector *= 2.0
+
+    def test_text_memo_keeps_at_most_its_cap(self, monkeypatch):
+        monkeypatch.setattr(embedding, "_TEXT_MEMO_LIMIT", 3)
+        encoder = HashingEncoder(dimension=16)
+        texts = [f"mug_{i} sink_{i % 3}" for i in range(10)]
+        for text in texts + texts[::-1]:
+            vector = encoder.encode(text)
+            assert len(encoder._vectors) <= 3
+            assert vector.tobytes() == loop_encode(text, 16).tobytes()
+        assert list(encoder._vectors) == texts[2::-1]  # the three newest
 
 
 class TestCosine:

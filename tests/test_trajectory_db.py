@@ -108,6 +108,13 @@ def brute_force(db, query, k):
     return scored[:k]
 
 
+def assert_reference_hits(db, query, k, hits):
+    """The hits are ``brute_force``'s, each score with the ``repr`` of ``score``'s."""
+    assert [(h.record.task_id, repr(h.score)) for h in hits] == [
+        (r.task_id, repr(s)) for s, r in brute_force(db, query, k)
+    ]
+
+
 class TestRetrieveTopK:
     def test_matches_brute_force_order(self):
         rng = random.Random(11)
@@ -241,11 +248,7 @@ class TestMatrixScan:
         db = TrajectoryDB(dimension=dim)
         db.update_after_iteration(records)
         query = RetrievalQuery(query_vec, query_vec)
-        hits = db.retrieve_top_k(query, 3)
-        expected = brute_force(db, query, 3)
-        assert [(h.record.task_id, h.score) for h in hits] == [
-            (r.task_id, s) for s, r in expected
-        ]
+        assert_reference_hits(db, query, 3, db.retrieve_top_k(query, 3))
 
     def test_zero_vectors_score_zero(self):
         dim = 8
@@ -273,12 +276,16 @@ class TestMatrixScan:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            hits = db.retrieve_top_k(RetrievalQuery(unit, unit), 3)
+            query = RetrievalQuery(unit, unit)
+            hits = db.retrieve_top_k(query, 3)
             by_id = {h.record.task_id: h.score for h in hits}
             assert by_id == {"all_zero": 0.0, "zero_goal": 1.0, "zero_step": 1.0}
-            hits = db.retrieve_top_k(RetrievalQuery(zero, zero), 3)
+            assert_reference_hits(db, query, 3, hits)
+            query = RetrievalQuery(zero, zero)
+            hits = db.retrieve_top_k(query, 3)
             assert [h.score for h in hits] == [0.0, 0.0, 0.0]
             assert [h.record.task_id for h in hits] == ["all_zero", "zero_goal", "zero_step"]
+            assert_reference_hits(db, query, 3, hits)
 
     def test_index_follows_updates(self):
         rng = random.Random(31)
@@ -399,9 +406,7 @@ class TestUsedColumns:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             hits = db.retrieve_top_k(query, k)
-        assert [(h.record.task_id, h.score) for h in hits] == [
-            (r.task_id, s) for s, r in brute_force(db, query, k)
-        ]
+        assert_reference_hits(db, query, k, hits)
 
     def test_query_mass_on_unused_columns_counts_in_its_norm(self):
         unit = np.eye(4)
