@@ -8,9 +8,15 @@ run_episode drives one task episode end to end: it encodes the goal once,
 then per step encodes the current scene graph, retrieves the top-K similar
 trajectories when the database is non-empty, builds the prompt, plans,
 executes, and finally packages the trajectory as a TaskRecord for the
-database. Each executed action costs one observation and one scene graph:
-the post-action scene text stored in the record is also the next step's
-pre-action scene.
+database. Each executed action costs one observation (a private copy of
+the world) and one scene graph: the post-action scene text stored in the
+record is also the next step's pre-action scene. Every reader of a step
+reads that one copy: the agent's pose from ``observation.world``, object
+flags from each ``ObjectState``, and a held object as one whose
+``position`` is None. The retrieval hits go into the prompt bundle as they
+are; the prompt cuts each record's history as it renders it. K and the
+retry budget have their defaults here, the history limit in ``prompting``;
+the run configuration imports them.
 
 Navigation work is shared across an episode's steps through one
 NavigationMemo that run_episode owns and hands to plan_step and decompose.
@@ -46,13 +52,13 @@ from .nav import (
     turns_between,
 )
 from .prompting import (
+    DEFAULT_HISTORY_LIMIT,
     HighLevelAction,
     OUTPUT_INSTRUCTION,
     ParseFailure,
     PromptBundle,
     action_space_text,
     build_prompt,
-    experiences_from_hits,
     parse_action,
     render_action,
 )
@@ -60,6 +66,7 @@ from .scene_graph import extract, render_text
 from .trajectory_db import RetrievalHit, RetrievalQuery, TaskRecord, TrajectoryDB
 
 DEFAULT_MAX_RETRIES = 3
+DEFAULT_TOP_K = 3
 
 LogFn = Callable[..., None]
 
@@ -105,13 +112,13 @@ class NavigationMemo:
 
     def navigable_grid(self, observation: Observation) -> np.ndarray:
         if self.grid is None:
-            self.grid = observation.navigable_grid()
+            self.grid = observation.world.navigable_grid()
             self.grid.setflags(write=False)
         return self.grid
 
     def field_from(self, observation: Observation) -> DistanceField:
         """The distance field from the agent's cell."""
-        source = observation.agent_position
+        source = observation.world.agent_position
         field_ = self.fields.get(source)
         if field_ is None:
             field_ = distance_field(self.navigable_grid(observation), source)
@@ -133,7 +140,7 @@ def _stand_and_face(
     best: tuple[float, int, Cell] | None = None
     for order, (dx, dy) in enumerate(NEIGHBOR_ORDER):
         cell = (target[0] + dx, target[1] + dy)
-        if not (0 <= cell[0] < observation.width and 0 <= cell[1] < observation.height):
+        if not observation.world.in_bounds(cell):
             continue
         if not grid[cell[1], cell[0]]:
             continue
@@ -169,15 +176,14 @@ def decompose(
     if isinstance(arg, tuple):
         target = arg
     else:
-        view = observation.objects.get(arg)  # type: ignore[arg-type]
-        if view is None:
+        obj = observation.objects.get(arg)  # type: ignore[arg-type]
+        if obj is None:
             raise DecompositionError(f"no visible object named {arg!r}")
-        if view.held:
+        if obj.position is None:
             raise DecompositionError(f"{arg} is being held, it has no cell")
-        assert view.position is not None
-        target = view.position
+        target = obj.position
 
-    heading = observation.agent_heading
+    heading = observation.world.agent_heading
 
     if action.verb == "navigate" and isinstance(arg, tuple):
         # Walking onto a cell rather than next to an object: no facing turn.
@@ -271,11 +277,11 @@ def run_episode(
     *,
     shortest_steps: int,
     iteration: int = 1,
-    k: int = 3,
+    k: int = DEFAULT_TOP_K,
     seed: int = 0,
     max_retries: int = DEFAULT_MAX_RETRIES,
     max_steps: int | None = None,
-    history_limit: int = 20,
+    history_limit: int = DEFAULT_HISTORY_LIMIT,
     log: LogFn = _no_log,
 ) -> EpisodeOutcome:
     """Run one task episode under the progressive retrieval loop.
@@ -335,7 +341,8 @@ def run_episode(
             goal=task.goal,
             scene_text=scene_text,
             action_space_text=action_space_text(observation),
-            experiences=experiences_from_hits(hits, history_limit),
+            experiences=hits,
+            history_limit=history_limit,
         )
         context = StepContext(
             task_id=task.id,

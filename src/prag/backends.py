@@ -149,11 +149,11 @@ def exploration_script(
     repeating the same failure.
     """
     rng = random.Random(fnv1a64(f"{seed}/{task_id}/{iteration}".encode()))
-    views = observation.objects
-    portables = sorted(label for label, v in views.items() if not v.landmark)
-    fixtures = sorted(label for label, v in views.items() if v.landmark)
-    openables = sorted(label for label, v in views.items() if v.openable)
-    toggleables = sorted(label for label, v in views.items() if v.toggleable)
+    objects = observation.objects
+    portables = sorted(label for label, obj in objects.items() if not obj.landmark)
+    fixtures = sorted(label for label, obj in objects.items() if obj.landmark)
+    openables = sorted(label for label, obj in objects.items() if obj.openable)
+    toggleables = sorted(label for label, obj in objects.items() if obj.toggleable)
 
     script: list[str] = []
     if fixtures and rng.random() < 0.25:

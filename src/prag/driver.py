@@ -33,7 +33,7 @@ from typing import IO, Any
 import yaml
 
 from . import agent
-from .agent import run_episode
+from .agent import DEFAULT_MAX_RETRIES, DEFAULT_TOP_K, run_episode
 from .atomic_io import open_atomic
 from .backends import (
     PlannerBackend,
@@ -45,10 +45,10 @@ from .embedding import DEFAULT_DIMENSION, Encoder, HashingEncoder, RemoteEncoder
 from .gridworld.sim import EpisodeResult
 from .gridworld.tasks import Task, bundled_suite, load_task_dir
 from .metrics import TransitionReport, spl, task_sr, total_sr
+from .prompting import DEFAULT_HISTORY_LIMIT
 from .trajectory_db import TrajectoryDB
 
 DEFAULT_ITERATIONS = 6
-DEFAULT_TOP_K = 3
 BACKEND_NAMES = ("replay-oracle", "seeded-explorer", "remote-chat")
 ENCODER_NAMES = ("hash", "remote")
 MODES = ("self-iter", "train-eval")
@@ -74,9 +74,9 @@ class RunConfig:
     encoder_url: str | None = None
     chat_url: str | None = None
     chat_model: str | None = None
-    max_retries: int = 3
+    max_retries: int = DEFAULT_MAX_RETRIES
     max_steps: int | None = None
-    history_limit: int = 20
+    history_limit: int = DEFAULT_HISTORY_LIMIT
     early_stop: bool = True
     out: str | None = None
 

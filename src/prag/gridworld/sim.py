@@ -52,17 +52,8 @@ class Simulator:
         self._done = False
 
     @property
-    def world(self):
-        """Live world state; mutate only through step()."""
-        return self._world
-
-    @property
     def succeeded(self) -> bool:
         return self._succeeded
-
-    @property
-    def done(self) -> bool:
-        return self._done
 
     def reset(self) -> Observation:
         self._world = self.task.world.copy()
@@ -72,7 +63,7 @@ class Simulator:
         return self._world.observe(0)
 
     def observe(self) -> Observation:
-        """Frozen snapshot of the live world at the current step count."""
+        """A private copy of the live world at the current step count."""
         if self._world is None:
             raise SimulationError("observe() before reset()")
         return self._world.observe(self.step_count)

@@ -5,6 +5,8 @@ cell, faces one of four headings, and interacts with the cell directly in
 front of it. Landmarks (furniture) block movement and never move; portable
 items can be carried one at a time and stack up to three per cell. Invalid
 actions are silent no-ops, so dynamics are total and safe to fuzz.
+``World.observe`` returns an Observation: a private copy of the world and
+the step count, nothing more.
 """
 
 from __future__ import annotations
@@ -86,53 +88,38 @@ class ObjectState:
     open: bool = False
 
 
-@dataclass(frozen=True)
-class ObjectView:
-    """Read-only per-object slice of an observation."""
-
-    label: str
-    kind: str
-    position: Cell | None
-    held: bool
-    landmark: bool
-    container: bool
-    toggleable: bool
-    openable: bool
-    toggled: bool
-    is_open: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Observation:
-    """Full-observability snapshot returned by reset() and observe().
+    """The world as it stood at one step, returned by reset() and observe().
 
-    Holds a frozen copy of the world, so its stacks, walls and navigable grid
-    keep describing the moment of observation after the live world moves on.
+    ``world`` is a private copy that the live world never touches, so its
+    objects, stacks, walls and navigable grid keep describing the moment of
+    observation after the simulator moves on. Readers take the agent's pose
+    from ``world.agent_position`` and ``world.agent_heading`` and each
+    object's flags from its ``ObjectState``; the held object is the one whose
+    ``position`` is None. Observations are equal when their step counts,
+    agent states and object states are.
     """
 
-    width: int
-    height: int
-    step_count: int
-    agent_position: Cell
-    agent_heading: str
-    agent_inventory: str | None
-    objects: dict[str, ObjectView]
     world: "World"
+    step_count: int
 
-    def navigable_grid(self) -> np.ndarray:
-        return self.world.navigable_grid()
+    @property
+    def objects(self) -> dict[str, ObjectState]:
+        return self.world.objects
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Observation):
             return NotImplemented
+        mine, theirs = self.world, other.world
         return (
-            self.width == other.width
-            and self.height == other.height
-            and self.step_count == other.step_count
-            and self.agent_position == other.agent_position
-            and self.agent_heading == other.agent_heading
-            and self.agent_inventory == other.agent_inventory
-            and self.objects == other.objects
+            self.step_count == other.step_count
+            and mine.width == theirs.width
+            and mine.height == theirs.height
+            and mine.agent_position == theirs.agent_position
+            and mine.agent_heading == theirs.agent_heading
+            and mine.agent_inventory == theirs.agent_inventory
+            and mine.objects == theirs.objects
         )
 
 
@@ -155,13 +142,13 @@ class World:
     ):
         if width < 3 or height < 3:
             raise ValueError(f"world must be at least 3x3, got {width}x{height}")
+        self.width = width
+        self.height = height
         for cell in walls:
-            if not self._in_bounds_static(cell, width, height):
+            if not self.in_bounds(cell):
                 raise ValueError(f"wall out of bounds: {cell}")
         if agent_heading not in HEADING_ORDER:
             raise ValueError(f"unknown heading: {agent_heading!r}")
-        self.width = width
-        self.height = height
         self.walls = frozenset(walls)
         self.objects: dict[str, ObjectState] = {}
         self._stacks: dict[Cell, list[str]] = {}
@@ -171,17 +158,9 @@ class World:
         if not self.in_bounds(agent_position) or agent_position in self.walls:
             raise ValueError(f"agent placed on wall or out of bounds: {agent_position}")
 
-    @staticmethod
-    def _in_bounds_static(cell: Cell, width: int, height: int) -> bool:
-        x, y = cell
-        return 0 <= x < width and 0 <= y < height
-
     def in_bounds(self, cell: Cell) -> bool:
-        return self._in_bounds_static(cell, self.width, self.height)
-
-    def stack(self, cell: Cell) -> list[str]:
-        """Labels at ``cell``, bottom to top."""
-        return list(self._stacks.get(cell, ()))
+        x, y = cell
+        return 0 <= x < self.width and 0 <= y < self.height
 
     def stacks(self) -> dict[Cell, tuple[str, ...]]:
         """All occupied cells and their stacks, bottom to top."""
@@ -387,29 +366,4 @@ class World:
         return clone
 
     def observe(self, step_count: int = 0) -> Observation:
-        snapshot = self.copy()
-        views = {
-            label: ObjectView(
-                label=label,
-                kind=obj.kind,
-                position=obj.position,
-                held=(snapshot.agent_inventory == label),
-                landmark=obj.landmark,
-                container=obj.container,
-                toggleable=obj.toggleable,
-                openable=obj.openable,
-                toggled=obj.toggled,
-                is_open=obj.open,
-            )
-            for label, obj in snapshot.objects.items()
-        }
-        return Observation(
-            width=self.width,
-            height=self.height,
-            step_count=step_count,
-            agent_position=snapshot.agent_position,
-            agent_heading=snapshot.agent_heading,
-            agent_inventory=snapshot.agent_inventory,
-            objects=views,
-            world=snapshot,
-        )
+        return Observation(world=self.copy(), step_count=step_count)

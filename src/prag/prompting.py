@@ -4,7 +4,9 @@ The prompt shown to a planner backend has four fixed sections, always in the
 same order: GOAL, OBSERVATION (current scene graph), ACTIONS (the grammar),
 EXPERIENCES (retrieved trajectories, best first), then one output-format
 instruction. Rendering is deterministic down to the byte so prompts can be
-golden-file tested and replayed.
+golden-file tested and replayed. Experiences are the retrieval hits as the
+database returned them; each record's history is cut to its last
+``history_limit`` steps only as it is rendered.
 
 The reply grammar is a single line ``Action: <verb>(<argument>)``. Parsing
 never raises on bad model output; it returns a ParseFailure value with one of
@@ -18,6 +20,9 @@ import re
 from dataclasses import dataclass
 
 from .gridworld.world import Cell, Observation
+from .trajectory_db import RetrievalHit, TaskRecord
+
+DEFAULT_HISTORY_LIMIT = 20
 
 HIGH_LEVEL_VERBS = ("navigate", "pickup", "drop", "toggle", "open", "close", "done")
 
@@ -100,7 +105,7 @@ def parse_action(text: str, observation: Observation) -> HighLevelAction | Parse
     cell_match = _CELL_ARG_RE.match(arg)
     if cell_match:
         cell = (int(cell_match.group(1)), int(cell_match.group(2)))
-        if not (0 <= cell[0] < observation.width and 0 <= cell[1] < observation.height):
+        if not observation.world.in_bounds(cell):
             return ParseFailure("invalid-argument", f"cell {arg!r} is outside the grid")
         return HighLevelAction(verb, cell)
     if arg not in observation.objects:
@@ -115,55 +120,33 @@ def action_space_text(observation: Observation) -> str:
 
 
 @dataclass(frozen=True)
-class ExperienceEntry:
-    """One retrieved trajectory, ready for prompt rendering."""
-
-    goal_text: str
-    history: tuple[tuple[str, str], ...]
-    done: bool
-    total_steps: int  # length before truncation
-
-
-@dataclass(frozen=True)
 class PromptBundle:
-    """Everything the planner sees for one step, in render order."""
+    """Everything the planner sees for one step, in render order.
+
+    ``experiences`` are retrieval hits, best first. Each is rendered with at
+    most the last ``history_limit`` steps of its record's history.
+    """
 
     goal: str
     scene_text: str
     action_space_text: str
-    experiences: tuple[ExperienceEntry, ...] = ()
+    experiences: tuple[RetrievalHit, ...] = ()
+    history_limit: int = DEFAULT_HISTORY_LIMIT
+
+    def __post_init__(self) -> None:
+        if self.history_limit < 1:
+            raise ValueError(f"history_limit must be >= 1, got {self.history_limit}")
 
 
-def experiences_from_hits(hits, history_limit: int = 20) -> tuple[ExperienceEntry, ...]:
-    """Convert retrieval hits (already score-descending) into prompt entries.
-
-    Histories are truncated to the last ``history_limit`` steps.
-    """
-    if history_limit < 1:
-        raise ValueError(f"history_limit must be >= 1, got {history_limit}")
-    entries = []
-    for hit in hits:
-        record = hit.record
-        entries.append(
-            ExperienceEntry(
-                goal_text=record.goal_text,
-                history=tuple(record.history[-history_limit:]),
-                done=record.done,
-                total_steps=len(record.history),
-            )
-        )
-    return tuple(entries)
-
-
-def _render_experience(index: int, entry: ExperienceEntry) -> str:
-    lines = [f"[{index}] done={entry.done}", f"goal: {entry.goal_text}"]
-    shown = len(entry.history)
-    if shown < entry.total_steps:
-        lines.append(f"steps (last {shown} of {entry.total_steps}):")
+def _render_experience(index: int, record: TaskRecord, history_limit: int) -> str:
+    lines = [f"[{index}] done={record.done}", f"goal: {record.goal_text}"]
+    total = len(record.history)
+    shown = record.history[-history_limit:]
+    if len(shown) < total:
+        lines.append(f"steps (last {len(shown)} of {total}):")
     else:
         lines.append("steps:")
-    offset = entry.total_steps - shown
-    for i, (action_text, obs_text) in enumerate(entry.history, start=offset + 1):
+    for i, (action_text, obs_text) in enumerate(shown, start=total - len(shown) + 1):
         flat_obs = obs_text.replace("\n", "; ") if obs_text else "(nothing visible)"
         lines.append(f"{i}. {action_text} => {flat_obs}")
     return "\n".join(lines)
@@ -185,8 +168,8 @@ def build_prompt(bundle: PromptBundle) -> str:
     ]
     if bundle.experiences:
         rendered = [
-            _render_experience(i, entry)
-            for i, entry in enumerate(bundle.experiences, start=1)
+            _render_experience(i, hit.record, bundle.history_limit)
+            for i, hit in enumerate(bundle.experiences, start=1)
         ]
         sections.append("\n\n".join(rendered))
     else:

@@ -90,15 +90,15 @@ def order_landmark_first(
 def extract(observation) -> SceneGraph:
     """Build a SceneGraph from a simulator observation.
 
-    ``observation`` must expose ``world``, the frozen world snapshot with
-    ``objects``, ``agent_inventory`` and ``stacks()``. Spatial relations
-    are read off the stacks in one pass: ``on_top_of`` pairs consecutive
-    stack entries whose lower entry is not a container, ``inside_of`` ties
-    every other label of a stack to its container, and ``next_to`` pairs
-    distinct labels in the same or an 8-neighbouring cell. Object states
-    become self-relations, and a held object relates to the agent
-    pseudo-node. Triples come out in (subject, object, relation) order, the
-    order of a sweep over every sorted label pair.
+    ``observation`` must expose ``world``, the observation's private copy
+    of the world, with ``objects``, ``agent_inventory`` and ``stacks()``.
+    Spatial relations are read off the stacks in one pass: ``on_top_of``
+    pairs consecutive stack entries whose lower entry is not a container,
+    ``inside_of`` ties every other label of a stack to its container, and
+    ``next_to`` pairs distinct labels in the same or an 8-neighbouring
+    cell. Object states become self-relations, and a held object relates
+    to the agent pseudo-node. Triples come out in (subject, object,
+    relation) order, the order of a sweep over every sorted label pair.
     """
     world = observation.world
     objects = world.objects

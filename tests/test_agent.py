@@ -19,6 +19,7 @@ from prag.agent import (
 )
 from prag.backends import BackendError, PlannerBackend, StepContext
 from prag.embedding import EncoderError, HashingEncoder
+from prag.gridworld.sim import Simulator
 from prag.gridworld.solver import shortest_solution_steps
 from prag.gridworld.tasks import bundled_suite
 from prag.gridworld.world import World
@@ -129,6 +130,18 @@ class TestDecompose:
         world = run_low_level(world, plan.actions)
         with pytest.raises(DecompositionError, match="held"):
             decompose(HighLevelAction("navigate", "ball_1"), world.observe())
+
+    @pytest.mark.parametrize("verb", ["navigate", "pickup", "drop", "toggle", "open", "close"])
+    def test_a_held_object_is_rejected_by_every_verb(self, verb):
+        sim = Simulator(make_ball_task())
+        sim.reset()
+        for primitive in ("forward", "pickup"):  # from (1,3) up to face the ball at (1,1)
+            sim.step(primitive)
+        obs = sim.observe()
+        assert obs.world.agent_inventory == "ball_1"
+        assert obs.objects["ball_1"].position is None
+        with pytest.raises(DecompositionError, match="ball_1 is being held"):
+            decompose(HighLevelAction(verb, "ball_1"), obs)
 
     def test_unknown_label_is_an_error(self):
         obs = make_ball_world().observe()

@@ -1,9 +1,11 @@
 """The benchmark's tracer finds every layer it wraps under the name it uses.
 
 ``bench/tracing.py`` records a layer whose name no longer resolves as absent
-and leaves its metrics out, so a rename would silently drop them. This test
-loads the tracer by file path, unchanged, and resolves each of its targets
-the way it does.
+and leaves its metrics out, so a rename would silently drop them. A missing
+attribute that one of its after-hooks reads (``observation.objects``, for
+one) drops that layer's counters the same way. These tests load the tracer
+by file path, unchanged: one resolves each of its targets the way it does,
+the other traces a short run and requires every layer to report.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import importlib
 import importlib.util
 from pathlib import Path
+
+from prag.driver import RunConfig, run_iterations
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -44,3 +48,18 @@ def test_every_traced_name_resolves_in_prag():
     assert len(targets) > 20
     assert all(module_name.startswith("prag.") for module_name, _, _ in targets)
     assert [target for target in targets if not resolves(*target)] == []
+
+
+def test_a_traced_run_reports_every_layer(tmp_path):
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        reports = run_iterations(RunConfig(iterations=2, early_stop=False, out=str(tmp_path)))
+    finally:
+        broken = tracer.restore()
+    assert broken == []
+    assert len(reports) == 2
+    assert tracer.absent == set()
+    metrics = tracer.layer_metrics(0)
+    assert metrics["scene_graph.extract.objects"] > 0
+    assert metrics["agent.plan_step.calls"] > 0

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import json
 
 import pytest
 
+from prag.agent import run_episode
 from prag.atomic_io import open_atomic
 from prag.driver import (
     ConfigError,
@@ -96,6 +98,13 @@ def mini_config(task_dir, **kwargs):
 class TestRunConfig:
     def test_defaults_validate(self):
         RunConfig().validate()
+
+    def test_defaults_match_the_episode_runner(self):
+        episode_defaults = inspect.signature(run_episode).parameters
+        config = RunConfig()
+        for name in ("k", "max_retries", "history_limit"):
+            assert getattr(config, name) == episode_defaults[name].default, name
+        assert (config.k, config.max_retries, config.history_limit) == (3, 3, 20)
 
     @pytest.mark.parametrize(
         "changes,message",

@@ -26,6 +26,7 @@ from prag.gridworld.world import (
     World,
     turn,
 )
+from prag.scene_graph import extract, render_text
 from tests.conftest import border_walls, make_ball_task, make_ball_world
 
 
@@ -261,7 +262,7 @@ class TestObservation:
                         for y in range(world.height)
                     ]
                 )
-                assert np.array_equal(observation.navigable_grid(), expected)
+                assert np.array_equal(observation.world.navigable_grid(), expected)
                 position, held = world.agent_position, world.agent_inventory
                 world.apply_action(rng.choice(LOW_LEVEL_ACTIONS))
                 if world.agent_position != position:
@@ -376,7 +377,7 @@ class TestSimulator:
     def test_reset_returns_initial_observation(self, ball_task):
         sim = Simulator(ball_task)
         obs = sim.reset()
-        assert obs.agent_position == (1, 3)
+        assert obs.world.agent_position == (1, 3)
         assert obs.step_count == 0
 
     def test_reset_is_deterministic(self, ball_task):
@@ -396,6 +397,49 @@ class TestSimulator:
         sim.reset()
         sim.step("forward")
         assert ball_task.world.agent_position == (1, 3)
+
+    def test_observation_keeps_describing_its_own_step(self):
+        world = World(7, 7, walls=border_walls(7, 7), agent_position=(2, 3), agent_heading="N")
+        world.place_object("ball_1", "ball", (2, 1))
+        world.place_object("cabinet_1", "cabinet", (3, 2))
+        world.place_object("sink_1", "sink", (1, 2))
+        world.place_object("key_1", "key", (4, 4))
+        task = Task(id="snap", goal="Hold the key", world=world, predicate=AgentHolds("key_1"))
+        sim = Simulator(task)
+
+        def describe(observation):
+            copy = observation.world
+            return (
+                copy.agent_position,
+                copy.agent_heading,
+                copy.agent_inventory,
+                {
+                    label: (obj.position, obj.toggled, obj.open)
+                    for label, obj in observation.objects.items()
+                },
+                render_text(extract(observation)),
+            )
+
+        taken = [sim.reset()]
+        described = [describe(taken[0])]
+        script = ("forward", "pickup", "turn_right", "open", "drop", "turn_left", "turn_left", "toggle")
+        for action in script:
+            assert not sim.step(action)
+            taken.append(sim.observe())
+            described.append(describe(taken[-1]))
+            assert [describe(observation) for observation in taken] == described
+        # Every primitive changed the live world, so each snapshot is distinct.
+        assert len({repr(description) for description in described}) == len(script) + 1
+        after_pickup = described[2]
+        assert after_pickup[2] == "ball_1" and after_pickup[3]["ball_1"][0] is None
+        assert described[-1][:3] == ((2, 2), "W", None)
+        assert described[-1][3] == {
+            "ball_1": ((3, 2), False, False),
+            "cabinet_1": ((3, 2), False, True),
+            "sink_1": ((1, 2), True, False),
+            "key_1": ((4, 4), False, False),
+        }
+        assert taken[0] == task.world.observe(0)
 
     def test_success_latches_and_ends_episode(self):
         task = make_ball_task()

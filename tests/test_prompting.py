@@ -8,15 +8,14 @@ import numpy as np
 import pytest
 
 from prag.prompting import (
+    DEFAULT_HISTORY_LIMIT,
     HIGH_LEVEL_VERBS,
     OUTPUT_INSTRUCTION,
-    ExperienceEntry,
     HighLevelAction,
     ParseFailure,
     PromptBundle,
     action_space_text,
     build_prompt,
-    experiences_from_hits,
     parse_action,
     render_action,
 )
@@ -168,30 +167,47 @@ class TestActionSpaceText:
             assert f"{verb}(" in text
 
 
+def experiences_text(record, **limit) -> str:
+    """The EXPERIENCES section of a prompt that retrieved only ``record``."""
+    bundle = PromptBundle(
+        goal="g",
+        scene_text="",
+        action_space_text="",
+        experiences=(RetrievalHit(1.0, record),),
+        **limit,
+    )
+    text = build_prompt(bundle)
+    return text[text.index("EXPERIENCES\n") : text.index(OUTPUT_INSTRUCTION)]
+
+
 class TestExperiences:
     def test_histories_pass_through_untruncated(self):
         record = make_record("t", "goal", [("done()", "")], done=True)
-        (entry,) = experiences_from_hits((RetrievalHit(1.0, record),))
-        assert entry.history == (("done()", ""),)
-        assert entry.total_steps == 1
+        text = experiences_text(record)
+        assert "[1] done=True\ngoal: goal\nsteps:\n1. done() => (nothing visible)\n" in text
+
+    def test_default_limit_is_twenty(self):
+        assert DEFAULT_HISTORY_LIMIT == 20
+        assert PromptBundle(goal="g", scene_text="", action_space_text="").history_limit == 20
+        history = [(f"navigate({i},1)", f"obs {i}") for i in range(21)]
+        record = make_record("t", "goal", history, done=True)
+        assert "steps (last 20 of 21):\n2. navigate(1,1) => obs 1\n" in experiences_text(record)
 
     def test_long_history_keeps_last_n(self):
         history = [(f"navigate({i},1)", f"obs {i}") for i in range(25)]
         record = make_record("t", "goal", history, done=True)
-        (entry,) = experiences_from_hits((RetrievalHit(1.0, record),), history_limit=20)
-        assert entry.total_steps == 25
-        assert len(entry.history) == 20
-        assert entry.history[0] == ("navigate(5,1)", "obs 5")
-        assert entry.history[-1] == ("navigate(24,1)", "obs 24")
+        step_lines = [
+            line for line in experiences_text(record, history_limit=20).splitlines()
+            if "=>" in line
+        ]
+        assert len(step_lines) == 20
+        assert step_lines[0] == "6. navigate(5,1) => obs 5"
+        assert step_lines[-1] == "25. navigate(24,1) => obs 24"
 
     def test_truncated_rendering_keeps_original_numbering(self):
         history = [(f"navigate({i},1)", f"obs {i}") for i in range(25)]
         record = make_record("t", "long goal", history, done=False)
-        entries = experiences_from_hits((RetrievalHit(1.0, record),), history_limit=20)
-        bundle = PromptBundle(
-            goal="g", scene_text="", action_space_text="", experiences=entries
-        )
-        text = build_prompt(bundle)
+        text = experiences_text(record, history_limit=20)
         assert "steps (last 20 of 25):" in text
         assert "\n6. navigate(5,1) => obs 5\n" in text
         assert "\n25. navigate(24,1) => obs 24\n" in text
@@ -199,7 +215,7 @@ class TestExperiences:
 
     def test_limit_below_one_rejected(self):
         with pytest.raises(ValueError, match="history_limit"):
-            experiences_from_hits((), history_limit=0)
+            PromptBundle(goal="g", scene_text="", action_space_text="", history_limit=0)
 
 
 class TestBuildPrompt:
@@ -236,9 +252,7 @@ class TestBuildPrompt:
             goal="Put the ball on the table",
             scene_text=render_text(extract(obs)),
             action_space_text=action_space_text(obs),
-            experiences=experiences_from_hits(
-                (RetrievalHit(1.842, first), RetrievalHit(0.317, second))
-            ),
+            experiences=(RetrievalHit(1.842, first), RetrievalHit(0.317, second)),
         )
         assert build_prompt(bundle) == GOLDEN_PATH.read_text()
 
@@ -262,11 +276,12 @@ class TestBuildPrompt:
         assert "EXPERIENCES\n(none)\n" in build_prompt(bundle)
 
     def test_empty_step_observation_placeholder(self):
-        entry = ExperienceEntry(
-            goal_text="g", history=(("done()", ""),), done=True, total_steps=1
-        )
+        record = make_record("t", "g", [("done()", "")], done=True)
         bundle = PromptBundle(
-            goal="g", scene_text="s", action_space_text="a", experiences=(entry,)
+            goal="g",
+            scene_text="s",
+            action_space_text="a",
+            experiences=(RetrievalHit(1.0, record),),
         )
         assert "1. done() => (nothing visible)" in build_prompt(bundle)
 
@@ -277,7 +292,7 @@ class TestBuildPrompt:
                 goal="g",
                 scene_text=render_text(extract(observation)),
                 action_space_text=action_space_text(observation),
-                experiences=experiences_from_hits((RetrievalHit(0.5, record),)),
+                experiences=(RetrievalHit(0.5, record),),
             )
 
         assert build_prompt(make()) == build_prompt(make())
