@@ -18,6 +18,11 @@ are; the prompt cuts each record's history as it renders it. K and the
 retry budget have their defaults here, the history limit in ``prompting``;
 the run configuration imports them.
 
+A step's prompt is a pure function of logged inputs: the task, the scene
+after the logged primitives, the retrieved hits, the history limit and, for
+a retry, the parse failures before it. ``step_bundle``, ``build_prompt``
+and ``retry_prompt`` turn them into text, here and in ``prag prompt``.
+
 Navigation work is shared across an episode's steps through one
 NavigationMemo that run_episode owns and hands to plan_step and decompose.
 Walls never change and landmarks are never picked up, so the navigable grid
@@ -54,13 +59,13 @@ from .nav import (
 from .prompting import (
     DEFAULT_HISTORY_LIMIT,
     HighLevelAction,
-    OUTPUT_INSTRUCTION,
     ParseFailure,
     PromptBundle,
     action_space_text,
     build_prompt,
     parse_action,
     render_action,
+    retry_prompt,
 )
 from .scene_graph import extract, render_text
 from .trajectory_db import RetrievalHit, RetrievalQuery, TaskRecord, TrajectoryDB
@@ -213,6 +218,27 @@ def decompose(
     return Decomposition(tuple(actions))
 
 
+def step_bundle(
+    goal: str,
+    observation: Observation,
+    scene_text: str,
+    hits: tuple[RetrievalHit, ...],
+    history_limit: int,
+) -> PromptBundle:
+    """The prompt inputs of one planning step.
+
+    ``scene_text`` is the rendered scene graph of ``observation``. The
+    episode runner and ``prag prompt`` both build a step's bundle here.
+    """
+    return PromptBundle(
+        goal=goal,
+        scene_text=scene_text,
+        action_space_text=action_space_text(observation),
+        experiences=hits,
+        history_limit=history_limit,
+    )
+
+
 def plan_step(
     backend: PlannerBackend,
     bundle: PromptBundle,
@@ -229,6 +255,13 @@ def plan_step(
     Raises PlannerFailure once max_retries + 1 replies were all unusable;
     BackendError propagates to the caller untouched. ``nav`` is passed to
     every decompose call.
+
+    Each attempt passes ``log`` a ``prompt`` event with the whole prompt
+    text, a ``completion`` event with the reply, and, for an unusable reply,
+    a ``parse-failure`` event whose reason and detail are what
+    ``retry_prompt`` appends to the next prompt. What to keep of the text is
+    the sink's choice: a run directory's ``EpisodeLog`` keeps its sha256 and
+    size, so a run without a log never hashes a prompt.
     """
     if max_retries < 0:
         raise ValueError(f"max_retries must be >= 0, got {max_retries}")
@@ -249,10 +282,7 @@ def plan_step(
                 failure = ParseFailure("invalid-argument", str(exc))
         failures.append(failure)
         log("parse-failure", step=context.step_index, reason=failure.reason, detail=failure.detail)
-        prompt = (
-            f"{base_prompt}\n\nYour previous reply was not usable"
-            f" ({failure.reason}: {failure.detail}). {OUTPUT_INSTRUCTION}"
-        )
+        prompt = retry_prompt(base_prompt, failure)
     raise PlannerFailure(
         f"no executable action after {max_retries + 1} attempts", tuple(failures)
     )
@@ -301,6 +331,12 @@ def run_episode(
     before its first pass) and copied into the result for path-weighted
     success. Events passed to ``log`` do not name the task; a caller that
     logs several episodes to one place adds the task id.
+
+    Besides ``plan_step``'s events, each step that queries the database
+    logs a ``retrieval`` event with its hits, and each executed action a
+    ``step`` event with its low-level primitives and the simulator's step
+    count after them. These are the inputs ``prag prompt`` replays to
+    rebuild every prompt of the episode.
     """
     sim = Simulator(task, max_steps=max_steps)
     observation = sim.reset()
@@ -337,13 +373,8 @@ def run_episode(
         if len(db) > 0:
             hits = tuple(db.retrieve_top_k(RetrievalQuery(goal_embedding, obs_embedding), k))
             retrieval_calls += 1
-        bundle = PromptBundle(
-            goal=task.goal,
-            scene_text=scene_text,
-            action_space_text=action_space_text(observation),
-            experiences=hits,
-            history_limit=history_limit,
-        )
+            log("retrieval", step=step_index, hits=hits)
+        bundle = step_bundle(task.goal, observation, scene_text, hits, history_limit)
         context = StepContext(
             task_id=task.id,
             iteration=iteration,

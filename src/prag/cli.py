@@ -4,6 +4,7 @@ Subcommands:
   run     execute a full progressive run from a config file and/or flags
   eval    run a frozen evaluation pass against an existing database file
   report  print metrics and the transition table from a run directory
+  prompt  rebuild, check and print the logged prompts of one episode
   db      inspect or validate a database file
 
 Exit status is 0 whenever the requested run completed, regardless of how many
@@ -30,6 +31,7 @@ from .driver import (
 )
 from .gridworld.solver import SolverLimitation, UnsolvableTaskError
 from .gridworld.tasks import TaskFileError
+from .rebuild import RebuildError, rebuild_prompts
 from .trajectory_db import DatabaseFormatError, TrajectoryDB
 
 
@@ -100,9 +102,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     config = _config_from_args(args, include_mode=False)
     db = TrajectoryDB.load(args.db)
     out_dir = Path(config.out) if config.out else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    report = run_eval(config, db, out_dir=out_dir)
+    report = run_eval(config, db, out_dir=out_dir, db_path=args.db)
     sys.stdout.write(format_summary([report]))
     return 0
 
@@ -134,6 +134,20 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if not reports:
         raise ConfigError(f"no report files found under {run_dir}")
     sys.stdout.write(format_summary(reports))
+    return 0
+
+
+def _cmd_prompt(args: argparse.Namespace) -> int:
+    prompts = rebuild_prompts(args.run_dir, args.phase, args.iteration, args.task)
+    if args.step is not None:
+        prompts = [p for p in prompts if p.step == args.step]
+        if not prompts:
+            raise RebuildError(f"the episode of {args.task!r} has no prompt at step {args.step}")
+    for prompt in prompts:
+        sys.stdout.write(
+            f"=== step {prompt.step} attempt {prompt.attempt} sha256 {prompt.sha256}\n"
+            f"{prompt.text}\n"
+        )
     return 0
 
 
@@ -175,6 +189,18 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser.add_argument("run_dir", help="directory written by `prag run --out`")
     report_parser.set_defaults(handler=_cmd_report)
 
+    prompt_parser = sub.add_parser(
+        "prompt", help="rebuild the logged prompts of one episode and check their digests"
+    )
+    prompt_parser.add_argument(
+        "run_dir", help="directory written by `prag run --out` or `prag eval --out`"
+    )
+    prompt_parser.add_argument("--phase", required=True, help="train or eval")
+    prompt_parser.add_argument("--iteration", type=int, required=True, help="the pass's iteration")
+    prompt_parser.add_argument("--task", required=True, help="task id of the episode")
+    prompt_parser.add_argument("--step", type=int, help="print only this planning step's prompts")
+    prompt_parser.set_defaults(handler=_cmd_prompt)
+
     db_parser = sub.add_parser("db", help="inspect or validate a database file")
     db_parser.add_argument("db", help="database file")
     db_parser.add_argument("--validate", action="store_true", help="exit 0 only if the file is valid")
@@ -190,6 +216,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.handler(args)
     except (
         ConfigError,
+        RebuildError,
         TaskFileError,
         DatabaseFormatError,
         SolverLimitation,

@@ -11,18 +11,22 @@ Every task of both task sets is solved once, before the first pass, so a
 task the solver rejects stops the run before any episode starts. The run
 keeps each set's optima and hands every episode its task's optimum.
 
-Each iteration writes a database checkpoint ``db_iter_NN.jsonl``, a report
-``report_iter_NN.json``, and one JSONL event log per pass,
-``<phase>_iter_NN.jsonl``, holding every episode's events in task order,
-each line tagged with its ``task_id``. Any iteration can be reproduced by
-reloading the previous checkpoint. Checkpoints and reports are replaced
-atomically, so a killed run leaves each of them whole.
+A run directory starts with ``run_config.json``. Each iteration writes a
+database checkpoint ``db_iter_NN.jsonl``, a report ``report_iter_NN.json``,
+and one JSONL event log per pass, ``<phase>_iter_NN.jsonl``, holding every
+episode's events in task order, each line tagged with its ``task_id``. The
+log records decisions (the hits retrieved, the replies, the primitives run),
+and each prompt only by its sha256 and size (see ``EpisodeLog``); ``prag
+prompt`` rebuilds the text. Any iteration can be reproduced by reloading the
+previous checkpoint. The configuration, checkpoints, reports and summary are
+replaced atomically, so a killed run leaves each of them whole.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import hashlib
 import json
 import shutil
 import typing
@@ -52,6 +56,7 @@ DEFAULT_ITERATIONS = 6
 BACKEND_NAMES = ("replay-oracle", "seeded-explorer", "remote-chat")
 ENCODER_NAMES = ("hash", "remote")
 MODES = ("self-iter", "train-eval")
+RUN_CONFIG_NAME = "run_config.json"
 
 
 class ConfigError(Exception):
@@ -186,16 +191,35 @@ class IterationReport:
 class EpisodeLog:
     """Line-delimited JSON event log for one pass over the task set.
 
-    Payloads JSON cannot encode are written as their ``repr``.
+    The log keeps each step's decisions, not its prompt text. A ``prompt``
+    event's ``text`` is written as its ``sha256`` and ``bytes`` (the UTF-8
+    length), and a ``retrieval`` event's hits as ``[task_id, iteration,
+    done, repr(score)]``; ``prag prompt`` rebuilds the text from those and
+    checks it against the digest. The digest is taken here, in the sink, so
+    a pass without a log never hashes a prompt. With ``db_path``, every
+    ``episode-start`` event names the store file the pass retrieves from.
+    Other payloads JSON cannot encode are written as their ``repr``.
     """
 
-    def __init__(self, path: Path) -> None:
+    def __init__(self, path: Path, db_path: str | None = None) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         self._handle: IO[str] = path.open("w", encoding="utf-8")
         # ``json.dumps(..., default=repr)`` would build this encoder per event.
         self._encode = json.JSONEncoder(default=repr).encode
+        self._db_path = db_path
 
     def __call__(self, event: str, **payload: Any) -> None:
+        if event == "prompt":
+            data = payload.pop("text").encode("utf-8")
+            payload["sha256"] = hashlib.sha256(data).hexdigest()
+            payload["bytes"] = len(data)
+        elif event == "retrieval":
+            payload["hits"] = [
+                [hit.record.task_id, hit.record.iteration, hit.record.done, repr(hit.score)]
+                for hit in payload["hits"]
+            ]
+        elif event == "episode-start" and self._db_path is not None:
+            payload["db"] = self._db_path
         record = {"event": event, **payload}
         self._handle.write(self._encode(record) + "\n")
 
@@ -250,13 +274,16 @@ def run_pass(
     iteration: int,
     phase: str = "train",
     out_dir: Path | None = None,
+    db_path: str | None = None,
 ) -> IterationReport:
     """One pass over the task set. Commits new records only in train phase.
 
     ``optima`` holds each task's shortest solution length, in task order.
     The report's retrieval count is the sum of its episodes' counts. With
     ``out_dir``, every episode's events go to one log,
-    ``<phase>_iter_NN.jsonl``, each line tagged with the episode's task id.
+    ``<phase>_iter_NN.jsonl``, each line tagged with the episode's task id;
+    ``db_path``, the file ``db`` was loaded from, goes into every
+    ``episode-start`` event.
     """
     results: list[EpisodeResult] = []
     failures: dict[str, str] = {}
@@ -264,7 +291,7 @@ def run_pass(
     retrieval_calls = 0
     log = None
     if out_dir is not None:
-        log = EpisodeLog(out_dir / f"{phase}_iter_{iteration:02d}.jsonl")
+        log = EpisodeLog(out_dir / f"{phase}_iter_{iteration:02d}.jsonl", db_path)
     try:
         for task, shortest_steps in zip(tasks, optima, strict=True):
             outcome = run_episode(
@@ -308,6 +335,26 @@ def run_pass(
     )
 
 
+def write_run_config(config: RunConfig, out_dir: Path) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open_atomic(out_dir / RUN_CONFIG_NAME) as fh:
+        fh.write(json.dumps(dataclasses.asdict(config), indent=2) + "\n")
+
+
+def read_run_config(run_dir: Path) -> RunConfig:
+    """The configuration ``write_run_config`` left in ``run_dir``, validated."""
+    path = run_dir / RUN_CONFIG_NAME
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+        config = RunConfig(**data)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    except (json.JSONDecodeError, TypeError) as exc:
+        raise ConfigError(f"{path} is not a run configuration: {exc}") from exc
+    config.validate()
+    return config
+
+
 def _write_report(report: IterationReport, path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open_atomic(path) as fh:
@@ -348,10 +395,7 @@ def run_iterations(config: RunConfig) -> list[IterationReport]:
     out_dir = None
     if config.out is not None:
         out_dir = Path(config.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "run_config.json").write_text(
-            json.dumps(dataclasses.asdict(config), indent=2) + "\n", encoding="utf-8"
-        )
+        write_run_config(config, out_dir)
 
     db = TrajectoryDB(dimension=encoder.dimension)
     reports: list[IterationReport] = []
@@ -391,14 +435,24 @@ def run_iterations(config: RunConfig) -> list[IterationReport]:
         last = out_dir / f"db_iter_{reports[-1].iteration:02d}.jsonl"
         with last.open(encoding="utf-8") as src, open_atomic(out_dir / "db.jsonl") as fh:
             shutil.copyfileobj(src, fh)
-        (out_dir / "summary.txt").write_text(format_summary(reports), encoding="utf-8")
+        with open_atomic(out_dir / "summary.txt") as fh:
+            fh.write(format_summary(reports))
     return reports
 
 
 def run_eval(
-    config: RunConfig, db: TrajectoryDB, *, out_dir: Path | None = None
+    config: RunConfig,
+    db: TrajectoryDB,
+    *,
+    out_dir: Path | None = None,
+    db_path: str | None = None,
 ) -> IterationReport:
-    """Frozen evaluation pass against an existing database."""
+    """Frozen evaluation pass against an existing database.
+
+    With ``out_dir``, the configuration, the pass's event log and its report
+    are written there; ``db_path`` names the file ``db`` was loaded from in
+    every ``episode-start`` event, so ``prag prompt`` can find the store.
+    """
     config.validate()
     encoder = build_encoder(config)
     if db.dimension is not None and db.dimension != encoder.dimension:
@@ -409,9 +463,11 @@ def run_eval(
     backend = build_backend(config)
     tasks = _load_tasks_or_fail(config.tasks)
     optima = _solve_all(tasks)
+    if out_dir is not None:
+        write_run_config(config, out_dir)
     report = run_pass(
         tasks, db, backend, encoder, config, optima=optima, iteration=1, phase="eval",
-        out_dir=out_dir,
+        out_dir=out_dir, db_path=db_path,
     )
     if out_dir is not None:
         _write_report(report, out_dir / "report_eval.json")

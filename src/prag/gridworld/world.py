@@ -7,6 +7,11 @@ items can be carried one at a time and stack up to three per cell. Invalid
 actions are silent no-ops, so dynamics are total and safe to fuzz.
 ``World.observe`` returns an Observation: a private copy of the world and
 the step count, nothing more.
+
+Snapshots are copy-on-write. Object states are frozen and cell stacks are
+tuples, so an action replaces the one state and the one or two stacks it
+changes, and a copy is two shallow dict copies that share everything else
+with the world it was taken from.
 """
 
 from __future__ import annotations
@@ -73,9 +78,13 @@ KINDS: dict[str, Kind] = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObjectState:
-    """One object instance. ``position`` is None while held by the agent."""
+    """One object instance. ``position`` is None while held by the agent.
+
+    Frozen: a change replaces the state, so world copies can share every
+    state that did not change.
+    """
 
     label: str
     kind: str
@@ -92,7 +101,8 @@ class ObjectState:
 class Observation:
     """The world as it stood at one step, returned by reset() and observe().
 
-    ``world`` is a private copy that the live world never touches, so its
+    ``world`` is a private copy that the live world never writes to (it
+    replaces the states and stacks it changes instead of editing them), so its
     objects, stacks, walls and navigable grid keep describing the moment of
     observation after the simulator moves on. Readers take the agent's pose
     from ``world.agent_position`` and ``world.agent_heading`` and each
@@ -151,7 +161,7 @@ class World:
             raise ValueError(f"unknown heading: {agent_heading!r}")
         self.walls = frozenset(walls)
         self.objects: dict[str, ObjectState] = {}
-        self._stacks: dict[Cell, list[str]] = {}
+        self._stacks: dict[Cell, tuple[str, ...]] = {}
         self.agent_position = agent_position
         self.agent_heading = agent_heading
         self.agent_inventory: str | None = None
@@ -164,7 +174,7 @@ class World:
 
     def stacks(self) -> dict[Cell, tuple[str, ...]]:
         """All occupied cells and their stacks, bottom to top."""
-        return {cell: tuple(stack) for cell, stack in self._stacks.items()}
+        return dict(self._stacks)
 
     def portable_count(self, cell: Cell) -> int:
         return sum(
@@ -234,7 +244,7 @@ class World:
         if open and not info.openable:
             raise ValueError(f"{label!r} ({kind}) cannot start open")
         self.objects[label] = state
-        self._stacks.setdefault(cell, []).append(label)
+        self._stacks[cell] = self._stacks.get(cell, ()) + (label,)
         return state
 
     def _sealed(self, cell: Cell) -> bool:
@@ -248,15 +258,16 @@ class World:
 
     def _remove_from_cell(self, label: str) -> None:
         obj = self.objects[label]
-        stack = self._stacks[obj.position]
-        stack.remove(label)
-        if not stack:
+        stack = tuple(other for other in self._stacks[obj.position] if other != label)
+        if stack:
+            self._stacks[obj.position] = stack
+        else:
             del self._stacks[obj.position]
-        obj.position = None
+        self.objects[label] = replace(obj, position=None)
 
     def _place_in_cell(self, label: str, cell: Cell) -> None:
-        self.objects[label].position = cell
-        self._stacks.setdefault(cell, []).append(label)
+        self.objects[label] = replace(self.objects[label], position=cell)
+        self._stacks[cell] = self._stacks.get(cell, ()) + (label,)
 
     def apply_action(self, action: str) -> None:
         """Execute one low-level action; impossible actions are no-ops."""
@@ -295,19 +306,19 @@ class World:
             for label in self._stacks.get(self.faced_cell(), ()):
                 obj = self.objects[label]
                 if obj.toggleable:
-                    obj.toggled = not obj.toggled
+                    self.objects[label] = replace(obj, toggled=not obj.toggled)
                     return
         elif action == "open":
             for label in self._stacks.get(self.faced_cell(), ()):
                 obj = self.objects[label]
                 if obj.openable:
-                    obj.open = True
+                    self.objects[label] = replace(obj, open=True)
                     return
         elif action == "close":
             for label in self._stacks.get(self.faced_cell(), ()):
                 obj = self.objects[label]
                 if obj.openable:
-                    obj.open = False
+                    self.objects[label] = replace(obj, open=False)
                     return
         else:
             raise ValueError(f"unknown low-level action: {action!r}")
@@ -353,13 +364,13 @@ class World:
         raise AssertionError(f"unhandled relation: {name}")
 
     def copy(self) -> "World":
-        """Cheap deep-enough copy; walls are immutable and shared."""
+        """Two shallow dict copies: walls, object states and stacks are immutable and shared."""
         clone = World.__new__(World)
         clone.width = self.width
         clone.height = self.height
         clone.walls = self.walls
-        clone.objects = {label: replace(obj) for label, obj in self.objects.items()}
-        clone._stacks = {cell: list(stack) for cell, stack in self._stacks.items()}
+        clone.objects = dict(self.objects)
+        clone._stacks = dict(self._stacks)
         clone.agent_position = self.agent_position
         clone.agent_heading = self.agent_heading
         clone.agent_inventory = self.agent_inventory

@@ -11,7 +11,9 @@ database returned them; each record's history is cut to its last
 The reply grammar is a single line ``Action: <verb>(<argument>)``. Parsing
 never raises on bad model output; it returns a ParseFailure value with one of
 three reasons (bad-format, unknown-verb, invalid-argument) that the planning
-loop feeds back into a retry prompt.
+loop feeds back into a retry prompt (``retry_prompt``). The planner and
+``prag prompt``, which rebuilds logged prompts, render through these same
+functions.
 """
 
 from __future__ import annotations
@@ -176,3 +178,11 @@ def build_prompt(bundle: PromptBundle) -> str:
         sections.append("(none)")
     sections.extend(["", OUTPUT_INSTRUCTION])
     return "\n".join(sections)
+
+
+def retry_prompt(base_prompt: str, failure: ParseFailure) -> str:
+    """The prompt after an unusable reply: the step's prompt plus why it failed."""
+    return (
+        f"{base_prompt}\n\nYour previous reply was not usable"
+        f" ({failure.reason}: {failure.detail}). {OUTPUT_INSTRUCTION}"
+    )

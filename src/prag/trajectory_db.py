@@ -82,9 +82,13 @@ def _vector_json(vec: np.ndarray) -> str:
     return "[" + "".join(parts)[:-2] + "]"
 
 
-@dataclass
+@dataclass(eq=False)
 class TaskRecord:
-    """One task's latest trajectory, as stored in the database."""
+    """One task's latest trajectory, as stored in the database.
+
+    Records compare by identity: their fields hold arrays, whose ``==`` has
+    no single truth value. Content equality is ``to_json_line()`` equality.
+    """
 
     task_id: str
     iteration: int

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -406,3 +407,35 @@ class TestParser:
                 continue
             found = dist.entry_points.select(group="console_scripts", name="prag")
             assert [ep.value for ep in found] == [declared.value], dist.locate_file("")
+
+
+class TestOutputPin:
+    # sha256 of each deterministic artifact of the run below, as the code
+    # wrote it before event logs stopped holding prompt text. A change that
+    # moves these bytes on purpose re-pins them in the same change.
+    PINNED = {
+        "report_iter_01.json": "cca429dec35251eb97032136c49a74dd42ba0506284d79868a11ad80e6f7ad0c",
+        "report_iter_02.json": "c8994fc5c784758c51493494e9bd2ab062a33c35b3655899c95bbf008d3c5616",
+        "report_iter_03.json": "43a696f7e2e07df7df57e2b109f5d5eb430fe6e552025ed921c58a4e0d6b62a6",
+        "report_iter_04.json": "5b3e877f059c18a6e422eeb9ab3df7759524515513d6c0e6626dbdaf86ef075e",
+        "report_eval.json": "37c79bbd90459594b9b4bc53eddb0202b95b64a6f8cb51f12a8c8e7492dd6cda",
+        "db.jsonl": "9d8c38660b3c049cc895e47f2009d1c3f4a1b8aad441c6971f6d490a87e41a92",
+        "summary.txt": "b12d82210faa300149e22daba59e6c2b858d680792f305acf9e8b9f777cdd718",
+    }
+
+    def test_train_eval_run_of_the_suite_keeps_its_bytes(self, capsys, tmp_path):
+        out_dir = tmp_path / "pinned"
+        code, _, _ = run_cli(
+            capsys,
+            "run", "--mode", "train-eval", "--eval-tasks", "suite",
+            "--iterations", "4", "--no-early-stop", "--out", str(out_dir),
+        )
+        assert code == 0
+        assert sorted(p.name for p in out_dir.glob("report_*.json")) == sorted(
+            name for name in self.PINNED if name.startswith("report_")
+        )
+        digests = {
+            name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in self.PINNED
+        }
+        assert digests == self.PINNED

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import inspect
 import itertools
 import json
+import random
+from pathlib import Path
 
 import pytest
 
+import prag.driver as driver_module
 from prag.agent import run_episode
 from prag.atomic_io import open_atomic
 from prag.driver import (
@@ -21,6 +25,7 @@ from prag.driver import (
     build_encoder,
     format_summary,
     load_tasks,
+    read_run_config,
     run_eval,
     run_iterations,
     run_pass,
@@ -29,9 +34,10 @@ from prag.embedding import HashingEncoder
 from prag.gridworld.sim import EpisodeResult
 from prag.gridworld.solver import shortest_solution_steps
 from prag.gridworld.tasks import load_task_text
-from prag.trajectory_db import TrajectoryDB
+from prag.trajectory_db import RetrievalHit, TrajectoryDB
 
 from tests.conftest import ScriptedBackend, make_ball_task
+from tests.test_trajectory_db import make_record
 
 TASK_A = """\
 id: easy_ball
@@ -255,6 +261,22 @@ class TestAtomicWrites:
         _write_report(self.make_report(2), path)
         assert IterationReport.from_dict(json.loads(path.read_text())) == self.make_report(2)
         assert [p.name for p in path.parent.iterdir()] == ["report_iter_01.json"]
+
+
+    def test_config_and_summary_are_written_atomically(self, task_dir, tmp_path, monkeypatch):
+        opened = []
+
+        def recording(path):
+            opened.append(Path(path).name)
+            return open_atomic(path)
+
+        monkeypatch.setattr(driver_module, "open_atomic", recording)
+        out = tmp_path / "out"
+        config = mini_config(task_dir, iterations=2, out=str(out))
+        run_iterations(config)
+        assert {"run_config.json", "summary.txt"} <= set(opened)
+        assert not list(out.glob(".*.tmp"))
+        assert read_run_config(out) == config
 
 
 class TestBuilders:
@@ -574,6 +596,41 @@ class TestFormatSummary:
 
 
 class TestEpisodeLog:
+    def read(self, tmp_path, db_path=None, *events):
+        path = tmp_path / "log.jsonl"
+        log = EpisodeLog(path, db_path)
+        for event, payload in events:
+            log(event, **payload)
+        log.close()
+        return [json.loads(line) for line in path.read_text().splitlines()]
+
+    def test_prompt_text_is_kept_as_its_digest_and_size(self, tmp_path):
+        text = "GOAL\nPut the mug in the s\u00efnk"
+        [record] = self.read(tmp_path, None, ("prompt", {"task_id": "t", "step": 2, "text": text}))
+        assert record == {
+            "event": "prompt",
+            "task_id": "t",
+            "step": 2,
+            "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+            "bytes": len(text) + 1,
+        }
+
+    def test_retrieval_hits_are_kept_as_ids_iterations_flags_and_scores(self, tmp_path):
+        rng = random.Random(0)
+        hits = (
+            RetrievalHit(1.9000000000000001, make_record(rng, "b", iteration=3, done=True)),
+            RetrievalHit(0.25, make_record(rng, "a", iteration=1)),
+        )
+        [record] = self.read(tmp_path, None, ("retrieval", {"step": 0, "hits": hits}))
+        assert record["hits"] == [["b", 3, True, "1.9000000000000001"], ["a", 1, False, "0.25"]]
+
+    def test_episode_start_names_the_store_file_when_given(self, tmp_path):
+        events = [("episode-start", {"iteration": 1}), ("stop", {"step": 0})]
+        assert "db" not in self.read(tmp_path, None, *events)[0]
+        start, stop = self.read(tmp_path, "runs/demo/db.jsonl", *events)
+        assert start["db"] == "runs/demo/db.jsonl"
+        assert "db" not in stop
+
     def test_unserialisable_payloads_fall_back_to_repr(self, tmp_path):
         path = tmp_path / "log.jsonl"
         log = EpisodeLog(path)

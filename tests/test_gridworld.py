@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import textwrap
 
@@ -239,6 +240,46 @@ class TestObservation:
         clone.apply_action("forward")
         assert world.agent_position == (1, 3)
         assert clone.agent_position == (1, 2)
+
+    def test_object_states_are_frozen(self):
+        world = make_ball_world()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            world.objects["ball_1"].position = (2, 2)
+
+    def test_a_primitive_replaces_only_what_it_changes(self):
+        # Agent at (2,4) facing north; the mug is two cells ahead, the sink
+        # east of the cell in front, the cabinet west of it.
+        world = World(7, 6, walls=border_walls(7, 6), agent_position=(2, 4), agent_heading="N")
+        world.place_object("mug_1", "mug", (2, 2))
+        world.place_object("sink_1", "sink", (3, 3))
+        world.place_object("cabinet_1", "cabinet", (1, 3))
+        world.place_object("table_1", "table", (4, 1))
+        script = [
+            ("forward", set()),
+            ("pickup", {"mug_1"}),
+            ("turn_right", set()),
+            ("drop", {"mug_1"}),
+            ("toggle", {"sink_1"}),
+            ("turn_right", set()),
+            ("turn_right", set()),
+            ("open", {"cabinet_1"}),
+        ]
+        before = world.observe()
+        for action, expected in script:
+            world.apply_action(action)
+            after = world.observe()
+            changed = {
+                label for label, state in after.objects.items()
+                if state is not before.objects[label]
+            }
+            assert changed == expected, action
+            assert all(after.objects[label] != before.objects[label] for label in changed)
+            old_stacks, new_stacks = before.world.stacks(), after.world.stacks()
+            for cell, stack in new_stacks.items():
+                if stack == old_stacks.get(cell):
+                    assert stack is old_stacks[cell], (action, cell)
+            before = after
+        assert world.objects["sink_1"].toggled and world.objects["cabinet_1"].open
 
     def test_navigable_grid_matches_walls_and_landmarks(self):
         world = make_ball_world()

@@ -296,3 +296,20 @@ class TestBuildPrompt:
             )
 
         assert build_prompt(make()) == build_prompt(make())
+
+
+class TestEquality:
+    def test_hits_and_bundles_holding_equal_records_compare_without_raising(self):
+        def make_hit():
+            return RetrievalHit(0.5, make_record("t", "goal", [("done()", "x")], done=True))
+
+        def make_bundle(hit):
+            return PromptBundle(goal="g", scene_text="s", action_space_text="a", experiences=(hit,))
+
+        first, second = make_hit(), make_hit()
+        assert first.record.to_json_line() == second.record.to_json_line()
+        # Records compare by identity, so equal contents are still two records.
+        assert first != second
+        assert first == RetrievalHit(0.5, first.record)
+        assert make_bundle(first) != make_bundle(second)
+        assert make_bundle(first) == make_bundle(first)

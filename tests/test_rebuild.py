@@ -1,0 +1,274 @@
+"""`prag prompt`: every logged prompt is rebuilt, byte for byte, from the run directory."""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import re
+
+import pytest
+
+import prag.driver as driver_module
+from prag.backends import PlannerBackend, ReplayOracleBackend
+from prag.cli import main
+from prag.driver import EpisodeLog, RunConfig, run_iterations
+from prag.rebuild import rebuild_prompts
+
+LOG_NAME = re.compile(r"^(train|eval)_iter_(\d\d)\.jsonl$")
+
+
+def run_capturing(monkeypatch, argv=None, config=None):
+    """Run through the CLI or ``run_iterations``; return the prompts each log was given.
+
+    Keys are (phase, iteration, task id); values list (step, prompt text) in
+    the order the planner sent them.
+    """
+    captured: dict[tuple[str, int, str], list[tuple[int, str]]] = {}
+
+    class CapturingLog(EpisodeLog):
+        def __init__(self, path, db_path=None):
+            super().__init__(path, db_path)
+            phase, iteration = LOG_NAME.match(path.name).groups()
+            self.pass_key = (phase, int(iteration))
+
+        def __call__(self, event, **payload):
+            if event == "prompt":
+                key = (*self.pass_key, payload["task_id"])
+                captured.setdefault(key, []).append((payload["step"], payload["text"]))
+            super().__call__(event, **payload)
+
+    monkeypatch.setattr(driver_module, "EpisodeLog", CapturingLog)
+    if argv is not None:
+        assert main(argv) == 0
+    else:
+        run_iterations(config)
+    monkeypatch.undo()
+    return captured
+
+
+def assert_rebuilds(run_dir, captured):
+    assert captured
+    for (phase, iteration, task_id), sent in captured.items():
+        rebuilt = rebuild_prompts(run_dir, phase, iteration, task_id)
+        assert [(p.step, p.text) for p in rebuilt] == sent, (phase, iteration, task_id)
+
+
+def read_events(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def write_events(path, events):
+    path.write_text("".join(json.dumps(e) + "\n" for e in events))
+
+
+@pytest.fixture(scope="module")
+def suite_run(tmp_path_factory):
+    """A 4-iteration train-eval run of the bundled suite and the prompts it sent."""
+    out = tmp_path_factory.mktemp("suite_run")
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        captured = run_capturing(
+            monkeypatch,
+            argv=[
+                "run", "--mode", "train-eval", "--eval-tasks", "suite",
+                "--iterations", "4", "--no-early-stop", "--out", str(out),
+            ],
+        )
+    return out, captured
+
+
+def run_cli(capsys, *argv):
+    code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def assert_one_error_line(err):
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+class TestRebuildMatchesTheRun:
+    def test_every_prompt_of_every_phase_is_rebuilt_byte_for_byte(self, suite_run):
+        out, captured = suite_run
+        assert {phase for phase, _, _ in captured} == {"train", "eval"}
+        assert {iteration for phase, iteration, _ in captured if phase == "train"} == {1, 2, 3, 4}
+        assert_rebuilds(out, captured)
+
+    def test_log_keeps_digests_and_hits_not_text(self, suite_run):
+        out, _ = suite_run
+        events = read_events(out / "train_iter_02.jsonl")
+        prompts = [e for e in events if e["event"] == "prompt"]
+        assert prompts
+        assert all(set(e) == {"event", "task_id", "step", "sha256", "bytes"} for e in prompts)
+        retrievals = [e for e in events if e["event"] == "retrieval"]
+        # The store is non-empty from pass 2 on: one retrieval per prompted step.
+        assert len(retrievals) == len({(e["task_id"], e["step"]) for e in prompts})
+        task_id, iteration, done, score = retrievals[0]["hits"][0]
+        assert isinstance(task_id, str) and iteration == 1 and isinstance(done, bool)
+        assert repr(float(score)) == score
+        assert not any(e["event"] == "retrieval" for e in read_events(out / "train_iter_01.jsonl"))
+
+    def test_cli_prints_one_step_with_its_digest(self, suite_run, capsys):
+        out, captured = suite_run
+        sent = captured[("eval", 4, "wash_mugs")]
+        code, stdout, _ = run_cli(
+            capsys, "prompt", out, "--phase", "eval", "--iteration", 4,
+            "--task", "wash_mugs", "--step", 1,
+        )
+        assert code == 0
+        [text] = [text for step, text in sent if step == 1]
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert stdout == f"=== step 1 attempt 1 sha256 {digest}\n{text}\n"
+
+
+class _FirstReplyMalformed(PlannerBackend):
+    """Answers each episode's first prompt with a malformed reply, then replays."""
+
+    def __init__(self, seed):
+        self.inner = ReplayOracleBackend(seed=seed)
+        self.first = False
+
+    def begin_episode(self, *args):
+        self.first = True
+        self.inner.begin_episode(*args)
+
+    def complete(self, prompt, context):
+        if self.first:
+            self.first = False
+            return "I would rather not."
+        return self.inner.complete(prompt, context)
+
+
+class TestRetryPrompts:
+    def test_retry_prompts_are_rebuilt_from_parse_failures(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            driver_module, "build_backend", lambda config: _FirstReplyMalformed(config.seed)
+        )
+        out = tmp_path / "run"
+        config = RunConfig(tasks="suite", iterations=2, early_stop=False, out=str(out))
+        captured = run_capturing(monkeypatch, config=config)
+        assert_rebuilds(out, captured)
+        rebuilt = rebuild_prompts(out, "train", 2, "ball_to_table")
+        assert [(p.step, p.attempt) for p in rebuilt[:2]] == [(0, 1), (0, 2)]
+        assert "Your previous reply was not usable (bad-format:" in rebuilt[1].text
+
+    def test_episodes_cut_short_by_the_step_budget_are_rebuilt(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        config = RunConfig(
+            tasks="suite", backend="seeded-explorer", iterations=3, early_stop=False,
+            max_steps=12, history_limit=2, out=str(out),
+        )
+        captured = run_capturing(monkeypatch, config=config)
+        assert_rebuilds(out, captured)
+        # Some decomposition ran into the budget, so its logged primitives
+        # outnumber the simulator steps it took.
+        cut_short = 0
+        for path in out.glob("train_iter_*.jsonl"):
+            before = {}
+            for e in read_events(path):
+                if e["event"] == "step":
+                    ran = e["sim_steps"] - before.get(e["task_id"], 0)
+                    cut_short += ran < len(e["low_level"])
+                    before[e["task_id"]] = e["sim_steps"]
+        assert cut_short
+
+
+class TestRebuildFailures:
+    @pytest.fixture
+    def run_copy(self, suite_run, tmp_path):
+        out, _ = suite_run
+        copy = tmp_path / "copy"
+        copy.mkdir()
+        for path in out.iterdir():
+            (copy / path.name).write_bytes(path.read_bytes())
+        return copy
+
+    def test_an_altered_hit_id_exits_two(self, run_copy, capsys):
+        log = run_copy / "train_iter_02.jsonl"
+        events = read_events(log)
+        retrieval = next(e for e in events if e["event"] == "retrieval")
+        task_id = retrieval["task_id"]
+        hits = retrieval["hits"]
+        # Swap in another stored record with the same iteration and done flag,
+        # so only the digest can catch the change.
+        stored = read_events(run_copy / "db_iter_01.jsonl")[1:]
+        logged = {hit[0] for hit in hits}
+        other = next(
+            r for r in stored
+            if r["task_id"] not in logged and [r["iteration"], r["done"]] == hits[-1][1:3]
+        )
+        hits[-1][0] = other["task_id"]
+        write_events(log, events)
+        code, _, err = run_cli(
+            capsys, "prompt", run_copy, "--phase", "train", "--iteration", 2, "--task", task_id
+        )
+        assert code == 2
+        assert_one_error_line(err)
+        assert "sha256" in err
+
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [(0, "no_such_task", "no_such_task"), (1, 9, "iteration 9"), (2, None, "done=None")],
+        ids=["task_id", "iteration", "done"],
+    )
+    def test_a_hit_the_store_does_not_hold_exits_two(self, run_copy, capsys, field, value, named):
+        log = run_copy / "train_iter_03.jsonl"
+        events = read_events(log)
+        retrieval = next(e for e in events if e["event"] == "retrieval")
+        retrieval["hits"][0][field] = value
+        write_events(log, events)
+        code, _, err = run_cli(
+            capsys, "prompt", run_copy, "--phase", "train", "--iteration", 3,
+            "--task", retrieval["task_id"],
+        )
+        assert code == 2
+        assert_one_error_line(err)
+        assert named in err
+
+    def test_the_wrong_checkpoint_exits_two(self, run_copy, tmp_path, capsys):
+        eval_dir = tmp_path / "eval"
+        code, _, _ = run_cli(
+            capsys, "eval", "--db", run_copy / "db_iter_04.jsonl", "--tasks", "suite",
+            "--out", eval_dir,
+        )
+        assert code == 0
+        config = json.loads((eval_dir / "run_config.json").read_text())
+        assert config["out"] == str(eval_dir)
+        log = eval_dir / "eval_iter_01.jsonl"
+        events = read_events(log)
+        starts = [e for e in events if e["event"] == "episode-start"]
+        assert starts and all(e["db"] == str(run_copy / "db_iter_04.jsonl") for e in starts)
+        for task_id in sorted({e["task_id"] for e in starts}):
+            assert rebuild_prompts(eval_dir, "eval", 1, task_id)
+
+        for event in starts:
+            event["db"] = str(run_copy / "db_iter_01.jsonl")
+        write_events(log, events)
+        code, _, err = run_cli(
+            capsys, "prompt", eval_dir, "--phase", "eval", "--iteration", 1,
+            "--task", "wash_mugs",
+        )
+        assert code == 2
+        assert_one_error_line(err)
+
+    @pytest.mark.parametrize(
+        "phase, iteration, task",
+        [("test", 2, "wash_mugs"), ("train", 7, "wash_mugs"), ("train", 2, "no_such_task")],
+        ids=["phase", "iteration", "task"],
+    )
+    def test_an_unknown_episode_exits_two(self, suite_run, capsys, phase, iteration, task):
+        out, _ = suite_run
+        code, stdout, err = run_cli(
+            capsys, "prompt", out, "--phase", phase, "--iteration", iteration, "--task", task
+        )
+        assert code == 2
+        assert stdout == ""
+        assert_one_error_line(err)
+
+    def test_a_missing_run_config_exits_two(self, run_copy, capsys):
+        (run_copy / "run_config.json").unlink()
+        code, _, err = run_cli(
+            capsys, "prompt", run_copy, "--phase", "train", "--iteration", 1, "--task", "wash_mugs"
+        )
+        assert code == 2
+        assert_one_error_line(err)
