@@ -71,8 +71,8 @@ def rebuild_prompts(
     source = config.eval_tasks if phase == "eval" and config.mode == "train-eval" else config.tasks
     assert source is not None
     task = _find_task(source, task_id)
-    db = _pass_store(run_dir, phase, iteration, events[0])
     try:
+        db = _pass_store(run_dir, phase, iteration, events[0])
         return _replay(task, events, db, config.max_steps, config.history_limit)
     except (KeyError, TypeError, ValueError, SimulationError) as exc:
         raise RebuildError(f"malformed {log_path.name} events for {task_id!r}: {exc!r}") from exc
