@@ -432,8 +432,8 @@ def run_episode(
             iteration=iteration,
             goal_text=task.goal,
             goal_embedding=goal_embedding,
-            obs_embeddings=tuple(obs_embeddings),
-            history=tuple(history),
+            obs_embeddings=obs_embeddings,
+            history=history,
             done=sim.succeeded,
         )
     log(

@@ -86,9 +86,14 @@ def _config_from_args(args: argparse.Namespace, *, include_mode: bool) -> RunCon
         if args.no_early_stop:
             overrides["early_stop"] = False
     if args.config:
-        return RunConfig.from_file(args.config, overrides)
-    filtered = {key: value for key, value in overrides.items() if value is not None}
-    return RunConfig(**filtered)
+        config = RunConfig.from_file(args.config, overrides)
+    else:
+        config = RunConfig(**{key: value for key, value in overrides.items() if value is not None})
+    for name in ("tasks", "eval_tasks"):  # absolute, so ``prag prompt`` works anywhere
+        source = getattr(config, name)
+        if isinstance(source, str) and source not in ("", "suite"):
+            setattr(config, name, str(Path(source).absolute()))
+    return config
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -102,7 +107,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     config = _config_from_args(args, include_mode=False)
     db = TrajectoryDB.load(args.db)
     out_dir = Path(config.out) if config.out else None
-    report = run_eval(config, db, out_dir=out_dir, db_path=args.db)
+    report = run_eval(config, db, out_dir=out_dir, db_path=str(Path(args.db).absolute()))
     sys.stdout.write(format_summary([report]))
     return 0
 

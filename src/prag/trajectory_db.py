@@ -1,8 +1,8 @@
 """Retrieval database of per-task trajectory records.
 
-One record per task id. A record stores the goal embedding, one scene-graph
-embedding per step, the (action, observation) history, and whether the task
-was completed. Retrieval is exact and scores every record as
+One record per task id. A record stores the goal embedding, a read-only
+step matrix (one scene-graph embedding per row), the (action, observation)
+history and its done flag. Retrieval is exact and scores every record as
 
     score = cosine(query_goal, record_goal)
           + max over steps t of cosine(query_obs, record_obs[t])
@@ -11,10 +11,10 @@ with ties broken toward the more recent iteration, then lexicographic task
 id. ``score`` computes this for one record and is the reference.
 ``retrieve_top_k`` scans all records at once, in the style of an exact
 inner-product index: a goal matrix with one row per record (in task id
-order), an observation matrix stacking every step vector, and the offsets
-where each record's steps begin. Each matrix keeps only the columns that
-some stored vector uses: hashed scene texts fill a few dozen of 384, so a
-query reads a small fraction of the store, while a dense store keeps every
+order), an observation matrix stacking the records' step matrices, and the
+offsets where each record's steps begin. Each matrix keeps only the columns
+that some stored vector uses: hashed scene texts fill a few dozen of 384, so
+a query reads a small fraction of the store, while a dense store keeps every
 column and scans them all. The index computes each stored vector's norm
 once, by the expression ``cosine`` uses. A query computes its own two norms
 once, takes one matrix-vector product per matrix over the used entries of
@@ -86,6 +86,9 @@ def _vector_json(vec: np.ndarray) -> str:
 class TaskRecord:
     """One task's latest trajectory, as stored in the database.
 
+    A record owns read-only float64 copies of its vectors: ``obs_embeddings``,
+    given as any sequence of step vectors, becomes one ``(len(history),
+    dimension)`` matrix, so a caller's later writes reach no stored record.
     Records compare by identity: their fields hold arrays, whose ``==`` has
     no single truth value. Content equality is ``to_json_line()`` equality.
     """
@@ -94,7 +97,7 @@ class TaskRecord:
     iteration: int
     goal_text: str
     goal_embedding: np.ndarray
-    obs_embeddings: list[np.ndarray]
+    obs_embeddings: np.ndarray
     history: list[tuple[str, str]]
     done: bool
 
@@ -103,25 +106,19 @@ class TaskRecord:
             raise ValueError("task_id must be non-empty")
         if self.iteration < 1:
             raise ValueError(f"iteration must be >= 1, got {self.iteration}")
-        self.goal_embedding = _as_vector(self.goal_embedding, "goal_embedding")
-        self.obs_embeddings = [
-            _as_vector(v, f"obs_embeddings[{i}]")
-            for i, v in enumerate(self.obs_embeddings)
-        ]
         self.history = [(str(a), str(o)) for a, o in self.history]
         if len(self.history) < 1:
             raise ValueError("history must contain at least one step")
-        if len(self.obs_embeddings) != len(self.history):
-            raise ValueError(
-                f"obs_embeddings ({len(self.obs_embeddings)}) and history "
-                f"({len(self.history)}) must have equal length"
-            )
-        dim = self.goal_embedding.size
-        for i, vec in enumerate(self.obs_embeddings):
-            if vec.size != dim:
-                raise ValueError(
-                    f"obs_embeddings[{i}] has dimension {vec.size}, expected {dim}"
-                )
+        goal = _as_vector(np.array(self.goal_embedding, dtype=np.float64), "goal_embedding")
+        steps = np.array(self.obs_embeddings, dtype=np.float64)  # ragged input fails here
+        shape = (len(self.history), goal.size)
+        if steps.shape != shape:
+            raise ValueError(f"obs_embeddings has shape {steps.shape}, expected {shape}")
+        if not np.isfinite(steps).all():
+            raise ValueError("obs_embeddings contains non-finite values")
+        goal.setflags(write=False)
+        steps.setflags(write=False)
+        self.goal_embedding, self.obs_embeddings = goal, steps
 
     @property
     def dimension(self) -> int:
@@ -204,22 +201,22 @@ _CANDIDATE_MARGIN = 1e-9
 class _UsedColumns:
     """Stored vectors cut to the columns any of them uses, for cosines.
 
-    Dropped columns are zero in every stored vector, so they add nothing to
-    a dot product. Rows are filled one by one, so a dense store (every
-    column used) is never held twice at full width.
+    The vectors come as 2-D blocks, never empty: a record's step matrix, or
+    its goal as a one-row view. ``starts`` holds the row where each block
+    begins. Dropped columns are zero in every stored vector, so they add
+    nothing to a dot product. Each block is cut as it is copied into place,
+    so a dense store (every column used) is never held twice at full width.
     """
 
-    def __init__(self, vectors: list[np.ndarray]):
-        used = np.zeros(vectors[0].size, dtype=bool)
-        for v in vectors:
-            used |= v != 0.0
-        self.columns = np.flatnonzero(used)
-        self.matrix = np.empty((len(vectors), self.columns.size))
-        for row, v in enumerate(vectors):
-            self.matrix[row] = v[self.columns]
+    def __init__(self, blocks: list[np.ndarray]):
+        self.columns = np.flatnonzero(np.any([(b != 0.0).any(axis=0) for b in blocks], axis=0))
+        self.starts = np.cumsum([0] + [len(block) for block in blocks[:-1]])
+        self.matrix = np.empty((self.starts[-1] + len(blocks[-1]), self.columns.size))
+        for start, block in zip(self.starts.tolist(), blocks):
+            self.matrix[start : start + len(block)] = block[:, self.columns]
         # Once per stored vector, as ``cosine`` computes it. The exact
         # re-score divides by these Python floats; the scan by their array.
-        self.norms = [vector_norm(v) for v in vectors]
+        self.norms = [vector_norm(v) for block in blocks for v in block]
         self.norm_array = np.array(self.norms)
 
     def cosines(self, vector: np.ndarray, norm: float) -> np.ndarray:
@@ -238,18 +235,15 @@ class _MatrixIndex:
 
     def __init__(self, records: list[TaskRecord]):
         self.records = records
-        self.goals = _UsedColumns([r.goal_embedding for r in records])
-        self.observations = _UsedColumns([v for r in records for v in r.obs_embeddings])
-        # Every record has at least one step, so no segment is empty.
-        lengths = [len(r.obs_embeddings) for r in records]
-        self.starts = np.cumsum([0] + lengths[:-1])
+        self.goals = _UsedColumns([r.goal_embedding[np.newaxis] for r in records])
+        self.observations = _UsedColumns([r.obs_embeddings for r in records])
 
     def top_k(self, query: RetrievalQuery, k: int) -> list[RetrievalHit]:
         goal, obs = query.goal_embedding, query.obs_embedding
         goal_norm, obs_norm = vector_norm(goal), vector_norm(obs)
         goal_terms = self.goals.cosines(goal, goal_norm)
         step_terms = self.observations.cosines(obs, obs_norm)
-        scores = goal_terms + np.maximum.reduceat(step_terms, self.starts)
+        scores = goal_terms + np.maximum.reduceat(step_terms, self.observations.starts)
         cut = max(scores.size - k, 0)
         kth_best = np.partition(scores, cut)[cut]
         step_norms = self.observations.norms
@@ -257,7 +251,7 @@ class _MatrixIndex:
         for i in np.flatnonzero(scores >= kth_best - _CANDIDATE_MARGIN).tolist():
             # ``score(query, record)``, from the cached norms.
             record = self.records[i]
-            start = int(self.starts[i])
+            start = int(self.observations.starts[i])
             end = start + len(record.obs_embeddings)
             goal_term = cosine_from_parts(
                 float(np.dot(goal, record.goal_embedding)), goal_norm, self.goals.norms[i]

@@ -5,10 +5,12 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from pathlib import Path
 
 import pytest
 
 import prag.driver as driver_module
+import prag.gridworld as gridworld_package
 from prag.backends import PlannerBackend, ReplayOracleBackend
 from prag.cli import main
 from prag.driver import EpisodeLog, RunConfig, run_iterations
@@ -272,3 +274,39 @@ class TestRebuildFailures:
         )
         assert code == 2
         assert_one_error_line(err)
+
+
+class TestRelativePaths:
+    def test_runs_started_with_relative_paths_rebuild_from_elsewhere(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        work, elsewhere = tmp_path / "work", tmp_path / "elsewhere"
+        (work / "tasks").mkdir(parents=True)
+        elsewhere.mkdir()
+        for path in (Path(gridworld_package.__file__).parent / "suite").glob("*.yaml"):
+            (work / "tasks" / path.name).write_bytes(path.read_bytes())
+        monkeypatch.chdir(work)
+        code, _, err = run_cli(
+            capsys, "run", "--mode", "train-eval", "--tasks", "tasks", "--eval-tasks", "tasks",
+            "--iterations", 2, "--no-early-stop", "--out", "run",
+        )
+        assert code == 0, err
+        code, _, err = run_cli(
+            capsys, "eval", "--db", "run/db.jsonl", "--tasks", "tasks", "--out", "eval"
+        )
+        assert code == 0, err
+        # The run directories name their inputs by absolute path.
+        run_config = json.loads((work / "run" / "run_config.json").read_text())
+        eval_config = json.loads((work / "eval" / "run_config.json").read_text())
+        start = read_events(work / "eval" / "eval_iter_01.jsonl")[0]
+        named = [run_config["tasks"], run_config["eval_tasks"], eval_config["tasks"], start["db"]]
+        assert [Path(p) for p in named] == [work / "tasks"] * 3 + [work / "run" / "db.jsonl"]
+
+        monkeypatch.chdir(elsewhere)
+        for run, phase, iteration in (("run", "train", 2), ("run", "eval", 2), ("eval", "eval", 1)):
+            code, stdout, err = run_cli(
+                capsys, "prompt", work / run, "--phase", phase, "--iteration", iteration,
+                "--task", "wash_mugs",
+            )
+            assert code == 0, err
+            assert stdout.startswith("=== step 0 attempt 1 sha256 ")

@@ -616,6 +616,26 @@ class TestPersistence:
         with pytest.raises(DatabaseFormatError, match="line 2"):
             TrajectoryDB.load(path)
 
+    @pytest.mark.parametrize(
+        "step, named",
+        [([float("nan"), 0.0, 0.0, 0.0], "non-finite"), ([0.0, 0.0, 0.0], "shape")],
+        ids=["non-finite", "wrong-length"],
+    )
+    def test_load_rejects_a_malformed_step_naming_its_line(self, tmp_path, step, named):
+        rng = random.Random(26)
+        db = TrajectoryDB(dimension=4)
+        db.update_after_iteration([make_record(rng, f"t{i}", dimension=4) for i in range(2)])
+        path = tmp_path / "db.jsonl"
+        db.save(path)
+        lines = path.read_text().splitlines()
+        doctored = json.loads(lines[2])
+        doctored["obs_embeddings"][-1] = step
+        path.write_text("\n".join(lines[:2] + [json.dumps(doctored)]) + "\n")
+        with pytest.raises(DatabaseFormatError) as caught:
+            TrajectoryDB.load(path)
+        assert caught.value.line_number == 3
+        assert "line 3" in str(caught.value) and named in str(caught.value)
+
     def test_load_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"format": "something-else", "version": 1, "dimension": 4}\n')
@@ -815,3 +835,77 @@ class TestTaskRecordValidation:
                 history=(("a()", "o"),),
                 done=False,
             )
+
+    @pytest.mark.parametrize(
+        "steps, named",
+        [
+            ((np.zeros(4), np.zeros(3)), "shape"),
+            ((np.zeros(3), np.zeros(3)), "shape"),
+            ((np.zeros(4), np.array([0.0, np.nan, 0.0, 0.0])), "non-finite"),
+            ((np.array([np.inf, 0.0, 0.0, 0.0]), np.zeros(4)), "non-finite"),
+            ([[0.0] * 4, [0.0, -np.inf, 0.0, 0.0]], "non-finite"),
+        ],
+        ids=["ragged", "wrong-length", "nan", "inf", "inf-in-lists"],
+    )
+    def test_rejects_malformed_steps(self, steps, named):
+        with pytest.raises(ValueError, match=named):
+            TaskRecord(
+                task_id="t",
+                iteration=1,
+                goal_text="g",
+                goal_embedding=np.zeros(4),
+                obs_embeddings=steps,
+                history=(("a()", "o"), ("b()", "p")),
+                done=False,
+            )
+
+
+class TestRecordArrays:
+    """A record owns one read-only copy of its vectors."""
+
+    @staticmethod
+    def record(goal, steps):
+        return TaskRecord(
+            task_id="t",
+            iteration=1,
+            goal_text="g",
+            goal_embedding=goal,
+            obs_embeddings=steps,
+            history=[("a()", "o")] * len(steps),
+            done=False,
+        )
+
+    def test_steps_become_one_float64_matrix(self):
+        record = self.record([1, 0, 2], [[0, 1, 0], (3, 0, 0)])
+        assert record.obs_embeddings.dtype == np.float64
+        assert record.obs_embeddings.shape == (2, 3)
+        assert record.goal_embedding.tolist() == [1.0, 0.0, 2.0]
+        assert [len(v) for v in record.obs_embeddings] == [3, 3]
+
+    def test_caller_writes_reach_neither_the_record_nor_retrieval(self):
+        goal, step = np.ones(4), np.ones(4)
+        record = self.record(goal, [step])
+        db = TrajectoryDB(dimension=4)
+        db.update_after_iteration([record])
+        query = RetrievalQuery(np.ones(4), np.ones(4))
+        assert [h.score for h in db.retrieve_top_k(query, 1)] == [2.0]
+        step *= 2
+        goal[0] = -1.0
+        assert record.obs_embeddings.tolist() == [[1.0] * 4]
+        assert record.goal_embedding.tolist() == [1.0] * 4
+        assert [h.score for h in db.retrieve_top_k(query, 1)] == [score(query, record)] == [2.0]
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda r: r.goal_embedding.__setitem__(0, 5.0),
+            lambda r: r.obs_embeddings.__setitem__((0, 0), 5.0),
+            lambda r: r.obs_embeddings[0].__setitem__(0, 5.0),
+        ],
+        ids=["goal", "step-matrix", "step-row"],
+    )
+    def test_stored_arrays_are_read_only(self, write):
+        record = self.record(np.ones(4), [np.ones(4)])
+        with pytest.raises(ValueError):
+            write(record)
+        assert record.goal_embedding.tolist() == record.obs_embeddings[0].tolist() == [1.0] * 4
