@@ -25,7 +25,6 @@ from .backends import (
     RemoteChatBackend,
     ReplayOracleBackend,
     SeededExplorerBackend,
-    StepContext,
 )
 from .driver import IterationReport, RunConfig, run_eval, run_iterations
 from .metrics import TransitionReport, spl, task_sr, total_sr
@@ -56,7 +55,6 @@ __all__ = [
     "RunConfig",
     "SceneGraph",
     "SeededExplorerBackend",
-    "StepContext",
     "TaskRecord",
     "TrajectoryDB",
     "TransitionReport",

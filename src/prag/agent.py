@@ -8,15 +8,16 @@ run_episode drives one task episode end to end: it encodes the goal once,
 then per step encodes the current scene graph, retrieves the top-K similar
 trajectories when the database is non-empty, builds the prompt, plans,
 executes, and finally packages the trajectory as a TaskRecord for the
-database. Each executed action costs one observation (a private copy of
-the world) and one scene graph: the post-action scene text stored in the
-record is also the next step's pre-action scene. Every reader of a step
-reads that one copy: the agent's pose from ``observation.world``, object
-flags from each ``ObjectState``, and a held object as one whose
-``position`` is None. The retrieval hits go into the prompt bundle as they
-are; the prompt cuts each record's history as it renders it. K and the
-retry budget have their defaults here, the history limit in ``prompting``;
-the run configuration imports them.
+database. Each executed action costs one world snapshot (a private copy
+of the world, from ``Simulator.observe``) and one scene graph: the
+post-action scene text stored in the record is also the next step's
+pre-action scene. Every reader of a step reads that one copy: the agent's
+pose from the world, object flags from each ``ObjectState``, and a held
+object as one whose ``position`` is None. The retrieval hits go into the
+prompt bundle as they are; the prompt cuts each record's history as it
+renders it, and the backend receives the bundle beside the prompt text.
+K and the retry budget have their defaults here, the history limit in
+``prompting``; the run configuration imports them.
 
 A step's prompt is a pure function of logged inputs: the task, the scene
 after the logged primitives, the retrieved hits, the history limit and, for
@@ -39,13 +40,13 @@ from typing import Callable
 
 import numpy as np
 
-from .backends import BackendError, PlannerBackend, StepContext
+from .backends import BackendError, PlannerBackend
 from .embedding import Encoder, EncoderError
 from .gridworld.sim import EpisodeResult, Simulator
 # Not called here: the driver solves tasks through this name, where the tracer wraps it.
 from .gridworld.solver import shortest_solution_steps
 from .gridworld.tasks import Task
-from .gridworld.world import Cell, HEADING_DELTAS, Observation
+from .gridworld.world import Cell, World
 from .nav import (
     NEIGHBOR_ORDER,
     DistanceField,
@@ -81,7 +82,7 @@ def _no_log(event: str, **payload) -> None:
 
 
 class DecompositionError(Exception):
-    """A parsed action cannot be grounded in the current observation."""
+    """A parsed action cannot be grounded in the current world."""
 
 
 class PlannerFailure(Exception):
@@ -115,37 +116,37 @@ class NavigationMemo:
     grid: np.ndarray | None = None
     fields: dict[Cell, DistanceField] = field(default_factory=dict)
 
-    def navigable_grid(self, observation: Observation) -> np.ndarray:
+    def navigable_grid(self, world: World) -> np.ndarray:
         if self.grid is None:
-            self.grid = observation.world.navigable_grid()
+            self.grid = world.navigable_grid()
             self.grid.setflags(write=False)
         return self.grid
 
-    def field_from(self, observation: Observation) -> DistanceField:
+    def field_from(self, world: World) -> DistanceField:
         """The distance field from the agent's cell."""
-        source = observation.world.agent_position
+        source = world.agent_position
         field_ = self.fields.get(source)
         if field_ is None:
-            field_ = distance_field(self.navigable_grid(observation), source)
+            field_ = distance_field(self.navigable_grid(world), source)
             field_.distances.setflags(write=False)
             self.fields[source] = field_
         return field_
 
 
 def _stand_and_face(
-    observation: Observation, target: Cell, nav: NavigationMemo
+    world: World, target: Cell, nav: NavigationMemo
 ) -> tuple[Cell, list[Cell]]:
     """Pick the reachable navigable cell 4-adjacent to target, plus the path.
 
     Ties between equally near stand cells resolve in N, E, S, W order around
     the target. Raises DecompositionError when no adjacent cell is reachable.
     """
-    grid = nav.navigable_grid(observation)
-    field_ = nav.field_from(observation)
+    grid = nav.navigable_grid(world)
+    field_ = nav.field_from(world)
     best: tuple[float, int, Cell] | None = None
     for order, (dx, dy) in enumerate(NEIGHBOR_ORDER):
         cell = (target[0] + dx, target[1] + dy)
-        if not observation.world.in_bounds(cell):
+        if not world.in_bounds(cell):
             continue
         if not grid[cell[1], cell[0]]:
             continue
@@ -162,7 +163,7 @@ def _stand_and_face(
 
 def decompose(
     action: HighLevelAction,
-    observation: Observation,
+    world: World,
     nav: NavigationMemo | None = None,
 ) -> Decomposition:
     """Expand a high-level action into simulator actions.
@@ -181,21 +182,21 @@ def decompose(
     if isinstance(arg, tuple):
         target = arg
     else:
-        obj = observation.objects.get(arg)  # type: ignore[arg-type]
+        obj = world.objects.get(arg)  # type: ignore[arg-type]
         if obj is None:
             raise DecompositionError(f"no visible object named {arg!r}")
         if obj.position is None:
             raise DecompositionError(f"{arg} is being held, it has no cell")
         target = obj.position
 
-    heading = observation.world.agent_heading
+    heading = world.agent_heading
 
     if action.verb == "navigate" and isinstance(arg, tuple):
         # Walking onto a cell rather than next to an object: no facing turn.
-        grid = nav.navigable_grid(observation)
+        grid = nav.navigable_grid(world)
         if not grid[target[1], target[0]]:
             raise DecompositionError(f"cell {target} is not walkable")
-        field_ = nav.field_from(observation)
+        field_ = nav.field_from(world)
         try:
             path = backtrack_path(field_, target)
         except NoPathError as exc:
@@ -203,10 +204,10 @@ def decompose(
         return Decomposition(tuple(path_to_actions(path, heading)))
 
     if action.verb != "navigate" and isinstance(arg, tuple):
-        if target in observation.world.walls:
+        if target in world.walls:
             raise DecompositionError(f"cell {target} is a wall")
 
-    stand, path = _stand_and_face(observation, target, nav)
+    stand, path = _stand_and_face(world, target, nav)
     actions = path_to_actions(path, heading)
     end_heading = heading
     for step_from, step_to in zip(path, path[1:]):
@@ -220,20 +221,20 @@ def decompose(
 
 def step_bundle(
     goal: str,
-    observation: Observation,
+    world: World,
     scene_text: str,
     hits: tuple[RetrievalHit, ...],
     history_limit: int,
 ) -> PromptBundle:
     """The prompt inputs of one planning step.
 
-    ``scene_text`` is the rendered scene graph of ``observation``. The
+    ``scene_text`` is the rendered scene graph of ``world``. The
     episode runner and ``prag prompt`` both build a step's bundle here.
     """
     return PromptBundle(
         goal=goal,
         scene_text=scene_text,
-        action_space_text=action_space_text(observation),
+        action_space_text=action_space_text(world),
         experiences=hits,
         history_limit=history_limit,
     )
@@ -242,8 +243,8 @@ def step_bundle(
 def plan_step(
     backend: PlannerBackend,
     bundle: PromptBundle,
-    observation: Observation,
-    context: StepContext,
+    world: World,
+    step: int,
     *,
     max_retries: int = DEFAULT_MAX_RETRIES,
     log: LogFn = _no_log,
@@ -254,7 +255,9 @@ def plan_step(
     Parse failures and decomposition failures share the same retry budget.
     Raises PlannerFailure once max_retries + 1 replies were all unusable;
     BackendError propagates to the caller untouched. ``nav`` is passed to
-    every decompose call.
+    every decompose call. Every attempt hands the backend ``bundle``, the
+    bundle the step's prompt was rendered from; ``step`` is the step index
+    the events carry.
 
     Each attempt passes ``log`` a ``prompt`` event with the whole prompt
     text, a ``completion`` event with the reply, and, for an unusable reply,
@@ -269,19 +272,19 @@ def plan_step(
     prompt = base_prompt
     failures: list[ParseFailure] = []
     for _attempt in range(max_retries + 1):
-        log("prompt", step=context.step_index, text=prompt)
-        reply = backend.complete(prompt, context)
-        log("completion", step=context.step_index, text=reply)
-        parsed = parse_action(reply, observation)
+        log("prompt", step=step, text=prompt)
+        reply = backend.complete(prompt, bundle)
+        log("completion", step=step, text=reply)
+        parsed = parse_action(reply, world)
         if isinstance(parsed, ParseFailure):
             failure = parsed
         else:
             try:
-                return parsed, decompose(parsed, observation, nav)
+                return parsed, decompose(parsed, world, nav)
             except DecompositionError as exc:
                 failure = ParseFailure("invalid-argument", str(exc))
         failures.append(failure)
-        log("parse-failure", step=context.step_index, reason=failure.reason, detail=failure.detail)
+        log("parse-failure", step=step, reason=failure.reason, detail=failure.detail)
         prompt = retry_prompt(base_prompt, failure)
     raise PlannerFailure(
         f"no executable action after {max_retries + 1} attempts", tuple(failures)
@@ -339,8 +342,8 @@ def run_episode(
     rebuild every prompt of the episode.
     """
     sim = Simulator(task, max_steps=max_steps)
-    observation = sim.reset()
-    backend.begin_episode(task.id, iteration, task.goal, observation)
+    world = sim.reset()
+    backend.begin_episode(task.id, iteration, task.goal, world)
     log(
         "episode-start",
         iteration=iteration,
@@ -355,7 +358,7 @@ def run_episode(
     retrieval_calls = 0
     done = False
     goal_embedding: np.ndarray | None = None
-    scene_text = render_text(extract(observation))
+    scene_text = render_text(extract(world))
     nav = NavigationMemo()
 
     for step_index in range(sim.max_steps):
@@ -374,19 +377,10 @@ def run_episode(
             hits = tuple(db.retrieve_top_k(RetrievalQuery(goal_embedding, obs_embedding), k))
             retrieval_calls += 1
             log("retrieval", step=step_index, hits=hits)
-        bundle = step_bundle(task.goal, observation, scene_text, hits, history_limit)
-        context = StepContext(
-            task_id=task.id,
-            iteration=iteration,
-            goal_text=task.goal,
-            step_index=step_index,
-            hits=hits,
-            observation=observation,
-            seed=seed,
-        )
+        bundle = step_bundle(task.goal, world, scene_text, hits, history_limit)
         try:
             action, decomposition = plan_step(
-                backend, bundle, observation, context,
+                backend, bundle, world, step_index,
                 max_retries=max_retries, log=log, nav=nav,
             )
         except PlannerFailure as exc:
@@ -404,8 +398,8 @@ def run_episode(
             done = sim.step(low_level)
             if done:
                 break
-        observation = sim.observe()
-        scene_text = render_text(extract(observation))
+        world = sim.observe()
+        scene_text = render_text(extract(world))
         action_text = render_action(action)
         executed.append(action_text)
         history.append((action_text, scene_text))

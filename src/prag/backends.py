@@ -1,7 +1,9 @@
 """Planner backends: the things that turn a prompt into an action line.
 
-A backend sees the rendered prompt plus a structured StepContext and returns
-raw reply text. Three implementations ship here:
+A backend sees the rendered prompt plus the PromptBundle it was rendered
+from (the step's goal, scene and retrieval hits) and returns raw reply
+text. ``begin_episode`` hands it the episode's first world snapshot. Three
+implementations ship here:
 
 - RemoteChatBackend talks to an OpenAI-style chat-completions endpoint.
 - SeededExplorerBackend follows a short scripted exploration routine derived
@@ -20,11 +22,10 @@ from __future__ import annotations
 import json
 import os
 import random
-from dataclasses import dataclass, field
 
 from .embedding import fnv1a64
-from .gridworld.world import Observation
-from .trajectory_db import RetrievalHit
+from .gridworld.world import World
+from .prompting import PromptBundle
 
 DEFAULT_CHAT_TIMEOUT = 30.0
 CHAT_API_KEY_ENV = "PRAG_CHAT_API_KEY"
@@ -40,30 +41,17 @@ class BackendError(RuntimeError):
     """A backend could not produce reply text at all."""
 
 
-@dataclass(frozen=True)
-class StepContext:
-    """Structured view of one planning step, alongside the rendered prompt."""
-
-    task_id: str
-    iteration: int
-    goal_text: str
-    step_index: int
-    hits: tuple[RetrievalHit, ...]
-    observation: Observation
-    seed: int
-
-
 class PlannerBackend:
     """Base backend. Subclasses must implement complete()."""
 
     name = "base"
 
     def begin_episode(
-        self, task_id: str, iteration: int, goal_text: str, observation: Observation
+        self, task_id: str, iteration: int, goal_text: str, world: World
     ) -> None:
         """Called once before each episode. Default: no state to reset."""
 
-    def complete(self, prompt: str, context: StepContext) -> str:
+    def complete(self, prompt: str, bundle: PromptBundle) -> str:
         raise NotImplementedError
 
 
@@ -97,7 +85,7 @@ class RemoteChatBackend(PlannerBackend):
         self.timeout = timeout
         self.api_key_env = api_key_env
 
-    def complete(self, prompt: str, context: StepContext) -> str:
+    def complete(self, prompt: str, bundle: PromptBundle) -> str:
         import requests  # deferred: only remote clients need it, and it is slow to import
 
         payload = {
@@ -137,19 +125,19 @@ class RemoteChatBackend(PlannerBackend):
 
 
 def exploration_script(
-    seed: int, task_id: str, iteration: int, observation: Observation
+    seed: int, task_id: str, iteration: int, world: World
 ) -> list[str]:
     """Build a short scripted routine for one episode.
 
     The routine is a pure function of (seed, task_id, iteration) and the
-    initial observation: maybe visit a fixture, maybe open each openable,
-    carry a random sample of portable items to one randomly chosen fixture,
-    maybe toggle something, then declare done. Because the RNG stream is
+    episode's first world snapshot: maybe visit a fixture, maybe open each
+    openable, carry a random sample of portable items to one randomly chosen
+    fixture, maybe toggle something, then declare done. Because the RNG stream is
     keyed on the iteration, later iterations explore differently instead of
     repeating the same failure.
     """
     rng = random.Random(fnv1a64(f"{seed}/{task_id}/{iteration}".encode()))
-    objects = observation.objects
+    objects = world.objects
     portables = sorted(label for label, obj in objects.items() if not obj.landmark)
     fixtures = sorted(label for label, obj in objects.items() if obj.landmark)
     openables = sorted(label for label, obj in objects.items() if obj.openable)
@@ -187,12 +175,12 @@ class SeededExplorerBackend(PlannerBackend):
         self._next = 0
 
     def begin_episode(
-        self, task_id: str, iteration: int, goal_text: str, observation: Observation
+        self, task_id: str, iteration: int, goal_text: str, world: World
     ) -> None:
-        self._script = exploration_script(self.seed, task_id, iteration, observation)
+        self._script = exploration_script(self.seed, task_id, iteration, world)
         self._next = 0
 
-    def complete(self, prompt: str, context: StepContext) -> str:
+    def complete(self, prompt: str, bundle: PromptBundle) -> str:
         if self._next < len(self._script):
             line = self._script[self._next]
             self._next += 1
@@ -218,18 +206,18 @@ class ReplayOracleBackend(PlannerBackend):
         self._replay_cursor = 0
 
     def begin_episode(
-        self, task_id: str, iteration: int, goal_text: str, observation: Observation
+        self, task_id: str, iteration: int, goal_text: str, world: World
     ) -> None:
-        self._explorer.begin_episode(task_id, iteration, goal_text, observation)
+        self._explorer.begin_episode(task_id, iteration, goal_text, world)
         self._replay_cursor = 0
 
-    def complete(self, prompt: str, context: StepContext) -> str:
-        if context.hits:
-            top = context.hits[0].record
-            if top.done and top.goal_text == context.goal_text:
+    def complete(self, prompt: str, bundle: PromptBundle) -> str:
+        if bundle.experiences:
+            top = bundle.experiences[0].record
+            if top.done and top.goal_text == bundle.goal:
                 if self._replay_cursor < len(top.history):
                     action_text = top.history[self._replay_cursor][0]
                     self._replay_cursor += 1
                     return f"Action: {action_text}"
                 return "Action: done()"
-        return self._explorer.complete(prompt, context)
+        return self._explorer.complete(prompt, bundle)

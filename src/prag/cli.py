@@ -16,12 +16,16 @@ read from environment variables only.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 from typing import Any, Sequence
 
 from .driver import (
+    BACKEND_NAMES,
+    ENCODER_NAMES,
+    MODES,
     ConfigError,
     IterationReport,
     RunConfig,
@@ -38,7 +42,7 @@ from .trajectory_db import DatabaseFormatError, TrajectoryDB
 def _add_run_options(parser: argparse.ArgumentParser, *, include_mode: bool) -> None:
     parser.add_argument("--config", help="YAML config file; flags override its values")
     if include_mode:
-        parser.add_argument("--mode", choices=("self-iter", "train-eval"))
+        parser.add_argument("--mode", choices=MODES)
         parser.add_argument("--eval-tasks", dest="eval_tasks", help="held-out task source for train-eval")
         parser.add_argument("--iterations", type=int, help="iteration cap (default 6)")
         parser.add_argument(
@@ -49,10 +53,8 @@ def _add_run_options(parser: argparse.ArgumentParser, *, include_mode: bool) -> 
     parser.add_argument("--tasks", help='task source: "suite" or a directory of task files')
     parser.add_argument("--k", type=int, help="retrieved experiences per step (default 3)")
     parser.add_argument("--seed", type=int, help="run seed (default 0)")
-    parser.add_argument(
-        "--backend", choices=("replay-oracle", "seeded-explorer", "remote-chat")
-    )
-    parser.add_argument("--encoder", choices=("hash", "remote"))
+    parser.add_argument("--backend", choices=BACKEND_NAMES)
+    parser.add_argument("--encoder", choices=ENCODER_NAMES)
     parser.add_argument("--dimension", type=int, help="embedding dimension (default 384)")
     parser.add_argument("--encoder-url", dest="encoder_url", help="remote encoder endpoint")
     parser.add_argument("--chat-url", dest="chat_url", help="chat-completions base URL")
@@ -63,28 +65,14 @@ def _add_run_options(parser: argparse.ArgumentParser, *, include_mode: bool) -> 
     parser.add_argument("--out", help="output directory for logs, reports, checkpoints")
 
 
-def _config_from_args(args: argparse.Namespace, *, include_mode: bool) -> RunConfig:
+def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    # Each run option is stored under its field's name; a subcommand without
+    # an option leaves it None. ``--no-early-stop`` alone names the opposite.
     overrides: dict[str, Any] = {
-        "tasks": args.tasks,
-        "k": args.k,
-        "seed": args.seed,
-        "backend": args.backend,
-        "encoder": args.encoder,
-        "dimension": args.dimension,
-        "encoder_url": args.encoder_url,
-        "chat_url": args.chat_url,
-        "chat_model": args.chat_model,
-        "max_retries": args.max_retries,
-        "max_steps": args.max_steps,
-        "history_limit": args.history_limit,
-        "out": args.out,
+        f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunConfig)
     }
-    if include_mode:
-        overrides["mode"] = args.mode
-        overrides["eval_tasks"] = args.eval_tasks
-        overrides["iterations"] = args.iterations
-        if args.no_early_stop:
-            overrides["early_stop"] = False
+    if getattr(args, "no_early_stop", False):
+        overrides["early_stop"] = False
     if args.config:
         config = RunConfig.from_file(args.config, overrides)
     else:
@@ -97,14 +85,14 @@ def _config_from_args(args: argparse.Namespace, *, include_mode: bool) -> RunCon
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _config_from_args(args, include_mode=True)
+    config = _config_from_args(args)
     reports = run_iterations(config)
     sys.stdout.write(format_summary(reports))
     return 0
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    config = _config_from_args(args, include_mode=False)
+    config = _config_from_args(args)
     db = TrajectoryDB.load(args.db)
     out_dir = Path(config.out) if config.out else None
     report = run_eval(config, db, out_dir=out_dir, db_path=str(Path(args.db).absolute()))

@@ -4,10 +4,11 @@ The simulator owns the done flag. An episode finishes when the goal predicate
 first holds (success latches, it cannot un-happen) or when the step budget is
 spent. Stepping a finished episode is a caller bug and raises.
 
-``step`` applies one primitive and reports only ``done``; ``observe`` takes
-the snapshot. A caller that executes several primitives per decision
-observes once, after the last of them, instead of copying the world after
-every primitive.
+``step`` applies one primitive and reports only ``done``; ``reset`` and
+``observe`` return a snapshot, a private copy of the live ``World``. The
+step count is the simulator's own ``step_count``, not part of a snapshot.
+A caller that executes several primitives per decision observes once, after
+the last of them, instead of copying the world after every primitive.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .tasks import Task
-from .world import Observation
+from .world import World
 
 
 class SimulationError(RuntimeError):
@@ -55,18 +56,18 @@ class Simulator:
     def succeeded(self) -> bool:
         return self._succeeded
 
-    def reset(self) -> Observation:
+    def reset(self) -> World:
         self._world = self.task.world.copy()
         self.step_count = 0
         self._succeeded = False
         self._done = False
-        return self._world.observe(0)
+        return self._world.observe()
 
-    def observe(self) -> Observation:
-        """A private copy of the live world at the current step count."""
+    def observe(self) -> World:
+        """A private copy of the live world."""
         if self._world is None:
             raise SimulationError("observe() before reset()")
-        return self._world.observe(self.step_count)
+        return self._world.observe()
 
     def step(self, action: str) -> bool:
         """Apply one low-level action; return whether the episode is done."""

@@ -2,14 +2,15 @@
 
 The search runs over (agent pose, inventory, goal-relevant object
 configuration) states with the real 8-action dynamics, so the result is the
-true minimal number of low-level steps. Two deliberate restrictions keep the
-state space tractable:
+true minimal number of low-level steps. Three deliberate restrictions keep
+the state space tractable:
 
 * objects the goal predicate does not mention are treated as immovable
   scenery (they still count against cell capacity and container sealing);
 * all goal-relevant portable items must share one kind, so their positions
   fold into a multiset (same-kind items are interchangeable under both the
-  dynamics and the bundled predicates).
+  dynamics and the bundled predicates);
+* a ``placed_at`` target is a landmark, so the goal cell is fixed.
 
 Worlds where an optimal plan would have to relocate scenery are outside this
 model; the bundled suite never needs that, and the test suite cross-checks
@@ -53,8 +54,8 @@ dropped without changing the answer.
 
 from __future__ import annotations
 
-from .tasks import AgentHolds, GoalPredicate, ItemsInContainerToggled, PlacedAt, Task
-from .world import CELL_ITEM_CAPACITY, HEADING_DELTAS, HEADING_ORDER, World
+from .tasks import AgentHolds, ItemsInContainerToggled, PlacedAt, Task
+from .world import CELL_ITEM_CAPACITY, HEADING_DELTAS, HEADING_ORDER
 
 # Pose distance of an unreachable pose. A sum of a few stays above any real
 # solution length, which marks a state as unable to reach the goal.
@@ -67,39 +68,6 @@ class UnsolvableTaskError(Exception):
 
 class SolverLimitation(Exception):
     """The task falls outside the solver's state model."""
-
-
-def _goal_check(predicate: GoalPredicate, cell_index, world: World):
-    """Compile the predicate into a fast check over encoded states."""
-    if isinstance(predicate, PlacedAt):
-        target_cell = world.objects[predicate.target].position
-        target = cell_index[target_cell]
-
-        def check(held: int, flags: int, positions: tuple[int, ...]) -> bool:
-            return positions == (target,)
-
-        return check
-    if isinstance(predicate, ItemsInContainerToggled):
-        container_cell = world.objects[predicate.container].position
-        target = cell_index[container_cell]
-        count = len(predicate.items)
-
-        def check(held: int, flags: int, positions: tuple[int, ...]) -> bool:
-            # Bit 0 is reserved for the container's toggled flag.
-            return (
-                flags & 1
-                and len(positions) == count
-                and all(p == target for p in positions)
-            )
-
-        return check
-    if isinstance(predicate, AgentHolds):
-
-        def check(held: int, flags: int, positions: tuple[int, ...]) -> bool:
-            return held == 1
-
-        return check
-    raise SolverLimitation(f"no solver model for predicate {type(predicate).__name__}")
 
 
 def shortest_solution_steps(task: Task) -> int:
@@ -200,6 +168,25 @@ class _Model:
         cell_index = {cell: i for i, cell in enumerate(cells)}
         ncells = len(cells)
 
+        # The landmark goal items must reach (None for agent_holds), and how
+        # many of them must rest in its cell.
+        if isinstance(predicate, PlacedAt):
+            anchor, goal_items = world.objects[predicate.target], 1
+            if not anchor.landmark:  # it would move, and the model keeps it still
+                raise SolverLimitation(
+                    f"task {task.id!r}: placed_at target {predicate.target!r}"
+                    " is not a landmark"
+                )
+        elif isinstance(predicate, ItemsInContainerToggled):
+            anchor, goal_items = world.objects[predicate.container], len(predicate.items)
+        elif isinstance(predicate, AgentHolds):
+            anchor, goal_items = None, 0
+        else:
+            raise SolverLimitation(f"no solver model for predicate {type(predicate).__name__}")
+        self._target = None if anchor is None else cell_index[anchor.position]
+        self._goal_positions = (self._target,) * goal_items
+        self._need_toggle = isinstance(predicate, ItemsInContainerToggled)
+
         relevant = [
             label
             for label in predicate.relevant_labels()
@@ -297,7 +284,6 @@ class _Model:
 
         self.start = (4 * agent0 + heading0, (0, flags0, positions0))
         self.has_scenery = has_scenery
-        self._check = _goal_check(predicate, cell_index, world)
         self._static_count = static_count
         self._sealed_mask = sealed_mask
         self._toggle_bit = toggle_bit
@@ -318,16 +304,13 @@ class _Model:
         self._via_tables: dict[tuple[int, ...], list[int]] = {}
         self._no_moves = [0] * npose
         self._terms: dict[tuple, tuple[int, list[int]]] = {}
-        # The cell goal items must reach; None for agent_holds.
-        self._target: int | None = None
-        if isinstance(predicate, PlacedAt):
-            self._target = cell_index[world.objects[predicate.target].position]
-        elif isinstance(predicate, ItemsInContainerToggled):
-            self._target = cell_index[world.objects[predicate.container].position]
-        self._need_toggle = isinstance(predicate, ItemsInContainerToggled)
 
     def is_goal(self, state) -> bool:
-        return bool(self._check(*state[1]))
+        held, flags, positions = state[1]
+        if self._target is None:
+            return held == 1
+        # Bit 0 is the container's toggled flag when the goal needs it on.
+        return positions == self._goal_positions and (bool(flags & 1) or not self._need_toggle)
 
     def bound(self, state) -> int:
         """Lower bound on the actions left; ``_FAR`` or more when none reach the goal."""

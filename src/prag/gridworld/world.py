@@ -5,8 +5,7 @@ cell, faces one of four headings, and interacts with the cell directly in
 front of it. Landmarks (furniture) block movement and never move; portable
 items can be carried one at a time and stack up to three per cell. Invalid
 actions are silent no-ops, so dynamics are total and safe to fuzz.
-``World.observe`` returns an Observation: a private copy of the world and
-the step count, nothing more.
+``World.observe`` returns a private copy of the world, nothing more.
 
 Snapshots are copy-on-write. Object states are frozen and cell stacks are
 tuples, so an action replaces the one state and the one or two stacks it
@@ -95,42 +94,6 @@ class ObjectState:
     position: Cell | None
     toggled: bool = False
     open: bool = False
-
-
-@dataclass(frozen=True, eq=False)
-class Observation:
-    """The world as it stood at one step, returned by reset() and observe().
-
-    ``world`` is a private copy that the live world never writes to (it
-    replaces the states and stacks it changes instead of editing them), so its
-    objects, stacks, walls and navigable grid keep describing the moment of
-    observation after the simulator moves on. Readers take the agent's pose
-    from ``world.agent_position`` and ``world.agent_heading`` and each
-    object's flags from its ``ObjectState``; the held object is the one whose
-    ``position`` is None. Observations are equal when their step counts,
-    agent states and object states are.
-    """
-
-    world: "World"
-    step_count: int
-
-    @property
-    def objects(self) -> dict[str, ObjectState]:
-        return self.world.objects
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Observation):
-            return NotImplemented
-        mine, theirs = self.world, other.world
-        return (
-            self.step_count == other.step_count
-            and mine.width == theirs.width
-            and mine.height == theirs.height
-            and mine.agent_position == theirs.agent_position
-            and mine.agent_heading == theirs.agent_heading
-            and mine.agent_inventory == theirs.agent_inventory
-            and mine.objects == theirs.objects
-        )
 
 
 def turn(heading: str, direction: str) -> str:
@@ -376,5 +339,15 @@ class World:
         clone.agent_inventory = self.agent_inventory
         return clone
 
-    def observe(self, step_count: int = 0) -> Observation:
-        return Observation(world=self.copy(), step_count=step_count)
+    def observe(self) -> "World":
+        """A private snapshot: the copy every reader of one planning step reads.
+
+        The live world never writes to a copy it handed out (it replaces the
+        states and stacks it changes instead of editing them), so the copy's
+        objects, stacks, walls and navigable grid keep describing the moment
+        of observation after the simulator moves on. Readers take the agent's
+        pose from ``agent_position`` and ``agent_heading`` and each object's
+        flags from its ``ObjectState``; the held object is the one whose
+        ``position`` is None.
+        """
+        return self.copy()

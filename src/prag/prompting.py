@@ -4,9 +4,11 @@ The prompt shown to a planner backend has four fixed sections, always in the
 same order: GOAL, OBSERVATION (current scene graph), ACTIONS (the grammar),
 EXPERIENCES (retrieved trajectories, best first), then one output-format
 instruction. Rendering is deterministic down to the byte so prompts can be
-golden-file tested and replayed. Experiences are the retrieval hits as the
-database returned them; each record's history is cut to its last
-``history_limit`` steps only as it is rendered.
+golden-file tested and replayed. A ``PromptBundle`` holds a step's inputs,
+and the planner hands the backend the bundle beside the text it renders.
+Experiences are the retrieval hits as the database returned them; each
+record's history is cut to its last ``history_limit`` steps only as it is
+rendered. Parsing and the action vocabulary read the step's world snapshot.
 
 The reply grammar is a single line ``Action: <verb>(<argument>)``. Parsing
 never raises on bad model output; it returns a ParseFailure value with one of
@@ -21,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .gridworld.world import Cell, Observation
+from .gridworld.world import Cell, World
 from .trajectory_db import RetrievalHit, TaskRecord
 
 DEFAULT_HISTORY_LIMIT = 20
@@ -79,10 +81,10 @@ def render_action(action: HighLevelAction) -> str:
     return f"{action.verb}({action.argument})"
 
 
-def parse_action(text: str, observation: Observation) -> HighLevelAction | ParseFailure:
+def parse_action(text: str, world: World) -> HighLevelAction | ParseFailure:
     """Parse the first well-formed action line out of a backend reply.
 
-    The argument must resolve against the observation: either a visible
+    The argument must resolve against the step's world: either a visible
     object label or an in-bounds cell.
     """
     match = None
@@ -107,17 +109,17 @@ def parse_action(text: str, observation: Observation) -> HighLevelAction | Parse
     cell_match = _CELL_ARG_RE.match(arg)
     if cell_match:
         cell = (int(cell_match.group(1)), int(cell_match.group(2)))
-        if not observation.world.in_bounds(cell):
+        if not world.in_bounds(cell):
             return ParseFailure("invalid-argument", f"cell {arg!r} is outside the grid")
         return HighLevelAction(verb, cell)
-    if arg not in observation.objects:
+    if arg not in world.objects:
         return ParseFailure("invalid-argument", f"no visible object named {arg!r}")
     return HighLevelAction(verb, arg)
 
 
-def action_space_text(observation: Observation) -> str:
+def action_space_text(world: World) -> str:
     """The ACTIONS section: fixed grammar plus the current object vocabulary."""
-    labels = ", ".join(sorted(observation.objects)) or "(none)"
+    labels = ", ".join(sorted(world.objects)) or "(none)"
     return "\n".join(_GRAMMAR_LINES + (f"Visible objects: {labels}",))
 
 

@@ -145,8 +145,8 @@ def _replay(
     history_limit: int,
 ) -> list[RebuiltPrompt]:
     sim = Simulator(task, max_steps=max_steps)
-    observation = sim.reset()
-    scene_text = render_text(extract(observation))
+    world = sim.reset()
+    scene_text = render_text(extract(world))
     hits: tuple[RetrievalHit, ...] = ()
     base_prompt = ""
     failure: ParseFailure | None = None
@@ -158,7 +158,7 @@ def _replay(
             hits = tuple(_hit(db, logged) for logged in event["hits"])
         elif kind == "prompt":
             if failure is None:
-                bundle = step_bundle(task.goal, observation, scene_text, hits, history_limit)
+                bundle = step_bundle(task.goal, world, scene_text, hits, history_limit)
                 base_prompt = text = build_prompt(bundle)
                 attempt = 1
             else:
@@ -183,7 +183,7 @@ def _replay(
                     f"step {event['step']} replays to simulator step {sim.step_count},"
                     f" the log says {event['sim_steps']}"
                 )
-            observation = sim.observe()
-            scene_text = render_text(extract(observation))
+            world = sim.observe()
+            scene_text = render_text(extract(world))
             hits, failure = (), None
     return prompts

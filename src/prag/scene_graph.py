@@ -1,4 +1,4 @@
-"""Scene graphs: typed object-relation snapshots of a world observation.
+"""Scene graphs: typed object-relation snapshots of a world.
 
 A scene graph is the text-friendly form of what the agent can see: a list of
 object instance labels (landmarks first) plus the relation triples that
@@ -87,11 +87,10 @@ def order_landmark_first(
     return landmarks + others
 
 
-def extract(observation) -> SceneGraph:
-    """Build a SceneGraph from a simulator observation.
+def extract(world) -> SceneGraph:
+    """Build a SceneGraph from a world, usually a step's private snapshot.
 
-    ``observation`` must expose ``world``, the observation's private copy
-    of the world, with ``objects``, ``agent_inventory`` and ``stacks()``.
+    ``world`` must expose ``objects``, ``agent_inventory`` and ``stacks()``.
     Spatial relations are read off the stacks in one pass: ``on_top_of``
     pairs consecutive stack entries whose lower entry is not a container,
     ``inside_of`` ties every other label of a stack to its container, and
@@ -100,7 +99,6 @@ def extract(observation) -> SceneGraph:
     to the agent pseudo-node. Triples come out in (subject, object,
     relation) order, the order of a sweep over every sorted label pair.
     """
-    world = observation.world
     objects = world.objects
     labels = sorted(objects)
     rank = {label: i for i, label in enumerate(labels)}

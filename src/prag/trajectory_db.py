@@ -59,6 +59,11 @@ class DatabaseFormatError(Exception):
         self.line_number = line_number
 
 
+def _is_int(value) -> bool:
+    """An ``int`` that is not a ``bool`` (JSON's true and false are ints in Python)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _as_vector(values, name: str) -> np.ndarray:
     vec = np.asarray(values, dtype=np.float64)
     if vec.ndim != 1 or vec.size == 0:
@@ -91,6 +96,8 @@ class TaskRecord:
     dimension)`` matrix, so a caller's later writes reach no stored record.
     Records compare by identity: their fields hold arrays, whose ``==`` has
     no single truth value. Content equality is ``to_json_line()`` equality.
+    Every field is type-checked, since ``load`` builds records from a file:
+    a JSON ``true`` is no iteration, and ``"no"`` is no done flag.
     """
 
     task_id: str
@@ -102,11 +109,21 @@ class TaskRecord:
     done: bool
 
     def __post_init__(self) -> None:
-        if not self.task_id:
-            raise ValueError("task_id must be non-empty")
-        if self.iteration < 1:
-            raise ValueError(f"iteration must be >= 1, got {self.iteration}")
-        self.history = [(str(a), str(o)) for a, o in self.history]
+        if not isinstance(self.task_id, str) or not self.task_id:
+            raise ValueError(f"task_id must be a non-empty string, got {self.task_id!r}")
+        if not isinstance(self.goal_text, str):
+            raise ValueError(f"goal_text must be a string, got {self.goal_text!r}")
+        if not _is_int(self.iteration) or self.iteration < 1:
+            raise ValueError(f"iteration must be an integer >= 1, got {self.iteration!r}")
+        if not isinstance(self.done, bool):
+            raise ValueError(f"done must be true or false, got {self.done!r}")
+        if not all(
+            isinstance(step, (tuple, list)) and len(step) == 2
+            and isinstance(step[0], str) and isinstance(step[1], str)
+            for step in self.history
+        ):
+            raise ValueError("history must hold (action, scene) pairs of strings")
+        self.history = [(a, o) for a, o in self.history]
         if len(self.history) < 1:
             raise ValueError("history must contain at least one step")
         goal = _as_vector(np.array(self.goal_embedding, dtype=np.float64), "goal_embedding")
@@ -155,7 +172,7 @@ class TaskRecord:
             goal_text=data["goal_text"],
             goal_embedding=data["goal_embedding"],
             obs_embeddings=data["obs_embeddings"],
-            history=[(a, o) for a, o in data["history"]],
+            history=data["history"],
             done=data["done"],
         )
 
@@ -385,7 +402,7 @@ class TrajectoryDB:
                     f"unsupported version {header.get('version')!r}", line_number=1
                 )
             dimension = header.get("dimension")
-            if dimension is not None and (not isinstance(dimension, int) or dimension < 1):
+            if dimension is not None and (not _is_int(dimension) or dimension < 1):
                 raise DatabaseFormatError(
                     f"invalid dimension {dimension!r}", line_number=1
                 )

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import json
+
+import numpy as np
 import pytest
 
 from prag.backends import PlannerBackend
 from prag.gridworld.tasks import PlacedAt, Task
 from prag.gridworld.world import World
+from prag.trajectory_db import TaskRecord
 
 
 class ScriptedBackend(PlannerBackend):
-    """Returns queued replies verbatim and counts every call."""
+    """Returns queued replies verbatim and records every prompt and bundle."""
 
     name = "scripted"
 
@@ -18,12 +22,14 @@ class ScriptedBackend(PlannerBackend):
         self.replies = list(replies)
         self.calls = 0
         self.prompts = []
+        self.bundles = []
 
-    def begin_episode(self, task_id, iteration, goal_text, observation):
+    def begin_episode(self, task_id, iteration, goal_text, world):
         pass
 
-    def complete(self, prompt, context):
+    def complete(self, prompt, bundle):
         self.prompts.append(prompt)
+        self.bundles.append(bundle)
         index = self.calls
         self.calls += 1
         if index < len(self.replies):
@@ -63,3 +69,38 @@ def make_ball_task(task_id: str = "ball_task", max_steps: int = 40) -> Task:
 @pytest.fixture
 def ball_task() -> Task:
     return make_ball_task()
+
+
+# A field of a stored record, or the header's dimension, set to a value of the
+# wrong type; each is written to a store by ``write_mistyped_store``.
+MISTYPED_STORE_FIELDS = {
+    "done-string": ("done", "no"),
+    "fractional-iteration": ("iteration", 1.5),
+    "boolean-iteration": ("iteration", True),
+    "integer-goal-text": ("goal_text", 7),
+    "integer-task-id": ("task_id", 7),
+    "boolean-dimension": ("dimension", True),
+    "integer-history-step": ("history", [[1, 2]]),
+    "string-history-step": ("history", ["ab"]),
+}
+
+
+def write_mistyped_store(path, case: str) -> int:
+    """Write a two-record store with one mistyped field; return its line number."""
+    name, value = MISTYPED_STORE_FIELDS[case]
+    lines = [{"format": "prag-trajectory-db", "version": 1, "dimension": 4}]
+    for task_id in ("a", "b"):
+        record = TaskRecord(
+            task_id=task_id,
+            iteration=1,
+            goal_text="g",
+            goal_embedding=np.ones(4),
+            obs_embeddings=(np.ones(4),),
+            history=(("done()", ""),),
+            done=True,
+        )
+        lines.append(json.loads(record.to_json_line()))
+    line = 1 if name == "dimension" else 3
+    lines[line - 1][name] = value
+    path.write_text("".join(json.dumps(data) + "\n" for data in lines))
+    return line

@@ -21,7 +21,6 @@ import pytest
 import requests
 
 from prag.agent import plan_step, run_episode
-from prag.backends import StepContext
 from prag.driver import (
     RunConfig,
     build_backend,
@@ -465,16 +464,7 @@ def test_criterion_8_retry_recovery_and_contained_failures(announce):
             scene_text=render_text(extract(observation)),
             action_space_text=action_space_text(observation),
         )
-        context = StepContext(
-            task_id=task.id,
-            iteration=1,
-            goal_text=task.goal,
-            step_index=0,
-            hits=(),
-            observation=observation,
-            seed=0,
-        )
-        action, _ = plan_step(backend, bundle, observation, context, max_retries=3)
+        action, _ = plan_step(backend, bundle, observation, 0, max_retries=3)
         assert backend.calls == 3
         assert action == HighLevelAction("pickup", "ball_1")
 

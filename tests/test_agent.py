@@ -17,7 +17,7 @@ from prag.agent import (
     plan_step,
     run_episode,
 )
-from prag.backends import BackendError, PlannerBackend, StepContext
+from prag.backends import BackendError, PlannerBackend
 from prag.embedding import EncoderError, HashingEncoder
 from prag.gridworld.sim import Simulator
 from prag.gridworld.solver import shortest_solution_steps
@@ -29,6 +29,7 @@ from prag.prompting import (
     HighLevelAction,
     PromptBundle,
     action_space_text,
+    build_prompt,
 )
 from prag.scene_graph import extract, render_text
 from prag.trajectory_db import TrajectoryDB, TaskRecord
@@ -44,23 +45,11 @@ def run_low_level(world, actions):
     return out
 
 
-def make_bundle(observation, goal="goal"):
+def make_bundle(world, goal="goal"):
     return PromptBundle(
         goal=goal,
-        scene_text=render_text(extract(observation)),
-        action_space_text=action_space_text(observation),
-    )
-
-
-def make_context(observation, goal="goal", step_index=0):
-    return StepContext(
-        task_id="t1",
-        iteration=1,
-        goal_text=goal,
-        step_index=step_index,
-        hits=(),
-        observation=observation,
-        seed=0,
+        scene_text=render_text(extract(world)),
+        action_space_text=action_space_text(world),
     )
 
 
@@ -138,7 +127,7 @@ class TestDecompose:
         for primitive in ("forward", "pickup"):  # from (1,3) up to face the ball at (1,1)
             sim.step(primitive)
         obs = sim.observe()
-        assert obs.world.agent_inventory == "ball_1"
+        assert obs.agent_inventory == "ball_1"
         assert obs.objects["ball_1"].position is None
         with pytest.raises(DecompositionError, match="ball_1 is being held"):
             decompose(HighLevelAction(verb, "ball_1"), obs)
@@ -165,7 +154,7 @@ class TestPlanStep:
     def test_good_reply_uses_one_call(self):
         obs = make_ball_world().observe()
         backend = ScriptedBackend(["Action: pickup(ball_1)"])
-        action, plan = plan_step(backend, make_bundle(obs), obs, make_context(obs))
+        action, plan = plan_step(backend, make_bundle(obs), obs, 0)
         assert backend.calls == 1
         assert action == HighLevelAction("pickup", "ball_1")
         assert plan.actions[-1] == "pickup"
@@ -175,7 +164,7 @@ class TestPlanStep:
         backend = ScriptedBackend(
             ["no action here", "Action: jump(ball_1)", "Action: pickup(ball_1)"]
         )
-        action, _ = plan_step(backend, make_bundle(obs), obs, make_context(obs))
+        action, _ = plan_step(backend, make_bundle(obs), obs, 0)
         assert backend.calls == 3
         assert action == HighLevelAction("pickup", "ball_1")
 
@@ -183,15 +172,24 @@ class TestPlanStep:
         obs = make_ball_world().observe()
         backend = ScriptedBackend(["bad"] * 10)
         with pytest.raises(PlannerFailure) as info:
-            plan_step(backend, make_bundle(obs), obs, make_context(obs), max_retries=3)
+            plan_step(backend, make_bundle(obs), obs, 0, max_retries=3)
         assert backend.calls == 4
         assert len(info.value.failures) == 4
         assert {f.reason for f in info.value.failures} == {"bad-format"}
 
+    def test_the_backend_receives_the_bundle_the_prompt_was_rendered_from(self):
+        obs = make_ball_world().observe()
+        bundle = make_bundle(obs)
+        backend = ScriptedBackend(["Action: jump(ball_1)", "Action: done()"])
+        plan_step(backend, bundle, obs, 0)
+        assert backend.bundles[0] is bundle
+        assert backend.prompts[0] == build_prompt(bundle)
+        assert backend.bundles[1] is bundle  # a retry renders from the same bundle
+
     def test_retry_prompt_carries_feedback(self):
         obs = make_ball_world().observe()
         backend = ScriptedBackend(["Action: jump(ball_1)", "Action: done()"])
-        plan_step(backend, make_bundle(obs), obs, make_context(obs))
+        plan_step(backend, make_bundle(obs), obs, 0)
         assert len(backend.prompts) == 2
         base = backend.prompts[0]
         assert backend.prompts[1].startswith(base)
@@ -202,26 +200,24 @@ class TestPlanStep:
         obs = make_ball_world().observe()
         backend = ScriptedBackend(["Action: pickup(0,0)"] * 4)
         with pytest.raises(PlannerFailure) as info:
-            plan_step(backend, make_bundle(obs), obs, make_context(obs), max_retries=1)
+            plan_step(backend, make_bundle(obs), obs, 0, max_retries=1)
         assert backend.calls == 2
         assert all(f.reason == "invalid-argument" for f in info.value.failures)
         assert "is a wall" in info.value.failures[0].detail
 
     def test_backend_error_propagates(self):
         class Exploding(PlannerBackend):
-            def complete(self, prompt, context):
+            def complete(self, prompt, bundle):
                 raise BackendError("down")
 
         obs = make_ball_world().observe()
         with pytest.raises(BackendError, match="down"):
-            plan_step(Exploding(), make_bundle(obs), obs, make_context(obs))
+            plan_step(Exploding(), make_bundle(obs), obs, 0)
 
     def test_negative_retry_budget_rejected(self):
         obs = make_ball_world().observe()
         with pytest.raises(ValueError, match="max_retries"):
-            plan_step(
-                ScriptedBackend([]), make_bundle(obs), obs, make_context(obs), max_retries=-1
-            )
+            plan_step(ScriptedBackend([]), make_bundle(obs), obs, 0, max_retries=-1)
 
 
 SOLVE_BALL = ["Action: pickup(ball_1)", "Action: drop(table_1)"]
@@ -325,7 +321,7 @@ class TestRunEpisode:
 
     def test_backend_error_is_recorded_not_raised(self, ball_task):
         class Exploding(PlannerBackend):
-            def complete(self, prompt, context):
+            def complete(self, prompt, bundle):
                 raise BackendError("down")
 
         outcome = episode(ball_task, Exploding(), self.encoder, self.db)
@@ -508,8 +504,8 @@ class TestNavigationMemo:
 
     def test_shared_fields_are_read_only(self, ball_task):
         nav = agent_module.NavigationMemo()
-        observation = ball_task.world.observe()
-        decompose(HighLevelAction("navigate", (2, 3)), observation, nav)
+        world = ball_task.world.observe()
+        decompose(HighLevelAction("navigate", (2, 3)), world, nav)
         with pytest.raises(ValueError):
             nav.grid[1, 1] = False
         with pytest.raises(ValueError):

@@ -18,10 +18,9 @@ from prag.backends import (
     RemoteChatBackend,
     ReplayOracleBackend,
     SeededExplorerBackend,
-    StepContext,
     exploration_script,
 )
-from prag.prompting import HighLevelAction, parse_action
+from prag.prompting import HighLevelAction, PromptBundle, action_space_text, parse_action
 from prag.trajectory_db import RetrievalHit, TaskRecord
 
 from tests.conftest import border_walls, make_ball_world
@@ -40,15 +39,12 @@ def make_kitchen_world() -> World:
     return world
 
 
-def make_context(observation, hits=(), goal_text="goal", step_index=0, seed=0):
-    return StepContext(
-        task_id="t1",
-        iteration=1,
-        goal_text=goal_text,
-        step_index=step_index,
-        hits=tuple(hits),
-        observation=observation,
-        seed=seed,
+def make_bundle(world, hits=(), goal="goal"):
+    return PromptBundle(
+        goal=goal,
+        scene_text="",
+        action_space_text=action_space_text(world),
+        experiences=tuple(hits),
     )
 
 
@@ -64,11 +60,11 @@ def make_record(goal_text, history, done):
     )
 
 
-def drain(backend, task_id, iteration, observation, steps=40):
+def drain(backend, task_id, iteration, world, steps=40):
     """begin_episode then collect replies for a fixed number of steps."""
-    backend.begin_episode(task_id, iteration, "goal", observation)
-    context = make_context(observation)
-    return [backend.complete("prompt", context) for _ in range(steps)]
+    backend.begin_episode(task_id, iteration, "goal", world)
+    bundle = make_bundle(world)
+    return [backend.complete("prompt", bundle) for _ in range(steps)]
 
 
 class TestExplorationScript:
@@ -126,8 +122,8 @@ class TestSeededExplorer:
         backend = SeededExplorerBackend(seed=0)
         script = exploration_script(0, "t1", 2, obs)
         backend.begin_episode("t1", 2, "goal", obs)
-        context = make_context(obs)
-        replies = [backend.complete("p", context) for _ in range(len(script) + 3)]
+        bundle = make_bundle(obs)
+        replies = [backend.complete("p", bundle) for _ in range(len(script) + 3)]
         assert replies[: len(script)] == script
         assert replies[len(script) :] == ["Action: done()"] * 3
 
@@ -164,7 +160,7 @@ class TestReplayOracle:
         backend = ReplayOracleBackend(seed=0)
         backend.begin_episode("t1", 2, "goal", obs)
         replies = [
-            backend.complete("p", make_context(obs, hits=hits, step_index=i))
+            backend.complete("p", make_bundle(obs, hits=hits))
             for i in range(5)
         ]
         assert replies == [
@@ -182,7 +178,7 @@ class TestReplayOracle:
         hits = (RetrievalHit(2.0, bad), RetrievalHit(1.0, good))
         backend = ReplayOracleBackend(seed=0)
         backend.begin_episode("t1", 2, "goal", obs)
-        reply = backend.complete("p", make_context(obs, hits=hits))
+        reply = backend.complete("p", make_bundle(obs, hits=hits))
         explorer_first = drain(SeededExplorerBackend(seed=0), "t1", 2, obs, steps=1)[0]
         assert reply == explorer_first
 
@@ -197,7 +193,7 @@ class TestReplayOracle:
         backend = ReplayOracleBackend(seed=3)
         backend.begin_episode("t1", 1, "goal", obs)
         replies = [
-            backend.complete("p", make_context(obs, hits=hits, step_index=i))
+            backend.complete("p", make_bundle(obs, hits=hits))
             for i in range(10)
         ]
         assert replies == drain(SeededExplorerBackend(seed=3), "t1", 1, obs, steps=10)
@@ -215,7 +211,7 @@ class TestReplayOracle:
         backend = ReplayOracleBackend(seed=0)
         for _ in range(2):
             backend.begin_episode("t1", 2, "goal", obs)
-            assert backend.complete("p", make_context(obs, hits=hits)) == (
+            assert backend.complete("p", make_bundle(obs, hits=hits)) == (
                 "Action: pickup(ball_1)"
             )
 
@@ -266,7 +262,7 @@ class TestRemoteChatBackend:
 
     def test_posts_chat_completions_payload(self, capture_post):
         obs = make_ball_world().observe()
-        reply = self.make_backend().complete("PROMPT", make_context(obs))
+        reply = self.make_backend().complete("PROMPT", make_bundle(obs))
         assert reply == "Action: done()"
         (call,) = capture_post
         assert call["url"] == "http://chat.test/v1/chat/completions"
@@ -282,38 +278,38 @@ class TestRemoteChatBackend:
 
     def test_trailing_slash_is_normalised(self, capture_post):
         obs = make_ball_world().observe()
-        self.make_backend(base_url="http://chat.test/v1/").complete("p", make_context(obs))
+        self.make_backend(base_url="http://chat.test/v1/").complete("p", make_bundle(obs))
         assert capture_post[0]["url"] == "http://chat.test/v1/chat/completions"
 
     def test_no_authorization_header_without_key(self, capture_post):
         obs = make_ball_world().observe()
-        self.make_backend().complete("p", make_context(obs))
+        self.make_backend().complete("p", make_bundle(obs))
         assert "Authorization" not in capture_post[0]["headers"]
 
     def test_bearer_token_from_environment(self, capture_post, monkeypatch):
         monkeypatch.setenv(CHAT_API_KEY_ENV, "sekret")
         obs = make_ball_world().observe()
-        self.make_backend().complete("p", make_context(obs))
+        self.make_backend().complete("p", make_bundle(obs))
         assert capture_post[0]["headers"]["Authorization"] == "Bearer sekret"
 
     def test_custom_key_env_name(self, capture_post, monkeypatch):
         monkeypatch.setenv("OTHER_KEY", "tok")
         obs = make_ball_world().observe()
-        self.make_backend(api_key_env="OTHER_KEY").complete("p", make_context(obs))
+        self.make_backend(api_key_env="OTHER_KEY").complete("p", make_bundle(obs))
         assert capture_post[0]["headers"]["Authorization"] == "Bearer tok"
 
     def test_key_is_read_at_call_time(self, capture_post, monkeypatch):
         obs = make_ball_world().observe()
         backend = self.make_backend()
-        backend.complete("p", make_context(obs))
+        backend.complete("p", make_bundle(obs))
         monkeypatch.setenv(CHAT_API_KEY_ENV, "late")
-        backend.complete("p", make_context(obs))
+        backend.complete("p", make_bundle(obs))
         assert "Authorization" not in capture_post[0]["headers"]
         assert capture_post[1]["headers"]["Authorization"] == "Bearer late"
 
     def test_custom_temperature_and_timeout(self, capture_post):
         obs = make_ball_world().observe()
-        self.make_backend(temperature=0.7, timeout=5.0).complete("p", make_context(obs))
+        self.make_backend(temperature=0.7, timeout=5.0).complete("p", make_bundle(obs))
         assert capture_post[0]["json"]["temperature"] == 0.7
         assert capture_post[0]["timeout"] == 5.0
 
@@ -324,13 +320,13 @@ class TestRemoteChatBackend:
         monkeypatch.setattr(requests, "post", boom)
         obs = make_ball_world().observe()
         with pytest.raises(BackendError, match="chat request failed"):
-            self.make_backend().complete("p", make_context(obs))
+            self.make_backend().complete("p", make_bundle(obs))
 
     def test_http_error_status_becomes_backend_error(self, monkeypatch):
         monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(status=500))
         obs = make_ball_world().observe()
         with pytest.raises(BackendError, match="chat request failed"):
-            self.make_backend().complete("p", make_context(obs))
+            self.make_backend().complete("p", make_bundle(obs))
 
     def test_non_json_body_becomes_backend_error(self, monkeypatch):
         monkeypatch.setattr(
@@ -338,7 +334,7 @@ class TestRemoteChatBackend:
         )
         obs = make_ball_world().observe()
         with pytest.raises(BackendError, match="not JSON"):
-            self.make_backend().complete("p", make_context(obs))
+            self.make_backend().complete("p", make_bundle(obs))
 
     @pytest.mark.parametrize(
         "body",
@@ -353,14 +349,14 @@ class TestRemoteChatBackend:
         monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(body))
         obs = make_ball_world().observe()
         with pytest.raises(BackendError, match="missing message content"):
-            self.make_backend().complete("p", make_context(obs))
+            self.make_backend().complete("p", make_bundle(obs))
 
     def test_non_string_content_becomes_backend_error(self, monkeypatch):
         body = {"choices": [{"message": {"content": ["Action: done()"]}}]}
         monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(body))
         obs = make_ball_world().observe()
         with pytest.raises(BackendError, match="not a string"):
-            self.make_backend().complete("p", make_context(obs))
+            self.make_backend().complete("p", make_bundle(obs))
 
 
 def test_importing_prag_leaves_requests_unimported():

@@ -5,7 +5,8 @@ and leaves its metrics out, so a rename would silently drop them. A missing
 attribute that one of its after-hooks reads (``observation.objects``, for
 one) drops that layer's counters the same way. These tests load the tracer
 by file path, unchanged: one resolves each of its targets the way it does,
-the other traces a short run and requires every layer to report.
+one traces a short run and requires every layer to report, and one runs the
+untraced ``StepClock`` proxy that every benchmark repetition installs.
 """
 
 from __future__ import annotations
@@ -63,3 +64,17 @@ def test_a_traced_run_reports_every_layer(tmp_path):
     metrics = tracer.layer_metrics(0)
     assert metrics["scene_graph.extract.objects"] > 0
     assert metrics["agent.plan_step.calls"] > 0
+
+
+def test_the_untraced_step_clock_runs_every_episode(tmp_path):
+    # Every untraced repetition proxies the backend through ``StepClock``,
+    # which forwards ``complete(prompt, bundle)`` positionally.
+    clock = load_tracing().StepClock()
+    clock.install()
+    try:
+        run_iterations(RunConfig(iterations=2, early_stop=False, out=str(tmp_path)))
+    finally:
+        clock.restore()
+    assert clock.episodes == 12
+    assert dict(clock.failures) == {}
+    assert clock.step_gaps_ms()

@@ -15,6 +15,7 @@ from prag.driver import IterationReport, _write_report, format_summary
 from prag.gridworld.sim import EpisodeResult
 
 from tests.test_driver import TASK_A, TASK_B
+from tests.conftest import MISTYPED_STORE_FIELDS, write_mistyped_store
 
 
 @pytest.fixture
@@ -74,6 +75,28 @@ goal_predicate:
   kind: placed_at
   item: ball_1
   target: table_1
+"""
+
+MUG_ON_MUG = """\
+id: mug_on_mug
+goal: Put the mug with the other mug
+max_steps: 20
+grid: |
+  #####
+  #A..#
+  #..B#
+  #...#
+  #####
+objects:
+  mug_1: {kind: mug, at: A}
+  mug_2: {kind: mug, at: B}
+agent:
+  at: [1, 2]
+  heading: N
+goal_predicate:
+  kind: placed_at
+  item: mug_1
+  target: mug_2
 """
 
 
@@ -172,8 +195,13 @@ class TestRunCommand:
         [
             ("sealed_table", SEALED_TABLE, "error: task 'sealed_table' has no solution"),
             ("buried_ball", BURIED_BALL, "error: task 'buried_ball': scenery item 'mug_1'"),
+            (
+                "mug_on_mug",
+                MUG_ON_MUG,
+                "error: task 'mug_on_mug': placed_at target 'mug_2' is not a landmark",
+            ),
         ],
-        ids=["unsolvable", "out-of-model"],
+        ids=["unsolvable", "out-of-model", "portable-target"],
     )
     def test_task_the_solver_rejects_exits_two_before_its_episode(
         self, capsys, monkeypatch, task_dir, tmp_path, task_id, text, message
@@ -368,6 +396,16 @@ class TestDbCommand:
         code, _, err = run_cli(capsys, "db", str(bad), "--validate")
         assert code == 2
         assert "line 2" in err
+
+    @pytest.mark.parametrize("case", sorted(MISTYPED_STORE_FIELDS))
+    def test_db_validate_rejects_mistyped_fields(self, capsys, tmp_path, case):
+        path = tmp_path / "db.jsonl"
+        line = write_mistyped_store(path, case)
+        code, out, err = run_cli(capsys, "db", str(path), "--validate")
+        assert code == 2
+        assert "validation: OK" not in out
+        assert err.startswith(f"error: line {line}: ")
+        assert len(err.splitlines()) == 1
 
     def test_db_missing_file_exits_nonzero(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "db", str(tmp_path / "absent.jsonl"))

@@ -134,11 +134,11 @@ class _FirstReplyMalformed(PlannerBackend):
         self.first = True
         self.inner.begin_episode(*args)
 
-    def complete(self, prompt, context):
+    def complete(self, prompt, bundle):
         if self.first:
             self.first = False
             return "I would rather not."
-        return self.inner.complete(prompt, context)
+        return self.inner.complete(prompt, bundle)
 
 
 class TestRetryPrompts:

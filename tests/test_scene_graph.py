@@ -89,11 +89,10 @@ class TestExtract:
         assert all(len(triple) == 3 for triple in graph.relations)
 
 
-def sweep_extract(observation) -> SceneGraph:
+def sweep_extract(world) -> SceneGraph:
     """Reference: ask ``relation_query`` about every label pair and relation."""
-    world = observation.world
-    labels = sorted(observation.objects)
-    nodes = order_landmark_first(labels, lambda l: observation.objects[l].landmark)
+    labels = sorted(world.objects)
+    nodes = order_landmark_first(labels, lambda l: world.objects[l].landmark)
     relations = []
     for subject in labels:
         for obj in labels:

@@ -16,7 +16,6 @@ from prag.gridworld import solver
 from prag.gridworld.solver import (
     SolverLimitation,
     UnsolvableTaskError,
-    _goal_check,
     shortest_solution_steps,
 )
 from prag.gridworld.tasks import (
@@ -73,6 +72,39 @@ def simulation_bfs(task: Task, limit: int = 40) -> int | None:
                 return depth + 1
             queue.append((nxt, depth + 1))
     return None
+
+
+def goal_check(predicate, cell_index, world: World):
+    """Compile the predicate into a check over ``bfs_solve``'s encoded states."""
+    if isinstance(predicate, PlacedAt):
+        if not world.objects[predicate.target].landmark:
+            raise SolverLimitation(f"placed_at target {predicate.target!r} is not a landmark")
+        target = cell_index[world.objects[predicate.target].position]
+
+        def check(held: int, flags: int, positions: tuple[int, ...]) -> bool:
+            return positions == (target,)
+
+        return check
+    if isinstance(predicate, ItemsInContainerToggled):
+        target = cell_index[world.objects[predicate.container].position]
+        count = len(predicate.items)
+
+        def check(held: int, flags: int, positions: tuple[int, ...]) -> bool:
+            # Bit 0 is reserved for the container's toggled flag.
+            return (
+                flags & 1
+                and len(positions) == count
+                and all(p == target for p in positions)
+            )
+
+        return check
+    if isinstance(predicate, AgentHolds):
+
+        def check(held: int, flags: int, positions: tuple[int, ...]) -> bool:
+            return held == 1
+
+        return check
+    raise SolverLimitation(f"no solver model for predicate {type(predicate).__name__}")
 
 
 def bfs_solve(task: Task) -> int:
@@ -180,7 +212,7 @@ def bfs_solve(task: Task) -> int:
     heading0 = HEADING_ORDER.index(world.agent_heading)
     start = (agent0, heading0, 0, flags0, positions0)
 
-    check = _goal_check(predicate, cell_index, world)
+    check = goal_check(predicate, cell_index, world)
     if check(0, flags0, positions0):
         return 0  # Task validation forbids this, but stay total.
 
@@ -358,6 +390,23 @@ class TestSmallWorlds:
         )
         with pytest.raises(SolverLimitation):
             shortest_solution_steps(task)
+
+    def test_a_portable_placed_at_target_is_a_limitation(self):
+        # mug_2 moves as soon as it is picked up, so "mug_1 on mug_2" is not
+        # "mug_1 on mug_2's start cell": the real optimum is 4, not 1.
+        world = World(5, 5, walls=border_walls(5, 5), agent_position=(1, 2), agent_heading="N")
+        world.place_object("mug_1", "mug", (1, 1))
+        world.place_object("mug_2", "mug", (3, 2))
+        task = Task(
+            id="mug_on_mug",
+            goal="Put the mug with the other mug",
+            world=world,
+            predicate=PlacedAt("mug_1", "mug_2"),
+            max_steps=20,
+        )
+        with pytest.raises(SolverLimitation, match="'mug_2' is not a landmark"):
+            shortest_solution_steps(task)
+        assert simulation_bfs(task) == 4
 
     def test_unreachable_goal_is_unsolvable(self):
         # A wall ring around the table makes the placement impossible.

@@ -20,6 +20,8 @@ from prag.trajectory_db import (
     score,
 )
 
+from tests.conftest import MISTYPED_STORE_FIELDS, write_mistyped_store
+
 
 def reference_cosine(a, b) -> float:
     dot = sum(x * y for x, y in zip(a, b))
@@ -635,6 +637,15 @@ class TestPersistence:
             TrajectoryDB.load(path)
         assert caught.value.line_number == 3
         assert "line 3" in str(caught.value) and named in str(caught.value)
+
+    @pytest.mark.parametrize("case", sorted(MISTYPED_STORE_FIELDS))
+    def test_load_rejects_a_mistyped_field_naming_its_line(self, tmp_path, case):
+        path = tmp_path / "db.jsonl"
+        line = write_mistyped_store(path, case)
+        with pytest.raises(DatabaseFormatError) as caught:
+            TrajectoryDB.load(path)
+        assert caught.value.line_number == line
+        assert MISTYPED_STORE_FIELDS[case][0] in str(caught.value)
 
     def test_load_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.jsonl"
