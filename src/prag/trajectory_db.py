@@ -27,13 +27,23 @@ carry ``score``'s values bit for bit and sort in its tie order. The matrices
 and norms are built on the first retrieval after the store changes.
 
 The store is a single line-delimited JSON file with a header line, so a
-checkpoint can be inspected with standard shell tools.
+checkpoint can be inspected with standard shell tools. ``load`` reads each
+record line as ``json.loads`` would, but not by it when ``save`` wrote the
+line: most vector entries are the text ``0.0``, and turning millions of
+them into Python floats was most of a load. Such a line is cut at its three
+fixed key texts. The members before the goal and those from ``history`` on
+are parsed as JSON; the goal and step vectors are read as one byte buffer,
+where numpy finds every entry that is not exactly ``0.0`` and only those
+are parsed, by one ``json.loads``, into a zeroed matrix. A line laid out
+any other way is parsed whole. Either way a record line must be an object
+that gives no key twice and whose vector entries are numbers.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +81,20 @@ def _as_vector(values, name: str) -> np.ndarray:
     if not np.all(np.isfinite(vec)):
         raise ValueError(f"{name} contains non-finite values")
     return vec
+
+
+def _numbers(values: list, name: str) -> np.ndarray:
+    """Parsed JSON vector entries as float64, refusing any that is no number.
+
+    ``np.array`` would read ``true`` as 1.0 and ``"1.5"`` as 1.5.
+    """
+    if not set(map(type, values)) <= {float, int}:  # a bool's type is not int
+        odd = next(v for v in values if type(v) is not float and type(v) is not int)
+        raise ValueError(f"{name} entries must be numbers, got {odd!r}")
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(f"{name} has an entry too large for a float") from None
 
 
 def _vector_json(vec: np.ndarray) -> str:
@@ -175,6 +199,132 @@ class TaskRecord:
             history=data["history"],
             done=data["done"],
         )
+
+
+# ``to_json_line`` writes the vectors between these texts. Each holds a
+# quote with no backslash before it, so none can occur inside a JSON string.
+_GOAL_KEY = ', "goal_embedding": ['
+_STEPS_KEY = '], "obs_embeddings": [['
+_HISTORY_KEY = ']], "history": '
+_COMMA, _SPACE = map(ord, ", ")
+# A separator, a zero entry and the comma after it, as the low six bytes of a
+# little-endian 8-byte integer.
+_ZERO_ENTRY = int.from_bytes(b", 0.0,", "little")
+_SIX_BYTES = (1 << 48) - 1
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members as a dict; a key given twice is an error."""
+    data = dict(pairs)
+    if len(data) != len(pairs):
+        keys = [key for key, _ in pairs]
+        twice = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise ValueError(f"key {twice!r} is given twice")
+    return data
+
+
+def _json_object(text: str) -> dict:
+    data = json.loads(text, object_pairs_hook=_unique_keys)
+    if not isinstance(data, dict):
+        raise ValueError(f"a record must be a JSON object, got {type(data).__name__}")
+    return data
+
+
+def _saved_vectors(goal: str, steps: str) -> np.ndarray:
+    """The goal row and step rows, laid out as ``to_json_line`` writes them.
+
+    ``goal`` is the text inside the goal's brackets, ``steps`` the text
+    inside the step list's brackets less the first row's ``[`` and the
+    last row's ``]``. Entries must be separated by ``", "`` and rows by
+    ``"], ["``. Every entry that is exactly ``0.0`` is a zero; only the
+    others, a few percent of a hashed store, are joined and parsed by one
+    ``json.loads``.
+    """
+    rows = [goal, *steps.split("], [")]
+    text = ", ".join(rows)
+    if "[" in text or "]" in text or not text.isascii():
+        raise ValueError("goal_embedding and obs_embeddings must be lists of numbers")
+    # Every entry lies between two ", "; spare bytes keep every 8-byte
+    # window below inside the buffer.
+    buffer = f", {text}, \0\0\0\0\0\0".encode()
+    data = np.frombuffer(buffer, dtype=np.uint8)
+    commas = (data == _COMMA).nonzero()[0]
+    windows = np.ndarray((len(buffer) - 7,), dtype="<u8", buffer=buffer, strides=(1,))
+    others = (windows[commas[:-1]] & _SIX_BYTES != _ZERO_ENTRY).nonzero()[0]
+    # A zero's window checked its separator; the others' are checked here.
+    starts = commas[others] + 2
+    if (data[starts - 1] != _SPACE).any():
+        raise ValueError("vector entries must be separated by ', '")
+    # A row ends at the comma joined or appended after it, and that comma's
+    # index in ``commas`` counts the entries up to there.
+    counts = commas.searchsorted(list(accumulate(len(row) + 2 for row in rows))).tolist()
+    width = counts[0]
+    if counts != list(range(width, width * len(rows) + 1, width)):
+        lengths = [end - start for start, end in zip([0, *counts], counts)]
+        raise ValueError(
+            f"obs_embeddings has a row of {next(n for n in lengths if n != width)}"
+            f" entries, expected shape {(len(rows) - 1, width)}"
+        )
+    entries = b", ".join(
+        [buffer[s:e] for s, e in zip(starts.tolist(), commas[others + 1].tolist())]
+    )
+    try:
+        values = json.loads(b"[" + entries + b"]")
+    except ValueError:  # malformed, or an integer past Python's digit limit
+        values = None
+    if not isinstance(values, list) or len(values) != others.size:
+        raise ValueError("vector entries must be JSON numbers")
+    in_goal = int(others.searchsorted(width))
+    matrix = np.zeros((len(rows), width))
+    matrix.reshape(-1)[others[:in_goal]] = _numbers(values[:in_goal], "goal_embedding")
+    matrix.reshape(-1)[others[in_goal:]] = _numbers(values[in_goal:], "obs_embeddings")
+    return matrix
+
+
+def _read_record(line: str) -> TaskRecord:
+    """The record on one line, as ``json.loads(line)`` would give it.
+
+    A line laid out as ``to_json_line`` writes it is read in three parts:
+    the members before the goal, as one JSON object; the vectors, by
+    ``_saved_vectors``; and the members from ``history`` on, as another.
+    The goal key must open a member of the line's own object, and that
+    object must give no key twice. Any other line, or one whose parts are
+    no JSON, is read whole by ``json.loads``, which names its first error.
+    Both ways refuse a vector entry that is not a number.
+    """
+    goal_at = line.find(_GOAL_KEY)
+    steps_at = line.find(_STEPS_KEY, goal_at)
+    history_at = line.find(_HISTORY_KEY, steps_at)
+    if min(goal_at, steps_at, history_at) >= 0:
+        try:
+            head = _json_object(line[:goal_at] + "}")
+            tail = _json_object('{"history": ' + line[history_at + len(_HISTORY_KEY) :])
+        except json.JSONDecodeError:
+            head = None
+        if head:  # an empty head would have been "{, ...", no JSON
+            rows = _saved_vectors(
+                line[goal_at + len(_GOAL_KEY) : steps_at],
+                line[steps_at + len(_STEPS_KEY) : history_at],
+            )
+            return TaskRecord.from_json_dict(
+                _unique_keys(
+                    [
+                        *head.items(),
+                        ("goal_embedding", rows[0]),
+                        ("obs_embeddings", rows[1:]),
+                        *tail.items(),
+                    ]
+                )
+            )
+    data = _json_object(line)
+    goal, steps = data.get("goal_embedding"), data.get("obs_embeddings")
+    if isinstance(goal, list):
+        data["goal_embedding"] = _numbers(goal, "goal_embedding")
+    if isinstance(steps, list):
+        data["obs_embeddings"] = [
+            _numbers(row, "obs_embeddings") if isinstance(row, list) else row for row in steps
+        ]
+    return TaskRecord.from_json_dict(data)
 
 
 @dataclass(frozen=True)
@@ -378,6 +528,14 @@ class TrajectoryDB:
 
     @classmethod
     def load(cls, path: str | Path) -> "TrajectoryDB":
+        """Read a file ``save`` wrote, or any JSON-lines file of the same content.
+
+        Each record line goes through ``_read_record``: a line in ``save``'s
+        layout has its vectors read from bytes, with only their non-zero
+        entries parsed as JSON, and any other line is parsed whole, with
+        identical records either way. A malformed header or record line
+        raises ``DatabaseFormatError`` naming its line number.
+        """
         path = Path(path)
         # Read line by line: the whole text at once would add its size (and a
         # list of its lines) to the peak memory of every load.
@@ -388,7 +546,7 @@ class TrajectoryDB:
 
             try:
                 header = json.loads(first)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
                 raise DatabaseFormatError(f"invalid header JSON: {exc}", line_number=1)
             if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
                 raise DatabaseFormatError(
@@ -409,15 +567,13 @@ class TrajectoryDB:
 
             db = cls(dimension=dimension)
             for lineno, line in enumerate(fh, start=2):
-                if not line.strip():
+                if line.isspace():
                     continue
                 try:
-                    data = json.loads(line)
+                    record = _read_record(line)
                 except json.JSONDecodeError as exc:
                     raise DatabaseFormatError(f"invalid JSON: {exc}", line_number=lineno)
-                try:
-                    record = TaskRecord.from_json_dict(data)
-                except (KeyError, TypeError, ValueError) as exc:
+                except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     raise DatabaseFormatError(f"invalid record: {exc}", line_number=lineno)
                 if db._dimension is None:
                     db._dimension = record.dimension

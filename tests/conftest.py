@@ -82,11 +82,19 @@ MISTYPED_STORE_FIELDS = {
     "boolean-dimension": ("dimension", True),
     "integer-history-step": ("history", [[1, 2]]),
     "string-history-step": ("history", ["ab"]),
+    "boolean-goal-entry": ("goal_embedding", [1.0, True, 0.0, 1.0]),
+    "string-goal-entry": ("goal_embedding", ["1.5", 1.0, 0.0, 1.0]),
+    "boolean-step-entry": ("obs_embeddings", [[1.0, 0.0, 1.0, False]]),
+    "string-step-entry": ("obs_embeddings", [[1.0, 0.0, "1.5", 1.0]]),
 }
 
 
-def write_mistyped_store(path, case: str) -> int:
-    """Write a two-record store with one mistyped field; return its line number."""
+def write_mistyped_store(path, case: str, separators=None) -> int:
+    """Write a two-record store with one mistyped field; return its line number.
+
+    ``separators`` is passed to ``json.dumps``; the default is the layout
+    ``TrajectoryDB.save`` writes.
+    """
     name, value = MISTYPED_STORE_FIELDS[case]
     lines = [{"format": "prag-trajectory-db", "version": 1, "dimension": 4}]
     for task_id in ("a", "b"):
@@ -102,5 +110,5 @@ def write_mistyped_store(path, case: str) -> int:
         lines.append(json.loads(record.to_json_line()))
     line = 1 if name == "dimension" else 3
     lines[line - 1][name] = value
-    path.write_text("".join(json.dumps(data) + "\n" for data in lines))
+    path.write_text("".join(json.dumps(data, separators=separators) + "\n" for data in lines))
     return line

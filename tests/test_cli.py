@@ -407,6 +407,23 @@ class TestDbCommand:
         assert err.startswith(f"error: line {line}: ")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [('"iteration": 1', '"iteration": 1' + "0" * 4300), ("[1.0, ", "[1" + "0" * 400 + ", ")],
+        ids=["integer-past-the-digit-limit", "entry-too-large-for-a-float"],
+    )
+    def test_db_validate_rejects_numbers_python_cannot_hold(self, capsys, tmp_path, old, new):
+        path = tmp_path / "db.jsonl"
+        write_mistyped_store(path, "done-string")
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].replace(old, new, 1)
+        path.write_text("\n".join(lines[:2]) + "\n")
+        code, out, err = run_cli(capsys, "db", str(path), "--validate")
+        assert code == 2
+        assert "validation: OK" not in out
+        assert err.startswith("error: line 2: ")
+        assert len(err.splitlines()) == 1
+
     def test_db_missing_file_exits_nonzero(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "db", str(tmp_path / "absent.jsonl"))
         assert code in (1, 2)

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from prag.trajectory_db import (
     RetrievalQuery,
     TaskRecord,
     TrajectoryDB,
+    _read_record,
     score,
 )
 
@@ -769,18 +771,16 @@ def vectors(draw, dimension: int) -> np.ndarray:
 
 
 @st.composite
-def records(draw) -> TaskRecord:
+def records(draw, goal_text=st.text(max_size=12), step_text=st.text(max_size=6)) -> TaskRecord:
     dimension = draw(st.integers(1, 12))
     steps = draw(st.integers(1, 3))
     return TaskRecord(
         task_id=draw(st.text(min_size=1, max_size=6)),
         iteration=draw(st.integers(1, 10**6)),
-        goal_text=draw(st.text(max_size=12)),
+        goal_text=draw(goal_text),
         goal_embedding=draw(vectors(dimension)),
         obs_embeddings=tuple(draw(vectors(dimension)) for _ in range(steps)),
-        history=tuple(
-            (draw(st.text(max_size=6)), draw(st.text(max_size=6))) for _ in range(steps)
-        ),
+        history=tuple((draw(step_text), draw(step_text)) for _ in range(steps)),
         done=draw(st.booleans()),
     )
 
@@ -920,3 +920,218 @@ class TestRecordArrays:
         with pytest.raises(ValueError):
             write(record)
         assert record.goal_embedding.tolist() == record.obs_embeddings[0].tolist() == [1.0] * 4
+
+
+# Texts that look like the parts of a saved line, so a reader that splits a
+# line at its key texts would go wrong if it found them inside a string.
+_LINE_LIKE_TEXT = st.lists(
+    st.sampled_from(
+        [
+            ', "goal_embedding": [',
+            '], "obs_embeddings": [[',
+            ']], "history": ',
+            "], [",
+            "0.0, ",
+            '"',
+            "\\",
+            "é",
+            "\U0001f600",
+        ]
+    )
+    | st.text(max_size=3),
+    max_size=5,
+).map("".join)
+
+
+def read_whole_line(line: str) -> TaskRecord:
+    """The record as ``json.loads`` of the whole line gives it."""
+    return TaskRecord.from_json_dict(json.loads(line))
+
+
+def saved_line(task_id: str = "t") -> str:
+    """One saved record line whose texts hold no ", " or ": " outside its layout."""
+    return TaskRecord(
+        task_id=task_id,
+        iteration=2,
+        goal_text="put the ball away",
+        goal_embedding=np.array([0.5, 0.0, 0.0, -1.5]),
+        obs_embeddings=(np.array([0.0, 0.25, 0.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0])),
+        history=(("pickup(ball_1)", "ball_1/hand/held_by"), ("done()", "")),
+        done=True,
+    ).to_json_line()
+
+
+def compact(line: str) -> str:
+    return line.replace(", ", ",").replace(": ", ":")
+
+
+class TestRecordLineReader:
+    """``load`` reads a saved line in parts; ``json.loads`` of it is the reference."""
+
+    @given(records(goal_text=_LINE_LIKE_TEXT, step_text=_LINE_LIKE_TEXT))
+    @settings(max_examples=300, deadline=None)
+    def test_saved_lines_read_as_json_loads_reads_them(self, record):
+        line = record.to_json_line()
+        with mock.patch.object(json, "loads", wraps=json.loads) as loads:
+            read = _read_record(line + "\n")
+        assert line + "\n" not in [call.args[0] for call in loads.call_args_list]
+        assert read.to_json_line() == read_whole_line(line).to_json_line() == line
+
+    @given(records(goal_text=_LINE_LIKE_TEXT, step_text=_LINE_LIKE_TEXT), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_other_layouts_and_key_orders_read_the_same(self, record, data):
+        line = record.to_json_line()
+        fields = json.loads(line)
+        order = data.draw(st.permutations(list(fields)))
+        separators = data.draw(st.sampled_from([None, (",", ":")]))
+        other = json.dumps({key: fields[key] for key in order}, separators=separators)
+        assert _read_record(other).to_json_line() == line
+
+    @staticmethod
+    def load_with_line_three(tmp_path, line: str) -> DatabaseFormatError:
+        path = tmp_path / "db.jsonl"
+        good = saved_line("s")
+        header = '{"format": "prag-trajectory-db", "version": 1, "dimension": 4}'
+        path.write_text("\n".join([header, good, line]) + "\n")
+        with pytest.raises(DatabaseFormatError) as caught:
+            TrajectoryDB.load(path)
+        assert caught.value.line_number == 3
+        return caught.value
+
+    def test_the_test_line_loads_in_both_layouts(self, tmp_path):
+        line = saved_line()
+        path = tmp_path / "db.jsonl"
+        header = '{"format": "prag-trajectory-db", "version": 1, "dimension": 4}'
+        for text in (line, compact(line)):
+            path.write_text(header + "\n" + text + "\n")
+            (loaded,) = TrajectoryDB.load(path).records()
+            assert loaded.to_json_line() == line
+
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("[0.5, 0.0, 0.0, -1.5]", "[0.5,0.0,0.0,-1.5]", "separated by ', '"),
+            ("[1.0, 0.0, 0.0, 0.0]", "[1.0, 0.0, 0.0]", "shape"),
+            ("[0.0, 0.25, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]", "[0.0, 0.25, 0.0], [1.0, 0.0, 0.0]", "shape"),
+            ("[1.0, 0.0, 0.0, 0.0]", "[1.0, NaN, 0.0, 0.0]", "non-finite"),
+            ("[0.5, 0.0, 0.0, -1.5]", "[0.5, 0.0, Infinity, -1.5]", "non-finite"),
+            ("[0.5, 0.0, 0.0, -1.5]", "[0.5, 0.0, [0.0], -1.5]", "lists of numbers"),
+            ("[0.5, 0.0, 0.0, -1.5]", "[0.5, 0.0, 0.0, -1.5], [0.0, 0.0, 0.0, 0.0]", "lists of numbers"),
+            ('"history": ', '"goal_embedding": [0.0, 0.0, 0.0, 0.0], "history": ', "given twice"),
+            ('{"task_id"', '{"obs_embeddings": [[0.0, 0.0, 0.0, 0.0]], "task_id"', "given twice"),
+            ('"done": true', '"done": true, "done": false', "given twice"),
+        ],
+        ids=[
+            "comma-only",
+            "ragged",
+            "wrong-length-rows",
+            "nan",
+            "infinity",
+            "nested-entry",
+            "two-goal-rows",
+            "goal-key-twice",
+            "steps-key-twice",
+            "done-key-twice",
+        ],
+    )
+    def test_malformed_saved_lines_are_rejected_at_their_line(self, tmp_path, old, new, named):
+        line = saved_line()
+        assert old in line
+        error = self.load_with_line_three(tmp_path, line.replace(old, new, 1))
+        assert named in str(error)
+
+    def test_a_vector_key_given_twice_after_the_history_is_rejected(self, tmp_path):
+        line = saved_line()
+        doctored = line[:-1] + ', "goal_embedding": [0.0, 0.0, 0.0, 0.0]}'
+        assert "'goal_embedding' is given twice" in str(self.load_with_line_three(tmp_path, doctored))
+
+    @pytest.mark.parametrize("cut", [0.3, 0.6, 0.95])
+    def test_a_truncated_line_is_rejected_at_its_line(self, tmp_path, cut):
+        line = saved_line()
+        self.load_with_line_three(tmp_path, line[: int(len(line) * cut)])
+
+    @pytest.mark.parametrize(
+        "line, named",
+        [
+            ("[1, 2]", "got list"),
+            ("7", "got int"),
+            (f"[{saved_line()}]", "got list"),
+        ],
+        ids=["array", "number", "array-around-a-saved-line"],
+    )
+    def test_a_line_that_is_no_object_is_rejected_at_its_line(self, tmp_path, line, named):
+        assert named in str(self.load_with_line_three(tmp_path, line))
+
+    @pytest.mark.parametrize(
+        "vector, named",
+        [
+            ("goal_embedding", "goal_embedding has an entry too large for a float"),
+            ("obs_embeddings", "obs_embeddings has an entry too large for a float"),
+        ],
+    )
+    @pytest.mark.parametrize("layout", [str, compact], ids=["saved-layout", "compact"])
+    def test_an_integer_entry_too_large_for_a_float_is_rejected(
+        self, tmp_path, vector, named, layout
+    ):
+        huge = "1" + "0" * 400
+        line = saved_line()
+        old = "-1.5]" if vector == "goal_embedding" else "0.25"
+        doctored = line.replace(old, old.replace("1.5", huge).replace("0.25", huge), 1)
+        assert named in str(self.load_with_line_three(tmp_path, layout(doctored)))
+
+    @pytest.mark.parametrize("layout", [str, compact], ids=["saved-layout", "compact"])
+    def test_an_integer_past_the_digit_limit_is_rejected(self, tmp_path, layout):
+        line = saved_line().replace('"iteration": 2', '"iteration": 2' + "0" * 4300)
+        assert "4300" in str(self.load_with_line_three(tmp_path, layout(line)))
+
+    def test_a_header_integer_past_the_digit_limit_is_rejected(self, tmp_path):
+        path = tmp_path / "db.jsonl"
+        path.write_text(
+            '{"format": "prag-trajectory-db", "version": 1, "dimension": 4' + "0" * 4300 + "}\n"
+        )
+        with pytest.raises(DatabaseFormatError, match="line 1"):
+            TrajectoryDB.load(path)
+
+    @pytest.mark.parametrize("case", sorted(MISTYPED_STORE_FIELDS))
+    def test_a_mistyped_field_in_a_compact_line_is_rejected_naming_its_line(self, tmp_path, case):
+        path = tmp_path / "db.jsonl"
+        line = write_mistyped_store(path, case, separators=(",", ":"))
+        with pytest.raises(DatabaseFormatError) as caught:
+            TrajectoryDB.load(path)
+        assert caught.value.line_number == line
+        assert MISTYPED_STORE_FIELDS[case][0] in str(caught.value)
+
+    def test_no_saved_line_is_parsed_whole(self, tmp_path, monkeypatch):
+        rng = random.Random(27)
+        db = TrajectoryDB(dimension=6)
+        db.update_after_iteration([make_record(rng, f"t{i}", dimension=6) for i in range(4)])
+        sparse = np.zeros(6)
+        sparse[[1, 4]] = [-0.0, 5e-324]
+        db.update_after_iteration(
+            [
+                TaskRecord(
+                    task_id="edge",
+                    iteration=2,
+                    goal_text='a "quoted" ], [ goal é',
+                    goal_embedding=sparse,
+                    obs_embeddings=(np.zeros(6), sparse * 1e16),
+                    history=(("a", ', "goal_embedding": ['), ("b", "]], \\")),
+                    done=False,
+                )
+            ]
+        )
+        path = tmp_path / "db.jsonl"
+        db.save(path)
+        saved = set(path.read_text().splitlines()[1:])
+        given = []
+        original = json.loads
+
+        def recording_loads(text, *args, **kwargs):
+            given.append(text.strip() if isinstance(text, str) else text)
+            return original(text, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", recording_loads)
+        loaded = TrajectoryDB.load(path)
+        assert given  # the reader's parts went through json.loads
+        assert saved.isdisjoint(given)
+        assert {r.to_json_line() for r in loaded.records()} == saved
