@@ -19,10 +19,10 @@ renders it, and the backend receives the bundle beside the prompt text.
 K and the retry budget have their defaults here, the history limit in
 ``prompting``; the run configuration imports them.
 
-A step's prompt is a pure function of logged inputs: the task, the scene
-after the logged primitives, the retrieved hits, the history limit and, for
-a retry, the parse failures before it. ``step_bundle``, ``build_prompt``
-and ``retry_prompt`` turn them into text, here and in ``prag prompt``.
+An episode's only inputs from outside the planner are the backend's replies
+and the retrieved hits; with the task, the step budget and the history
+limit they fix every prompt. ``prag prompt`` rebuilds an episode's prompts
+by running it here again, fed the replies and hits its event log holds.
 
 Navigation work is shared across an episode's steps through one
 NavigationMemo that run_episode owns and hands to plan_step and decompose.
@@ -219,27 +219,6 @@ def decompose(
     return Decomposition(tuple(actions))
 
 
-def step_bundle(
-    goal: str,
-    world: World,
-    scene_text: str,
-    hits: tuple[RetrievalHit, ...],
-    history_limit: int,
-) -> PromptBundle:
-    """The prompt inputs of one planning step.
-
-    ``scene_text`` is the rendered scene graph of ``world``. The
-    episode runner and ``prag prompt`` both build a step's bundle here.
-    """
-    return PromptBundle(
-        goal=goal,
-        scene_text=scene_text,
-        action_space_text=action_space_text(world),
-        experiences=hits,
-        history_limit=history_limit,
-    )
-
-
 def plan_step(
     backend: PlannerBackend,
     bundle: PromptBundle,
@@ -338,8 +317,9 @@ def run_episode(
     Besides ``plan_step``'s events, each step that queries the database
     logs a ``retrieval`` event with its hits, and each executed action a
     ``step`` event with its low-level primitives and the simulator's step
-    count after them. These are the inputs ``prag prompt`` replays to
-    rebuild every prompt of the episode.
+    count after them. ``prag prompt`` reads the ``completion`` and
+    ``retrieval`` events back and runs the episode here again to rebuild
+    every prompt; the ``step`` events are for readers of the log.
     """
     sim = Simulator(task, max_steps=max_steps)
     world = sim.reset()
@@ -377,7 +357,7 @@ def run_episode(
             hits = tuple(db.retrieve_top_k(RetrievalQuery(goal_embedding, obs_embedding), k))
             retrieval_calls += 1
             log("retrieval", step=step_index, hits=hits)
-        bundle = step_bundle(task.goal, world, scene_text, hits, history_limit)
+        bundle = PromptBundle(task.goal, scene_text, action_space_text(world), hits, history_limit)
         try:
             action, decomposition = plan_step(
                 backend, bundle, world, step_index,

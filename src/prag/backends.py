@@ -2,8 +2,8 @@
 
 A backend sees the rendered prompt plus the PromptBundle it was rendered
 from (the step's goal, scene and retrieval hits) and returns raw reply
-text. ``begin_episode`` hands it the episode's first world snapshot. Three
-implementations ship here:
+text. ``begin_episode`` hands it the episode's first world snapshot. A run
+can name three implementations:
 
 - RemoteChatBackend talks to an OpenAI-style chat-completions endpoint.
 - SeededExplorerBackend follows a short scripted exploration routine derived
@@ -19,9 +19,9 @@ that as a failed episode, not a crashed run.
 
 from __future__ import annotations
 
-import json
 import os
 import random
+from typing import Iterable
 
 from .embedding import fnv1a64
 from .gridworld.world import World
@@ -111,9 +111,7 @@ class RemoteChatBackend(PlannerBackend):
             body = response.json()
         except requests.RequestException as exc:
             raise BackendError(f"chat request failed: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise BackendError(f"chat response is not JSON: {exc}") from exc
-        except ValueError as exc:  # requests raises ValueError on bad JSON too
+        except ValueError as exc:  # json.JSONDecodeError is one
             raise BackendError(f"chat response is not JSON: {exc}") from exc
         try:
             text = body["choices"][0]["message"]["content"]
@@ -164,28 +162,32 @@ def exploration_script(
     return [f"Action: {step}" for step in script]
 
 
-class SeededExplorerBackend(PlannerBackend):
-    """Replays a deterministic exploration script, then declares done."""
+class ScriptedReplyBackend(PlannerBackend):
+    """Answers with the lines of a script in order, then declares done.
+
+    ``prag prompt`` re-runs a logged episode with one holding its replies.
+    """
+
+    def __init__(self, script: Iterable[str] = ()) -> None:
+        self._replies = iter(script)
+
+    def complete(self, prompt: str, bundle: PromptBundle) -> str:
+        return next(self._replies, "Action: done()")
+
+
+class SeededExplorerBackend(ScriptedReplyBackend):
+    """Replies with a deterministic exploration script, then declares done."""
 
     name = "seeded-explorer"
 
     def __init__(self, seed: int = 0) -> None:
+        super().__init__()
         self.seed = seed
-        self._script: list[str] = []
-        self._next = 0
 
     def begin_episode(
         self, task_id: str, iteration: int, goal_text: str, world: World
     ) -> None:
-        self._script = exploration_script(self.seed, task_id, iteration, world)
-        self._next = 0
-
-    def complete(self, prompt: str, bundle: PromptBundle) -> str:
-        if self._next < len(self._script):
-            line = self._script[self._next]
-            self._next += 1
-            return line
-        return "Action: done()"
+        self._replies = iter(exploration_script(self.seed, task_id, iteration, world))
 
 
 class ReplayOracleBackend(PlannerBackend):

@@ -129,6 +129,8 @@ class RunConfig:
             raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
         except yaml.YAMLError as exc:
             raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
         if raw is None:
@@ -349,7 +351,7 @@ def read_run_config(run_dir: Path) -> RunConfig:
         config = RunConfig(**data)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, TypeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, TypeError) as exc:
         raise ConfigError(f"{path} is not a run configuration: {exc}") from exc
     config.validate()
     return config

@@ -259,6 +259,8 @@ def load_task_file(path: str | Path) -> Task:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise TaskFileError(f"cannot read task file {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise TaskFileError(f"task file {path} is not UTF-8 text: {exc}")
     return load_task_text(text, source=str(path))
 
 

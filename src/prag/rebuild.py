@@ -4,23 +4,20 @@ A run directory's event log keeps each prompt only as its sha256 and size.
 Every prompt is a function of inputs the directory already holds:
 
 - the task, from the task source in ``run_config.json``;
-- the scene and the action space at each step. A fresh simulator replays
-  the logged low-level primitives and stops each step at its logged
-  ``sim_steps``: a decomposition is cut short when the episode finishes,
-  so its logged list can hold primitives that never ran;
-- the retrieved hits, looked up by task id in the store that pass read.
-  That is ``db_iter_{N-1}.jsonl`` for train pass N (an empty store for
-  N = 1), the last checkpoint ``db_iter_NN.jsonl`` for a ``train-eval``
-  eval pass, and the file named in ``episode-start`` for a ``prag eval``
-  pass. Each hit's logged iteration and done flag must match the stored
-  record;
-- ``history_limit``, from ``run_config.json``;
-- for a retry, the ``parse-failure`` event before it.
+- the backend's replies, from the ``completion`` events;
+- the retrieved hits, from the ``retrieval`` events, each looked up by task
+  id in the store that pass read. That is ``db_iter_{N-1}.jsonl`` for train
+  pass N (an empty store for N = 1), the last checkpoint
+  ``db_iter_NN.jsonl`` for a ``train-eval`` eval pass, and the file named
+  in ``episode-start`` for a ``prag eval`` pass. Each hit's logged
+  iteration and done flag must match the stored record;
+- ``max_retries``, ``max_steps`` and ``history_limit``, from
+  ``run_config.json``.
 
-Prompts are rendered through the planner's own functions (``step_bundle``,
-``build_prompt`` and ``retry_prompt``), and each one is checked against its
-logged digest. No encoder or backend is needed, so a remote-chat run can be
-inspected offline.
+The planner's own ``run_episode`` runs the episode again on those inputs,
+and each prompt it sends is checked against the logged step and digest. No
+remote encoder or backend is needed, so a remote-chat run can be inspected
+offline.
 """
 
 from __future__ import annotations
@@ -31,13 +28,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .agent import step_bundle
-from .driver import load_tasks, read_run_config
-from .gridworld.sim import SimulationError, Simulator
+from .agent import run_episode
+from .backends import ScriptedReplyBackend
+from .driver import RunConfig, load_tasks, read_run_config
+from .embedding import HashingEncoder
 from .gridworld.tasks import Task
-from .prompting import ParseFailure, build_prompt, retry_prompt
-from .scene_graph import extract, render_text
-from .trajectory_db import RetrievalHit, TrajectoryDB
+from .trajectory_db import RetrievalHit, RetrievalQuery, TrajectoryDB
 
 PHASES = ("train", "eval")
 
@@ -73,18 +69,18 @@ def rebuild_prompts(
     task = _find_task(source, task_id)
     try:
         db = _pass_store(run_dir, phase, iteration, events[0])
-        return _replay(task, events, db, config.max_steps, config.history_limit)
-    except (KeyError, TypeError, ValueError, SimulationError) as exc:
+        return _replay(task, events, db, config)
+    except (KeyError, TypeError, ValueError) as exc:
         raise RebuildError(f"malformed {log_path.name} events for {task_id!r}: {exc!r}") from exc
 
 
 def _episode_events(log_path: Path, task_id: str) -> list[dict[str, Any]]:
     events = []
-    with log_path.open(encoding="utf-8") as fh:
+    with log_path.open("rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
-                event = json.loads(line)
-            except json.JSONDecodeError as exc:
+                event = json.loads(line.decode("utf-8"))
+            except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
                 raise RebuildError(f"{log_path.name} line {lineno} is not JSON: {exc}") from exc
             if event.get("task_id") == task_id:
                 events.append(event)
@@ -137,53 +133,63 @@ def _hit(db: TrajectoryDB, logged: list) -> RetrievalHit:
     return RetrievalHit(score=float(score), record=record)
 
 
+class _LoggedRetrievals:
+    """The pass's store as the episode saw it: its size, then the logged hits in order."""
+
+    def __init__(self, db: TrajectoryDB, logged: list[list]) -> None:
+        self._db = db
+        self._logged = iter(logged)
+
+    def __len__(self) -> int:
+        return len(self._db)
+
+    def retrieve_top_k(self, query: RetrievalQuery, k: int) -> tuple[RetrievalHit, ...]:
+        return tuple(_hit(self._db, hit) for hit in next(self._logged, ()))
+
+
 def _replay(
-    task: Task,
-    events: list[dict[str, Any]],
-    db: TrajectoryDB,
-    max_steps: int | None,
-    history_limit: int,
+    task: Task, events: list[dict[str, Any]], db: TrajectoryDB, config: RunConfig
 ) -> list[RebuiltPrompt]:
-    sim = Simulator(task, max_steps=max_steps)
-    world = sim.reset()
-    scene_text = render_text(extract(world))
-    hits: tuple[RetrievalHit, ...] = ()
-    base_prompt = ""
-    failure: ParseFailure | None = None
-    attempt = 0
+    replies = [event["text"] for event in events if event["event"] == "completion"]
+    if not all(isinstance(reply, str) for reply in replies):
+        raise TypeError("a logged reply is not a string")
+    logged = [event for event in events if event["event"] == "prompt"]
+    sent: list[tuple[int, str]] = []
+
+    def capture(event: str, **payload: Any) -> None:
+        if event == "prompt":
+            sent.append((payload["step"], payload["text"]))
+
+    run_episode(
+        task,
+        ScriptedReplyBackend(replies),
+        # Only feeds the queries the logged hits answer: no remote encoder needed.
+        HashingEncoder(config.dimension),
+        _LoggedRetrievals(db, [e["hits"] for e in events if e["event"] == "retrieval"]),
+        shortest_steps=1,  # only fills the unused EpisodeResult
+        max_retries=config.max_retries,
+        max_steps=config.max_steps,
+        history_limit=config.history_limit,
+        log=capture,
+    )
+    # An episode the encoder ended sends one more prompt here, at the failing
+    # step, answered by done(): only the logged prompts are compared.
+    if len(sent) < len(logged):
+        raise RebuildError(
+            f"the rebuilt episode sent {len(sent)} prompts, the log holds {len(logged)}"
+        )
     prompts: list[RebuiltPrompt] = []
-    for event in events:
-        kind = event["event"]
-        if kind == "retrieval":
-            hits = tuple(_hit(db, logged) for logged in event["hits"])
-        elif kind == "prompt":
-            if failure is None:
-                bundle = step_bundle(task.goal, world, scene_text, hits, history_limit)
-                base_prompt = text = build_prompt(bundle)
-                attempt = 1
-            else:
-                text = retry_prompt(base_prompt, failure)
-                attempt += 1
-            digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-            if digest != event["sha256"]:
-                raise RebuildError(
-                    f"step {event['step']} attempt {attempt}: the rebuilt prompt's sha256"
-                    f" {digest} differs from the logged {event['sha256']}"
-                )
-            prompts.append(RebuiltPrompt(event["step"], attempt, text, digest))
-        elif kind == "parse-failure":
-            failure = ParseFailure(event["reason"], event["detail"])
-        elif kind == "step":
-            for primitive in event["low_level"]:
-                if sim.step_count >= event["sim_steps"]:
-                    break
-                sim.step(primitive)
-            if sim.step_count != event["sim_steps"]:
-                raise RebuildError(
-                    f"step {event['step']} replays to simulator step {sim.step_count},"
-                    f" the log says {event['sim_steps']}"
-                )
-            world = sim.observe()
-            scene_text = render_text(extract(world))
-            hits, failure = (), None
+    for (step, text), event in zip(sent, logged):
+        attempt = prompts[-1].attempt + 1 if prompts and prompts[-1].step == step else 1
+        if step != event["step"]:
+            raise RebuildError(
+                f"step {event['step']}: the rebuilt episode sent step {step} attempt {attempt}"
+            )
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        if digest != event["sha256"]:
+            raise RebuildError(
+                f"step {step} attempt {attempt}: the rebuilt prompt's sha256"
+                f" {digest} differs from the logged {event['sha256']}"
+            )
+        prompts.append(RebuiltPrompt(step, attempt, text, digest))
     return prompts

@@ -534,59 +534,65 @@ class TrajectoryDB:
         layout has its vectors read from bytes, with only their non-zero
         entries parsed as JSON, and any other line is parsed whole, with
         identical records either way. A malformed header or record line
-        raises ``DatabaseFormatError`` naming its line number.
+        raises ``DatabaseFormatError`` naming its line number; a file that is
+        not UTF-8 text raises it without one.
         """
         path = Path(path)
         # Read line by line: the whole text at once would add its size (and a
         # list of its lines) to the peak memory of every load.
-        with path.open("r", encoding="utf-8") as fh:
-            first = fh.readline()
-            if not first:
-                raise DatabaseFormatError("empty file, missing header line", line_number=1)
+        try:
+            with path.open("r", encoding="utf-8") as fh:
+                first = fh.readline()
+                if not first:
+                    raise DatabaseFormatError("empty file, missing header line", line_number=1)
 
-            try:
-                header = json.loads(first)
-            except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
-                raise DatabaseFormatError(f"invalid header JSON: {exc}", line_number=1)
-            if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
-                raise DatabaseFormatError(
-                    f"not a {FORMAT_NAME} file (format={header.get('format')!r})"
-                    if isinstance(header, dict)
-                    else "header is not a JSON object",
-                    line_number=1,
-                )
-            if header.get("version") != FORMAT_VERSION:
-                raise DatabaseFormatError(
-                    f"unsupported version {header.get('version')!r}", line_number=1
-                )
-            dimension = header.get("dimension")
-            if dimension is not None and (not _is_int(dimension) or dimension < 1):
-                raise DatabaseFormatError(
-                    f"invalid dimension {dimension!r}", line_number=1
-                )
-
-            db = cls(dimension=dimension)
-            for lineno, line in enumerate(fh, start=2):
-                if line.isspace():
-                    continue
                 try:
-                    record = _read_record(line)
-                except json.JSONDecodeError as exc:
-                    raise DatabaseFormatError(f"invalid JSON: {exc}", line_number=lineno)
-                except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                    raise DatabaseFormatError(f"invalid record: {exc}", line_number=lineno)
-                if db._dimension is None:
-                    db._dimension = record.dimension
-                elif record.dimension != db._dimension:
-                    source = "header" if dimension is not None else "first record"
+                    header = json.loads(first)
+                except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+                    raise DatabaseFormatError(f"invalid header JSON: {exc}", line_number=1)
+                if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
                     raise DatabaseFormatError(
-                        f"record dimension {record.dimension} does not match "
-                        f"{source} dimension {db._dimension}",
-                        line_number=lineno,
+                        f"not a {FORMAT_NAME} file (format={header.get('format')!r})"
+                        if isinstance(header, dict)
+                        else "header is not a JSON object",
+                        line_number=1,
                     )
-                if record.task_id in db._records:
+                if header.get("version") != FORMAT_VERSION:
                     raise DatabaseFormatError(
-                        f"duplicate task_id {record.task_id!r}", line_number=lineno
+                        f"unsupported version {header.get('version')!r}", line_number=1
                     )
-                db._records[record.task_id] = record
-            return db
+                dimension = header.get("dimension")
+                if dimension is not None and (not _is_int(dimension) or dimension < 1):
+                    raise DatabaseFormatError(
+                        f"invalid dimension {dimension!r}", line_number=1
+                    )
+
+                db = cls(dimension=dimension)
+                for lineno, line in enumerate(fh, start=2):
+                    if line.isspace():
+                        continue
+                    try:
+                        record = _read_record(line)
+                    except json.JSONDecodeError as exc:
+                        raise DatabaseFormatError(f"invalid JSON: {exc}", line_number=lineno)
+                    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                        raise DatabaseFormatError(f"invalid record: {exc}", line_number=lineno)
+                    if db._dimension is None:
+                        db._dimension = record.dimension
+                    elif record.dimension != db._dimension:
+                        source = "header" if dimension is not None else "first record"
+                        raise DatabaseFormatError(
+                            f"record dimension {record.dimension} does not match "
+                            f"{source} dimension {db._dimension}",
+                            line_number=lineno,
+                        )
+                    if record.task_id in db._records:
+                        raise DatabaseFormatError(
+                            f"duplicate task_id {record.task_id!r}", line_number=lineno
+                        )
+                    db._records[record.task_id] = record
+                return db
+        except UnicodeDecodeError as exc:
+            # Decoded in chunks, ahead of the lines read: the byte's line is unknown.
+            byte = exc.object[exc.start]
+            raise DatabaseFormatError(f"not UTF-8 text: byte {byte:#04x}, {exc.reason}") from exc

@@ -11,7 +11,13 @@ import pytest
 
 from prag.backends import ReplayOracleBackend
 from prag.cli import main
-from prag.driver import IterationReport, _write_report, format_summary
+from prag.driver import (
+    IterationReport,
+    RunConfig,
+    _write_report,
+    format_summary,
+    write_run_config,
+)
 from prag.gridworld.sim import EpisodeResult
 
 from tests.test_driver import TASK_A, TASK_B
@@ -428,6 +434,58 @@ class TestDbCommand:
         code, _, err = run_cli(capsys, "db", str(tmp_path / "absent.jsonl"))
         assert code in (1, 2)
         assert err.startswith("error:")
+
+
+def _bad_store(tmp_path):
+    # The bad byte sits in the record, yet the header read decodes it too.
+    path = tmp_path / "db.jsonl"
+    path.write_bytes(
+        b'{"format": "prag-trajectory-db", "version": 1, "dimension": 4}\n'
+        b'{"task_id": "\xff"}\n'
+    )
+    return ["db", path, "--validate"]
+
+
+def _bad_config(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_bytes(b"seed: 1\ntasks: \xff\n")
+    return ["run", "--config", path, "--out", tmp_path / "out"]
+
+
+def _bad_task_file(tmp_path):
+    tasks = tmp_path / "tasks"
+    tasks.mkdir()
+    (tasks / "easy_ball.yaml").write_text(TASK_A)
+    (tasks / "bad.yaml").write_bytes(b"id: \xff\n")
+    return ["run", "--tasks", tasks, "--out", tmp_path / "out"]
+
+
+def _bad_run_config(tmp_path):
+    (tmp_path / "run_config.json").write_bytes(b'{"tasks": "\xff"}\n')
+    return ["prompt", tmp_path, "--phase", "train", "--iteration", "1", "--task", "wash_mugs"]
+
+
+def _bad_event_log(tmp_path):
+    write_run_config(RunConfig(tasks="suite"), tmp_path)
+    (tmp_path / "train_iter_01.jsonl").write_bytes(
+        b'{"event": "episode-start", "task_id": "wash_mugs"}\n\xff\n'
+    )
+    return ["prompt", tmp_path, "--phase", "train", "--iteration", "1", "--task", "wash_mugs"]
+
+
+class TestInputsThatAreNotUtf8:
+    @pytest.mark.parametrize(
+        "write_input",
+        [_bad_store, _bad_config, _bad_task_file, _bad_run_config, _bad_event_log],
+        ids=["store", "config", "task-file", "run-config", "event-log"],
+    )
+    def test_a_byte_that_is_not_utf8_exits_two(self, capsys, tmp_path, write_input):
+        argv = write_input(tmp_path)
+        code, out, err = run_cli(capsys, *map(str, argv))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert "0xff" in err
 
 
 class TestParser:

@@ -11,9 +11,10 @@ import pytest
 
 import prag.driver as driver_module
 import prag.gridworld as gridworld_package
-from prag.backends import PlannerBackend, ReplayOracleBackend
+from prag.backends import BackendError, PlannerBackend, ReplayOracleBackend
 from prag.cli import main
 from prag.driver import EpisodeLog, RunConfig, run_iterations
+from prag.embedding import EncoderError, HashingEncoder
 from prag.rebuild import rebuild_prompts
 
 LOG_NAME = re.compile(r"^(train|eval)_iter_(\d\d)\.jsonl$")
@@ -124,10 +125,11 @@ class TestRebuildMatchesTheRun:
 
 
 class _FirstReplyMalformed(PlannerBackend):
-    """Answers each episode's first prompt with a malformed reply, then replays."""
+    """Answers each episode's first prompt with an unusable reply, then replays."""
 
-    def __init__(self, seed):
+    def __init__(self, seed, reply="I would rather not."):
         self.inner = ReplayOracleBackend(seed=seed)
+        self.reply = reply
         self.first = False
 
     def begin_episode(self, *args):
@@ -137,14 +139,27 @@ class _FirstReplyMalformed(PlannerBackend):
     def complete(self, prompt, bundle):
         if self.first:
             self.first = False
-            return "I would rather not."
+            return self.reply
         return self.inner.complete(prompt, bundle)
 
 
 class TestRetryPrompts:
-    def test_retry_prompts_are_rebuilt_from_parse_failures(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "reply, failure",
+        [
+            ("I would rather not.", "bad-format:"),
+            ("Action: fly(x)", "unknown-verb: 'fly'"),
+            # A wall: parse_action accepts the cell, decompose rejects it.
+            ("Action: navigate(0,0)", "invalid-argument: cell (0, 0) is not walkable"),
+        ],
+        ids=["bad-format", "unknown-verb", "invalid-argument"],
+    )
+    def test_retry_prompts_are_rebuilt_from_parse_failures(
+        self, tmp_path, monkeypatch, reply, failure
+    ):
         monkeypatch.setattr(
-            driver_module, "build_backend", lambda config: _FirstReplyMalformed(config.seed)
+            driver_module, "build_backend",
+            lambda config: _FirstReplyMalformed(config.seed, reply),
         )
         out = tmp_path / "run"
         config = RunConfig(tasks="suite", iterations=2, early_stop=False, out=str(out))
@@ -152,7 +167,7 @@ class TestRetryPrompts:
         assert_rebuilds(out, captured)
         rebuilt = rebuild_prompts(out, "train", 2, "ball_to_table")
         assert [(p.step, p.attempt) for p in rebuilt[:2]] == [(0, 1), (0, 2)]
-        assert "Your previous reply was not usable (bad-format:" in rebuilt[1].text
+        assert f"Your previous reply was not usable ({failure}" in rebuilt[1].text
 
     def test_episodes_cut_short_by_the_step_budget_are_rebuilt(self, tmp_path, monkeypatch):
         out = tmp_path / "run"
@@ -173,6 +188,61 @@ class TestRetryPrompts:
                     cut_short += ran < len(e["low_level"])
                     before[e["task_id"]] = e["sim_steps"]
         assert cut_short
+
+
+class _FlakyEncoder:
+    """The run's hashing encoder, except that every ``every``-th call fails."""
+
+    def __init__(self, dimension, every):
+        self.inner = HashingEncoder(dimension)
+        self.dimension = dimension
+        self.every = every
+        self.calls = 0
+
+    def encode(self, text):
+        self.calls += 1
+        if self.calls % self.every == 0:
+            raise EncoderError(f"call {self.calls} timed out")
+        return self.inner.encode(text)
+
+
+class _FlakyBackend(PlannerBackend):
+    """The replay oracle, except that every ``every``-th reply fails."""
+
+    def __init__(self, seed, every):
+        self.inner = ReplayOracleBackend(seed=seed)
+        self.every = every
+        self.calls = 0
+
+    def begin_episode(self, *args):
+        self.inner.begin_episode(*args)
+
+    def complete(self, prompt, bundle):
+        self.calls += 1
+        if self.calls % self.every == 0:
+            raise BackendError(f"call {self.calls} timed out")
+        return self.inner.complete(prompt, bundle)
+
+
+class TestRemoteFailures:
+    @pytest.mark.parametrize(
+        "builder, flaky, event",
+        [
+            ("build_encoder", lambda config: _FlakyEncoder(config.dimension, 23), "encoder-error"),
+            ("build_backend", lambda config: _FlakyBackend(config.seed, 11), "backend-error"),
+        ],
+        ids=["encoder", "backend"],
+    )
+    def test_episodes_a_remote_ended_are_rebuilt(
+        self, tmp_path, monkeypatch, builder, flaky, event
+    ):
+        monkeypatch.setattr(driver_module, builder, flaky)
+        out = tmp_path / "run"
+        config = RunConfig(tasks="suite", iterations=3, early_stop=False, out=str(out))
+        captured = run_capturing(monkeypatch, config=config)
+        assert_rebuilds(out, captured)
+        logged = [e["event"] for path in out.glob("train_iter_*.jsonl") for e in read_events(path)]
+        assert event in logged
 
 
 class TestRebuildFailures:
@@ -222,6 +292,32 @@ class TestRebuildFailures:
         code, _, err = run_cli(
             capsys, "prompt", run_copy, "--phase", "train", "--iteration", 3,
             "--task", retrieval["task_id"],
+        )
+        assert code == 2
+        assert_one_error_line(err)
+        assert named in err
+
+    @pytest.mark.parametrize(
+        "reply, named",
+        [
+            (7, "train_iter_02.jsonl"),
+            # Still usable, so step 1 is prompted as logged, but from another scene.
+            ("Action: navigate(table_1)", "step 1 attempt 1: the rebuilt prompt's sha256"),
+        ],
+        ids=["not-text", "edited"],
+    )
+    def test_a_tampered_reply_exits_two(self, run_copy, capsys, reply, named):
+        log = run_copy / "train_iter_02.jsonl"
+        events = read_events(log)
+        completion = next(
+            e for e in events if e["event"] == "completion" and e["task_id"] == "ball_to_table"
+        )
+        assert (completion["step"], completion["text"]) == (0, "Action: pickup(ball_1)")
+        completion["text"] = reply
+        write_events(log, events)
+        code, _, err = run_cli(
+            capsys, "prompt", run_copy, "--phase", "train", "--iteration", 2,
+            "--task", "ball_to_table",
         )
         assert code == 2
         assert_one_error_line(err)
