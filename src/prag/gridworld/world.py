@@ -15,7 +15,7 @@ with the world it was taken from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,6 +94,20 @@ class ObjectState:
     position: Cell | None
     toggled: bool = False
     open: bool = False
+
+    # One constructor call each: ``dataclasses.replace`` reads every field
+    # by name and costs several times as much.
+    def moved(self, position: Cell | None) -> "ObjectState":
+        return ObjectState(
+            self.label, self.kind, self.landmark, self.container, self.toggleable,
+            self.openable, position, self.toggled, self.open,
+        )
+
+    def with_flags(self, toggled: bool, open: bool) -> "ObjectState":
+        return ObjectState(
+            self.label, self.kind, self.landmark, self.container, self.toggleable,
+            self.openable, self.position, toggled, open,
+        )
 
 
 def turn(heading: str, direction: str) -> str:
@@ -226,10 +240,10 @@ class World:
             self._stacks[obj.position] = stack
         else:
             del self._stacks[obj.position]
-        self.objects[label] = replace(obj, position=None)
+        self.objects[label] = obj.moved(None)
 
     def _place_in_cell(self, label: str, cell: Cell) -> None:
-        self.objects[label] = replace(self.objects[label], position=cell)
+        self.objects[label] = self.objects[label].moved(cell)
         self._stacks[cell] = self._stacks.get(cell, ()) + (label,)
 
     def apply_action(self, action: str) -> None:
@@ -269,19 +283,19 @@ class World:
             for label in self._stacks.get(self.faced_cell(), ()):
                 obj = self.objects[label]
                 if obj.toggleable:
-                    self.objects[label] = replace(obj, toggled=not obj.toggled)
+                    self.objects[label] = obj.with_flags(not obj.toggled, obj.open)
                     return
         elif action == "open":
             for label in self._stacks.get(self.faced_cell(), ()):
                 obj = self.objects[label]
                 if obj.openable:
-                    self.objects[label] = replace(obj, open=True)
+                    self.objects[label] = obj.with_flags(obj.toggled, True)
                     return
         elif action == "close":
             for label in self._stacks.get(self.faced_cell(), ()):
                 obj = self.objects[label]
                 if obj.openable:
-                    self.objects[label] = replace(obj, open=False)
+                    self.objects[label] = obj.with_flags(obj.toggled, False)
                     return
         else:
             raise ValueError(f"unknown low-level action: {action!r}")

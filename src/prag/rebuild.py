@@ -82,6 +82,11 @@ def _episode_events(log_path: Path, task_id: str) -> list[dict[str, Any]]:
                 event = json.loads(line.decode("utf-8"))
             except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
                 raise RebuildError(f"{log_path.name} line {lineno} is not JSON: {exc}") from exc
+            if not isinstance(event, dict):
+                raise RebuildError(
+                    f"{log_path.name} line {lineno} is not a JSON object:"
+                    f" {type(event).__name__}"
+                )
             if event.get("task_id") == task_id:
                 events.append(event)
     if not events:

@@ -323,6 +323,20 @@ class TestRebuildFailures:
         assert_one_error_line(err)
         assert named in err
 
+    def test_a_log_line_that_is_no_object_exits_two(self, run_copy, capsys):
+        log = run_copy / "train_iter_01.jsonl"
+        lines = log.read_text().splitlines(keepends=True)
+        lines[2] = "[1, 2]\n"
+        log.write_text("".join(lines))
+        code, stdout, err = run_cli(
+            capsys, "prompt", run_copy, "--phase", "train", "--iteration", 1,
+            "--task", "wash_mugs",
+        )
+        assert code == 2
+        assert stdout == ""
+        assert_one_error_line(err)
+        assert "train_iter_01.jsonl line 3 is not a JSON object" in err
+
     def test_the_wrong_checkpoint_exits_two(self, run_copy, tmp_path, capsys):
         eval_dir = tmp_path / "eval"
         code, _, _ = run_cli(

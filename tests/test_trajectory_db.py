@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prag import trajectory_db
 from prag.trajectory_db import (
     DatabaseFormatError,
     RetrievalQuery,
@@ -503,6 +504,155 @@ class TestUsedColumns:
         hits = db.retrieve_top_k(query, 1)
         assert [h.record.task_id for h in hits] == ["new"]
         assert hits[0].score == score(query, db.get("new")) > 1.0
+
+
+def count_vector(gen: np.random.Generator, dimension: int, columns: np.ndarray) -> np.ndarray:
+    """Small integer counts on a few of ``columns``; one vector in six is zero."""
+    vector = np.zeros(dimension)
+    if gen.integers(6):
+        picked = gen.choice(columns, int(gen.integers(1, min(4, columns.size) + 1)), replace=False)
+        vector[picked] = gen.integers(-2, 3, picked.size)
+    return vector
+
+
+def count_store(seed: int) -> tuple[TrajectoryDB, list[RetrievalQuery]]:
+    """Records of 1-12 integer-count steps over few columns, so exact ties
+    abound, with zero goals and zero steps; queries also put mass on
+    columns no stored vector uses."""
+    dimension = 48
+    gen = np.random.default_rng(seed)
+    goal_columns = gen.choice(dimension, 6, replace=False)
+    step_columns = gen.choice(dimension, 8, replace=False)
+    batches: dict[int, list[TaskRecord]] = {1: [], 2: [], 3: []}
+    for i in range(int(gen.integers(5, 30))):
+        steps = 1 + i % 12
+        iteration = int(gen.integers(1, 4))
+        batches[iteration].append(
+            TaskRecord(
+                task_id=f"t{i:02d}",
+                iteration=iteration,
+                goal_text="g",
+                goal_embedding=count_vector(gen, dimension, goal_columns),
+                obs_embeddings=[count_vector(gen, dimension, step_columns) for _ in range(steps)],
+                history=[("done()", "")] * steps,
+                done=False,
+            )
+        )
+    db = TrajectoryDB(dimension=dimension)
+    for batch in batches.values():
+        db.update_after_iteration(batch)
+    everywhere = np.arange(dimension)
+    queries = [
+        RetrievalQuery(
+            count_vector(gen, dimension, goal_columns if q % 2 else everywhere),
+            count_vector(gen, dimension, step_columns if q % 3 else everywhere),
+        )
+        for q in range(12)
+    ]
+    return db, queries
+
+
+class TestSeededRetrieval:
+    """Hits equal ``brute_force``: ids, order and the ``repr`` of each score."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_integer_count_stores_for_every_k(self, seed):
+        db, queries = count_store(seed)
+        assert {len(r.obs_embeddings) for r in db.records()} <= set(range(1, 13))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for query in queries:
+                for k in range(1, len(db) + 3):
+                    assert_reference_hits(db, query, k, db.retrieve_top_k(query, k))
+
+    def test_records_of_one_to_twelve_steps_find_their_best_step(self):
+        # Each record's matching step sits last, at a different depth.
+        dim = 16
+        unit = np.eye(dim)
+        records = [
+            TaskRecord(
+                task_id=f"steps_{n:02d}",
+                iteration=1,
+                goal_text="g",
+                goal_embedding=unit[0],
+                obs_embeddings=[unit[1]] * (n - 1) + [unit[1] + n * unit[2]],
+                history=[("done()", "")] * n,
+                done=False,
+            )
+            for n in range(1, 13)
+        ]
+        db = TrajectoryDB(dimension=dim)
+        db.update_after_iteration(records)
+        query = RetrievalQuery(unit[0], unit[2])
+        hits = db.retrieve_top_k(query, 12)
+        assert [h.record.task_id for h in hits] == [f"steps_{n:02d}" for n in range(12, 0, -1)]
+        assert_reference_hits(db, query, 12, hits)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_steps_tied_up_to_rounding_keep_the_reference_best(self, seed):
+        # Multiples of one vector have equal cosines in exact arithmetic, so
+        # rounding alone picks the best step, and the scan's rounding can
+        # pick another one than ``cosine``'s.
+        dim = 24
+        gen = np.random.default_rng(seed)
+        records = []
+        for i in range(20):
+            step = gen.uniform(-1, 1, dim)
+            records.append(
+                TaskRecord(
+                    task_id=f"t{i:02d}",
+                    iteration=1,
+                    goal_text="g",
+                    goal_embedding=gen.uniform(-1, 1, dim),
+                    obs_embeddings=[step * scale for scale in gen.uniform(0.1, 10.0, 12)],
+                    history=[("done()", "")] * 12,
+                    done=False,
+                )
+            )
+        db = TrajectoryDB(dimension=dim)
+        db.update_after_iteration(records)
+        for _ in range(3):
+            query = RetrievalQuery(gen.uniform(-1, 1, dim), gen.uniform(-1, 1, dim))
+            assert_reference_hits(db, query, len(db), db.retrieve_top_k(query, len(db)))
+
+    def test_a_repeated_query_returns_equal_hits(self):
+        db, queries = count_store(3)
+        first = db.retrieve_top_k(queries[0], 4)
+        first_hits = [(h.record, repr(h.score)) for h in first]
+        first.clear()  # the caller's list is its own
+        again = RetrievalQuery(queries[0].goal_embedding.copy(), queries[0].obs_embedding.copy())
+        assert [(h.record, repr(h.score)) for h in db.retrieve_top_k(again, 4)] == first_hits
+        assert len(db.retrieve_top_k(again, 1)) == 1
+        assert_reference_hits(db, again, 4, db.retrieve_top_k(again, 4))
+
+    def test_a_query_repeated_after_an_update_sees_the_new_store(self):
+        db, queries = count_store(5)
+        query = next(q for q in queries if q.goal_embedding.any() and q.obs_embedding.any())
+        assert "exact" not in [h.record.task_id for h in db.retrieve_top_k(query, 3)]
+        # A perfect match from a later iteration than any stored record.
+        exact = TaskRecord(
+            task_id="exact",
+            iteration=4,
+            goal_text="g",
+            goal_embedding=query.goal_embedding,
+            obs_embeddings=[query.obs_embedding],
+            history=[("done()", "")],
+            done=False,
+        )
+        db.update_after_iteration([exact])
+        hits = db.retrieve_top_k(query, 3)
+        assert hits[0].record is exact
+        assert_reference_hits(db, query, 3, hits)
+
+    def test_the_memo_forgets_its_oldest_query(self, monkeypatch):
+        monkeypatch.setattr(trajectory_db, "_QUERY_MEMO_LIMIT", 2)
+        db, queries = count_store(7)
+        by_bytes = {(q.goal_embedding.tobytes(), q.obs_embedding.tobytes()): q for q in queries}
+        distinct = list(by_bytes.values())[:3]
+        assert len(distinct) == 3
+        for query in distinct + distinct:
+            assert_reference_hits(db, query, 2, db.retrieve_top_k(query, 2))
+            assert len(db._index.memo) <= 2
 
 
 class TestUpdatePolicy:
