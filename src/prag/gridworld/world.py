@@ -95,18 +95,13 @@ class ObjectState:
     toggled: bool = False
     open: bool = False
 
-    # One constructor call each: ``dataclasses.replace`` reads every field
-    # by name and costs several times as much.
-    def moved(self, position: Cell | None) -> "ObjectState":
+    # One constructor call: ``dataclasses.replace`` reads every field by
+    # name and costs several times as much.
+    def changed(self, position: Cell | None, toggled: bool, open: bool) -> "ObjectState":
+        """This object with its mutable fields set to the given values."""
         return ObjectState(
             self.label, self.kind, self.landmark, self.container, self.toggleable,
-            self.openable, position, self.toggled, self.open,
-        )
-
-    def with_flags(self, toggled: bool, open: bool) -> "ObjectState":
-        return ObjectState(
-            self.label, self.kind, self.landmark, self.container, self.toggleable,
-            self.openable, self.position, toggled, open,
+            self.openable, position, toggled, open,
         )
 
 
@@ -240,10 +235,11 @@ class World:
             self._stacks[obj.position] = stack
         else:
             del self._stacks[obj.position]
-        self.objects[label] = obj.moved(None)
+        self.objects[label] = obj.changed(None, obj.toggled, obj.open)
 
     def _place_in_cell(self, label: str, cell: Cell) -> None:
-        self.objects[label] = self.objects[label].moved(cell)
+        obj = self.objects[label]
+        self.objects[label] = obj.changed(cell, obj.toggled, obj.open)
         self._stacks[cell] = self._stacks.get(cell, ()) + (label,)
 
     def apply_action(self, action: str) -> None:
@@ -283,19 +279,19 @@ class World:
             for label in self._stacks.get(self.faced_cell(), ()):
                 obj = self.objects[label]
                 if obj.toggleable:
-                    self.objects[label] = obj.with_flags(not obj.toggled, obj.open)
+                    self.objects[label] = obj.changed(obj.position, not obj.toggled, obj.open)
                     return
         elif action == "open":
             for label in self._stacks.get(self.faced_cell(), ()):
                 obj = self.objects[label]
                 if obj.openable:
-                    self.objects[label] = obj.with_flags(obj.toggled, True)
+                    self.objects[label] = obj.changed(obj.position, obj.toggled, True)
                     return
         elif action == "close":
             for label in self._stacks.get(self.faced_cell(), ()):
                 obj = self.objects[label]
                 if obj.openable:
-                    self.objects[label] = obj.with_flags(obj.toggled, False)
+                    self.objects[label] = obj.changed(obj.position, obj.toggled, False)
                     return
         else:
             raise ValueError(f"unknown low-level action: {action!r}")

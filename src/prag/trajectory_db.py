@@ -11,24 +11,22 @@ with ties broken toward the more recent iteration, then lexicographic task
 id. ``score`` computes this for one record and is the reference.
 ``retrieve_top_k`` scans all records at once, in the style of an exact
 inner-product index: a goal matrix with one row per record (in task id
-order), an observation matrix stacking the records' step matrices, and a
-``(longest record, records)`` table of each record's step rows, padded
-past its last step. Each matrix keeps only the columns that some stored
-vector uses: hashed scene texts fill a few dozen of 384, so a query reads
-a small fraction of the store, while a dense store keeps every column and
-scans them all. Each row is stored scaled by its vector's inverse norm,
-which the index computes once by the expression ``cosine`` uses (a vector
-of norm 0 becomes a zero row). A query computes its own two norms once; one
-matrix-vector product per matrix with the query divided by its norm gives
-every cosine, and the column maximum of the padded table, whose padding
-scores ``-inf``, gives each record's best step. The records within
-rounding distance of the k-th best, usually just k, are then re-scored
-exactly: one full-width dot for the goal and for each step within rounding
-distance of the record's best, divided by the cached norms through
-``cosine_from_parts``, which is ``cosine``'s own arithmetic, so hits carry
-``score``'s values bit for bit and sort in its tie order. The index is
-built on the first retrieval after the store changes, and it answers a
-query among its last few (equal vectors and k) from a memo.
+order), an observation matrix stacking the records' step matrices, and the
+offsets where each record's steps begin. Each matrix keeps only the columns
+that some stored vector uses: hashed scene texts fill a few dozen of 384, so
+a query reads a small fraction of the store, while a dense store keeps every
+column and scans them all. Each row is stored scaled by its vector's inverse
+norm, which the index computes once by the expression ``cosine`` uses (a
+vector of norm 0 becomes a zero row). A query computes its own two norms
+once; one matrix-vector product per matrix with the query divided by its
+norm gives every cosine, and ``np.maximum.reduceat`` keeps each record's
+best step. The records within rounding distance of the k-th best, usually
+just k, are then re-scored exactly: one full-width dot for the goal and for
+each step within rounding distance of the record's best, divided by the
+cached norms through ``cosine_from_parts``, which is ``cosine``'s own
+arithmetic, so hits carry ``score``'s values bit for bit and sort in its
+tie order. The matrices and norms are built on the first retrieval after
+the store changes.
 
 The store is a single line-delimited JSON file with a header line, so a
 checkpoint can be inspected with standard shell tools. ``load`` reads each
@@ -369,13 +367,6 @@ def score(query: RetrievalQuery, record: TaskRecord) -> float:
 # the reference. Rounding moves a score by about 1e-13 at most.
 _CANDIDATE_MARGIN = 1e-9
 
-# Queries one index remembers; past this, the oldest is forgotten. A query
-# repeats when a scene recurs within an episode, a few steps later, so a
-# short memo keeps nearly every repeat (361 of 379 in a household benchmark
-# run, 60 of 60 in a large-store one) while its keys, both query vectors,
-# stay near 100 KB at the default dimension.
-_QUERY_MEMO_LIMIT = 16
-
 
 class _UsedColumns:
     """Stored vectors as unit rows, cut to the columns any of them uses.
@@ -403,71 +394,42 @@ class _UsedColumns:
         inverse = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms != 0.0)
         self.matrix *= inverse[:, np.newaxis]
 
-    def cosines(self, vector: np.ndarray, norm: float, out: np.ndarray) -> np.ndarray:
-        """Cosine of each row with ``vector`` of norm ``norm``, written to ``out``.
-
-        Zero vectors give 0. The query's norm is over all its entries: its
-        mass on dropped columns adds nothing to the dots but still scales
-        every cosine.
-        """
+    def cosines(self, vector: np.ndarray, norm: float) -> np.ndarray:
+        """Cosine of each row with ``vector`` of norm ``norm``; zero vectors give 0."""
         if norm == 0.0:
-            out[:] = 0.0
-            return out
-        return np.matmul(self.matrix, vector[self.columns] / norm, out=out)
+            return np.zeros(len(self.matrix))
+        # The query's norm is over all its entries: its mass on dropped
+        # columns adds nothing to the dots but still scales every cosine.
+        return self.matrix @ (vector[self.columns] / norm)
 
 
 class _MatrixIndex:
-    """Every record's vectors in two column-trimmed matrices, in task id order.
-
-    ``step_rows[t, i]`` is the row of record i's step t, or, past its last
-    step, the row after the last, whose cosine a query sets to ``-inf``:
-    the column maximum is then each record's best step. The index
-    remembers the hits of each query it answered, keyed by both query
-    vectors and k; it is rebuilt whenever the store changes.
-    """
+    """Every record's vectors in two column-trimmed matrices, in task id order."""
 
     def __init__(self, records: list[TaskRecord]):
         self.records = records
         self.goals = _UsedColumns([r.goal_embedding[np.newaxis] for r in records])
         self.observations = _UsedColumns([r.obs_embeddings for r in records])
-        lengths = np.array([len(r.obs_embeddings) for r in records])
-        steps = np.arange(lengths.max())[:, np.newaxis]
-        self.step_rows = np.where(
-            steps < lengths, self.observations.starts + steps, len(self.observations.matrix)
-        )
-        self.memo: dict[tuple[bytes, bytes, int], list[RetrievalHit]] = {}
 
     def top_k(self, query: RetrievalQuery, k: int) -> list[RetrievalHit]:
-        key = (query.goal_embedding.tobytes(), query.obs_embedding.tobytes(), k)
-        hits = self.memo.get(key)
-        if hits is None:
-            hits = self._scan(query.goal_embedding, query.obs_embedding, k)
-            if len(self.memo) >= _QUERY_MEMO_LIMIT:
-                del self.memo[next(iter(self.memo))]
-            self.memo[key] = hits
-        return list(hits)
-
-    def _scan(self, goal: np.ndarray, obs: np.ndarray, k: int) -> list[RetrievalHit]:
+        goal, obs = query.goal_embedding, query.obs_embedding
         goal_norm, obs_norm = vector_norm(goal), vector_norm(obs)
-        step_terms = np.empty(len(self.observations.matrix) + 1)
-        step_terms[-1] = -np.inf
-        self.observations.cosines(obs, obs_norm, step_terms[:-1])
-        best_steps = step_terms[self.step_rows].max(axis=0)
-        scores = self.goals.cosines(goal, goal_norm, np.empty(len(self.records)))
-        scores += best_steps
+        starts = self.observations.starts
+        step_terms = self.observations.cosines(obs, obs_norm)
+        best_steps = np.maximum.reduceat(step_terms, starts)
+        scores = self.goals.cosines(goal, goal_norm) + best_steps
         cut = max(scores.size - k, 0)
         kth_best = np.partition(scores, cut)[cut]
-        candidates = np.flatnonzero(scores >= kth_best - _CANDIDATE_MARGIN)
-        # A candidate's steps near its best: the best by ``cosine`` is among them.
-        near = step_terms[self.step_rows[:, candidates]] >= (
-            best_steps[candidates] - _CANDIDATE_MARGIN
-        )
         step_norms = self.observations.norms
         hits = []
-        for i, near_steps in zip(candidates.tolist(), near.T.tolist()):
-            # ``score(query, record)``, from the cached norms.
+        for i in np.flatnonzero(scores >= kth_best - _CANDIDATE_MARGIN).tolist():
+            # ``score(query, record)``, from the cached norms. The best step
+            # by ``cosine`` is among those near the best scan cosine.
             record = self.records[i]
-            start = int(self.observations.starts[i])
+            start = int(starts[i])
+            near = step_terms[start : start + len(record.obs_embeddings)] >= (
+                best_steps[i] - _CANDIDATE_MARGIN
+            )
             goal_term = cosine_from_parts(
                 float(np.dot(goal, record.goal_embedding)), goal_norm, self.goals.norms[i]
             )
@@ -475,8 +437,7 @@ class _MatrixIndex:
                 cosine_from_parts(
                     float(np.dot(obs, record.obs_embeddings[t])), obs_norm, step_norms[start + t]
                 )
-                for t, is_near in enumerate(near_steps)
-                if is_near
+                for t in np.flatnonzero(near).tolist()
             )
             hits.append(RetrievalHit(score=goal_term + obs_term, record=record))
         hits.sort(key=lambda h: (-h.score, -h.record.iteration, h.record.task_id))
@@ -544,8 +505,7 @@ class TrajectoryDB:
 
         Ordering: score descending, then iteration descending, then task id
         ascending. Returns fewer than k hits when the database is smaller.
-        Hit scores are the values ``score`` returns. A query asked again
-        before the store changes is answered from the index's memo.
+        Hit scores are the values ``score`` returns.
         """
         if k < 1:
             raise ValueError(f"k must be positive, got {k}")

@@ -252,17 +252,17 @@ class TestObservation:
             world.objects["ball_1"].position = (2, 2)
 
     def test_state_changes_equal_dataclasses_replace(self):
-        # ``moved`` and ``with_flags`` pass every field by position; a new
-        # field must be added to them too.
+        # ``changed`` passes every field by position; a new field must be
+        # added to it too.
         assert [f.name for f in dataclasses.fields(ObjectState)] == [
             "label", "kind", "landmark", "container", "toggleable", "openable",
             "position", "toggled", "open",
         ]
         state = ObjectState("box_1", "box", True, True, True, True, (2, 3), True, True)
-        assert state.moved(None) == dataclasses.replace(state, position=None)
-        assert state.moved((4, 1)) == dataclasses.replace(state, position=(4, 1))
-        assert state.with_flags(False, True) == dataclasses.replace(state, toggled=False)
-        assert state.with_flags(True, False) == dataclasses.replace(state, open=False)
+        assert state.changed(None, True, True) == dataclasses.replace(state, position=None)
+        assert state.changed((4, 1), True, True) == dataclasses.replace(state, position=(4, 1))
+        assert state.changed((2, 3), False, True) == dataclasses.replace(state, toggled=False)
+        assert state.changed((2, 3), True, False) == dataclasses.replace(state, open=False)
 
     def test_a_primitive_replaces_only_what_it_changes(self):
         # Agent at (2,4) facing north; the mug is two cells ahead, the sink

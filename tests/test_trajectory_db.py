@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prag import trajectory_db
 from prag.trajectory_db import (
     DatabaseFormatError,
     RetrievalQuery,
@@ -643,16 +642,6 @@ class TestSeededRetrieval:
         hits = db.retrieve_top_k(query, 3)
         assert hits[0].record is exact
         assert_reference_hits(db, query, 3, hits)
-
-    def test_the_memo_forgets_its_oldest_query(self, monkeypatch):
-        monkeypatch.setattr(trajectory_db, "_QUERY_MEMO_LIMIT", 2)
-        db, queries = count_store(7)
-        by_bytes = {(q.goal_embedding.tobytes(), q.obs_embedding.tobytes()): q for q in queries}
-        distinct = list(by_bytes.values())[:3]
-        assert len(distinct) == 3
-        for query in distinct + distinct:
-            assert_reference_hits(db, query, 2, db.retrieve_top_k(query, 2))
-            assert len(db._index.memo) <= 2
 
 
 class TestUpdatePolicy:
