@@ -5,11 +5,13 @@ episode against the current database, and all records produced in that
 iteration are committed together afterwards, so episodes within an iteration
 never see each other. Two modes exist: ``self-iter`` iterates one task set,
 ``train-eval`` additionally runs a frozen evaluation pass (no database
-updates) on a held-out task set after training.
+updates) on a held-out task set after training. ``run_eval`` runs that eval
+pass alone, over ``tasks``, against a given store.
 
-Every task of both task sets is solved once, before the first pass, so a
-task the solver rejects stops the run before any episode starts. The run
-keeps each set's optima and hands every episode its task's optimum.
+Both go through one set-up, ``_set_up``: it loads and solves every task of
+every pass before ``run_config.json`` is written, so a task the solver
+rejects stops the run before any file or episode. ``task_source`` alone says
+which task source a pass runs; ``prag prompt`` asks it too.
 
 A run directory starts with ``run_config.json``. Each iteration writes a
 database checkpoint ``db_iter_NN.jsonl``, a report ``report_iter_NN.json``,
@@ -247,16 +249,18 @@ def build_backend(config: RunConfig) -> PlannerBackend:
 
 def load_tasks(source: str) -> list[Task]:
     """Resolve a task source: the literal name "suite" or a directory path."""
-    if source == "suite":
-        return bundled_suite()
-    return load_task_dir(source)
-
-
-def _load_tasks_or_fail(source: str) -> list[Task]:
     try:
-        return load_tasks(source)
+        return bundled_suite() if source == "suite" else load_task_dir(source)
     except OSError as exc:
         raise ConfigError(f"cannot load tasks from {source!r}: {exc}") from exc
+
+
+def task_source(config: RunConfig, phase: str) -> str:
+    """The task source a ``phase`` pass runs: ``eval_tasks`` for a train-eval eval pass."""
+    if phase == "eval" and config.mode == "train-eval":
+        assert config.eval_tasks is not None
+        return config.eval_tasks
+    return config.tasks
 
 
 def _solve_all(tasks: list[Task]) -> list[int]:
@@ -381,32 +385,66 @@ def format_summary(reports: list[IterationReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
+@dataclass(frozen=True)
+class _Run:
+    """What every pass of one run shares, set up once by ``_set_up``."""
+
+    config: RunConfig
+    encoder: Encoder
+    backend: PlannerBackend
+    passes: dict[str, tuple[list[Task], list[int]]]  # phase -> its tasks and their optima
+    out_dir: Path | None
+
+    def run_pass(
+        self, db: TrajectoryDB, phase: str, iteration: int, db_path: str | None = None
+    ) -> IterationReport:
+        tasks, optima = self.passes[phase]
+        return run_pass(
+            tasks, db, self.backend, self.encoder, self.config, optima=optima,
+            iteration=iteration, phase=phase, out_dir=self.out_dir, db_path=db_path,
+        )
+
+    def eval_pass(
+        self, db: TrajectoryDB, iteration: int, db_path: str | None = None
+    ) -> IterationReport:
+        report = self.run_pass(db, "eval", iteration, db_path)
+        if self.out_dir is not None:
+            _write_report(report, self.out_dir / "report_eval.json")
+        return report
+
+
+def _set_up(
+    config: RunConfig, phases: tuple[str, ...], out: str | Path | None, store_dimension: int | None
+) -> _Run:
+    """Validate, build, load and solve what the ``phases`` passes need, then write the config."""
+    config.validate()
+    if config.mode == "train-eval" and "train" not in phases:
+        raise ConfigError("a frozen eval pass runs tasks under mode 'self-iter', not 'train-eval'")
+    encoder = build_encoder(config)
+    if store_dimension is not None and store_dimension != encoder.dimension:
+        raise ConfigError(
+            f"database dimension {store_dimension} does not match encoder dimension"
+            f" {encoder.dimension}"
+        )
+    backend = build_backend(config)
+    tasks = [load_tasks(task_source(config, phase)) for phase in phases]
+    passes = dict(zip(phases, [(ts, _solve_all(ts)) for ts in tasks]))
+    out_dir = None if out is None else Path(out)
+    if out_dir is not None:
+        write_run_config(config, out_dir)
+    return _Run(config, encoder, backend, passes, out_dir)
+
+
 def run_iterations(config: RunConfig) -> list[IterationReport]:
     """Execute a full run per the configuration. Returns all reports."""
-    config.validate()
-    encoder = build_encoder(config)
-    backend = build_backend(config)
-    tasks = _load_tasks_or_fail(config.tasks)
-    eval_tasks: list[Task] = []
-    if config.mode == "train-eval":
-        assert config.eval_tasks is not None
-        eval_tasks = _load_tasks_or_fail(config.eval_tasks)
-    optima = _solve_all(tasks)
-    eval_optima = _solve_all(eval_tasks)
-
-    out_dir = None
-    if config.out is not None:
-        out_dir = Path(config.out)
-        write_run_config(config, out_dir)
-
-    db = TrajectoryDB(dimension=encoder.dimension)
+    phases = ("train", "eval") if config.mode == "train-eval" else ("train",)
+    run = _set_up(config, phases, config.out, None)
+    out_dir = run.out_dir
+    db = TrajectoryDB(dimension=run.encoder.dimension)
     reports: list[IterationReport] = []
     previous_vector: dict[str, bool] | None = None
     for iteration in range(1, config.iterations + 1):
-        report = run_pass(
-            tasks, db, backend, encoder, config, optima=optima, iteration=iteration,
-            out_dir=out_dir,
-        )
+        report = run.run_pass(db, "train", iteration)
         reports.append(report)
         if out_dir is not None:
             db.save(out_dir / f"db_iter_{iteration:02d}.jsonl")
@@ -415,21 +453,8 @@ def run_iterations(config: RunConfig) -> list[IterationReport]:
             break
         previous_vector = report.done_vector
 
-    if config.mode == "train-eval":
-        eval_report = run_pass(
-            eval_tasks,
-            db,
-            backend,
-            encoder,
-            config,
-            optima=eval_optima,
-            iteration=reports[-1].iteration,
-            phase="eval",
-            out_dir=out_dir,
-        )
-        reports.append(eval_report)
-        if out_dir is not None:
-            _write_report(eval_report, out_dir / "report_eval.json")
+    if "eval" in phases:
+        reports.append(run.eval_pass(db, reports[-1].iteration))
 
     if out_dir is not None:
         # The eval pass never changes the store, so the final store is the
@@ -449,28 +474,11 @@ def run_eval(
     out_dir: Path | None = None,
     db_path: str | None = None,
 ) -> IterationReport:
-    """Frozen evaluation pass against an existing database.
+    """Frozen evaluation pass of ``tasks`` against an existing database.
 
-    With ``out_dir``, the configuration, the pass's event log and its report
-    are written there; ``db_path`` names the file ``db`` was loaded from in
-    every ``episode-start`` event, so ``prag prompt`` can find the store.
+    A ``train-eval`` configuration is refused. With ``out_dir``, the
+    configuration, the pass's event log and its report are written there;
+    ``db_path`` names the file ``db`` was loaded from in every
+    ``episode-start`` event, so ``prag prompt`` can find the store.
     """
-    config.validate()
-    encoder = build_encoder(config)
-    if db.dimension is not None and db.dimension != encoder.dimension:
-        raise ConfigError(
-            f"database dimension {db.dimension} does not match encoder dimension"
-            f" {encoder.dimension}"
-        )
-    backend = build_backend(config)
-    tasks = _load_tasks_or_fail(config.tasks)
-    optima = _solve_all(tasks)
-    if out_dir is not None:
-        write_run_config(config, out_dir)
-    report = run_pass(
-        tasks, db, backend, encoder, config, optima=optima, iteration=1, phase="eval",
-        out_dir=out_dir, db_path=db_path,
-    )
-    if out_dir is not None:
-        _write_report(report, out_dir / "report_eval.json")
-    return report
+    return _set_up(config, ("eval",), out_dir, db.dimension).eval_pass(db, 1, db_path)

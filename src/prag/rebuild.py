@@ -3,7 +3,7 @@
 A run directory's event log keeps each prompt only as its sha256 and size.
 Every prompt is a function of inputs the directory already holds:
 
-- the task, from the task source in ``run_config.json``;
+- the task, from the task source ``driver.task_source`` names for the pass;
 - the backend's replies, from the ``completion`` events;
 - the retrieved hits, from the ``retrieval`` events, each looked up by task
   id in the store that pass read. That is ``db_iter_{N-1}.jsonl`` for train
@@ -30,7 +30,7 @@ from typing import Any
 
 from .agent import run_episode
 from .backends import ScriptedReplyBackend
-from .driver import RunConfig, load_tasks, read_run_config
+from .driver import RunConfig, load_tasks, read_run_config, task_source
 from .embedding import HashingEncoder
 from .gridworld.tasks import Task
 from .trajectory_db import RetrievalHit, RetrievalQuery, TrajectoryDB
@@ -64,9 +64,10 @@ def rebuild_prompts(
     if not log_path.is_file():
         raise RebuildError(f"{run_dir} has no {phase} pass {iteration} ({log_path.name})")
     events = _episode_events(log_path, task_id)
-    source = config.eval_tasks if phase == "eval" and config.mode == "train-eval" else config.tasks
-    assert source is not None
-    task = _find_task(source, task_id)
+    source = task_source(config, phase)
+    task = next((t for t in load_tasks(source) if t.id == task_id), None)
+    if task is None:
+        raise RebuildError(f"task source {source!r} has no task {task_id!r}")
     try:
         db = _pass_store(run_dir, phase, iteration, events[0])
         return _replay(task, events, db, config)
@@ -94,17 +95,6 @@ def _episode_events(log_path: Path, task_id: str) -> list[dict[str, Any]]:
     if events[0].get("event") != "episode-start":
         raise RebuildError(f"{log_path.name}: the episode of {task_id!r} has no episode-start")
     return events
-
-
-def _find_task(source: str, task_id: str) -> Task:
-    try:
-        tasks = load_tasks(source)
-    except OSError as exc:
-        raise RebuildError(f"cannot load tasks from {source!r}: {exc}") from exc
-    for task in tasks:
-        if task.id == task_id:
-            return task
-    raise RebuildError(f"task source {source!r} has no task {task_id!r}")
 
 
 def _pass_store(

@@ -209,9 +209,17 @@ class TestRunCommand:
         ],
         ids=["unsolvable", "out-of-model", "portable-target"],
     )
+    @pytest.mark.parametrize("command", ["run", "eval"])
     def test_task_the_solver_rejects_exits_two_before_its_episode(
-        self, capsys, monkeypatch, task_dir, tmp_path, task_id, text, message
+        self, capsys, monkeypatch, task_dir, tmp_path, task_id, text, message, command
     ):
+        argv = ["--iterations", "1"]
+        phase = "train"
+        if command == "eval":
+            store_run = tmp_path / "store_run"
+            assert run_cli(capsys, "run", "--tasks", str(task_dir), "--out", str(store_run))[0] == 0
+            argv = ["--db", str(store_run / "db.jsonl")]
+            phase = "eval"
         (task_dir / f"{task_id}.yaml").write_text(text)
         calls = []
         for name in ("begin_episode", "complete"):
@@ -220,16 +228,18 @@ class TestRunCommand:
             )
         out_dir = tmp_path / "run_out"
         code, _, err = run_cli(
-            capsys, "run", "--tasks", str(task_dir), "--iterations", "1", "--out", str(out_dir)
+            capsys, command, "--tasks", str(task_dir), *argv, "--out", str(out_dir)
         )
         assert code == 2
         assert err.startswith(message)
         assert len(err.splitlines()) == 1
         # Every task is solved before the first episode, so whatever the load
-        # order, no episode started and no log was opened.
+        # order, no episode started and no file was written.
         assert calls == []
-        assert not (out_dir / "train_iter_01.jsonl").exists()
+        assert not (out_dir / f"{phase}_iter_01.jsonl").exists()
         assert not (out_dir / "report_iter_01.json").exists()
+        assert not (out_dir / "report_eval.json").exists()
+        assert not (out_dir / "run_config.json").exists()
 
     def test_unknown_backend_is_an_argparse_error(self, task_dir):
         with pytest.raises(SystemExit) as info:
@@ -263,6 +273,31 @@ class TestEvalCommand:
         assert code == 0
         assert "eval" in out
         assert "1.000" in out
+
+    def test_a_train_eval_config_exits_two_and_writes_nothing(self, capsys, task_dir, tmp_path):
+        # A frozen pass runs ``tasks``; recording mode train-eval would send
+        # ``prag prompt --phase eval`` to ``eval_tasks`` for its task.
+        run_dir = tmp_path / "train_out"
+        code, _, _ = run_cli(
+            capsys, "run", "--tasks", str(task_dir), "--iterations", "2", "--out", str(run_dir)
+        )
+        assert code == 0
+        held_out = tmp_path / "held_out"
+        held_out.mkdir()
+        (held_out / "easy_ball.yaml").write_text(TASK_A)
+        config = tmp_path / "eval.yaml"
+        config.write_text(f"mode: train-eval\ntasks: {task_dir}\neval_tasks: {held_out}\n")
+        out_dir = tmp_path / "eval_out"
+        code, out, err = run_cli(
+            capsys,
+            "eval", "--config", str(config), "--db", str(run_dir / "db.jsonl"),
+            "--out", str(out_dir),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: a frozen eval pass runs tasks under mode 'self-iter'")
+        assert len(err.splitlines()) == 1
+        assert not out_dir.exists()
 
     def test_eval_missing_db_exits_nonzero(self, capsys, task_dir, tmp_path):
         code, _, err = run_cli(
@@ -534,6 +569,16 @@ class TestOutputPin:
         "report_eval.json": "37c79bbd90459594b9b4bc53eddb0202b95b64a6f8cb51f12a8c8e7492dd6cda",
         "db.jsonl": "9d8c38660b3c049cc895e47f2009d1c3f4a1b8aad441c6971f6d490a87e41a92",
         "summary.txt": "b12d82210faa300149e22daba59e6c2b858d680792f305acf9e8b9f777cdd718",
+        # The checkpoints, and the event logs as they record decisions.
+        "db_iter_01.jsonl": "c7ac9a64f691a54db6f31ec28dea217c92051f0abe4727d81bbc118b2eb0ba9e",
+        "db_iter_02.jsonl": "b7be03d64fd4ad385ed241d010888246e8e91b9f9ba8414e34909de2a9ac450c",
+        "db_iter_03.jsonl": "d07230229e9e6d56bbd806a8955d0b1501990ea5cb7d1959b8b773f3fdb4bd2d",
+        "db_iter_04.jsonl": "9d8c38660b3c049cc895e47f2009d1c3f4a1b8aad441c6971f6d490a87e41a92",
+        "train_iter_01.jsonl": "2e3fc99b0afcc860f12de0d185b063742b2b28d49fa25c139f16877459c838ea",
+        "train_iter_02.jsonl": "0b32ce84c1f35cc1ff275013993a35ae9532abc92ced7ee597d33478050887c2",
+        "train_iter_03.jsonl": "bd90f28823d35620216a5ef5a72cb6a8f5363e1deb624154644f36c3e9d7d05f",
+        "train_iter_04.jsonl": "ce83deb64fbe9fe006c3439bd39b0a73a252e401bb2360f1aea3658117c2f50e",
+        "eval_iter_04.jsonl": "7660320894e1b5d7487856a5e9330ea0fccbeef9918fe8d56c96ea24b2259de1",
     }
 
     def test_train_eval_run_of_the_suite_keeps_its_bytes(self, capsys, tmp_path):
