@@ -31,6 +31,13 @@ built at the episode's first decomposition holds for the whole episode, and
 a distance field depends only on its source, the agent's cell: each field
 is grown once per source cell per episode. A direct call without a memo
 starts an empty one.
+
+Prompt text is shared the same way: run_episode owns one ExperienceMemo and
+plan_step hands it to build_prompt. The store is frozen for a pass, so a
+record retrieved at many steps is rendered once per episode, and each later
+prompt formats only its ``[i] done=`` header. The memo dies with the
+episode; nothing is cached on a record or in the module. A direct call
+without a memo starts an empty one.
 """
 
 from __future__ import annotations
@@ -59,6 +66,7 @@ from .nav import (
 )
 from .prompting import (
     DEFAULT_HISTORY_LIMIT,
+    ExperienceMemo,
     HighLevelAction,
     ParseFailure,
     PromptBundle,
@@ -228,15 +236,16 @@ def plan_step(
     max_retries: int = DEFAULT_MAX_RETRIES,
     log: LogFn = _no_log,
     nav: NavigationMemo | None = None,
+    experience_memo: ExperienceMemo | None = None,
 ) -> tuple[HighLevelAction, Decomposition]:
     """Obtain one executable action, retrying bad replies with feedback.
 
     Parse failures and decomposition failures share the same retry budget.
     Raises PlannerFailure once max_retries + 1 replies were all unusable;
     BackendError propagates to the caller untouched. ``nav`` is passed to
-    every decompose call. Every attempt hands the backend ``bundle``, the
-    bundle the step's prompt was rendered from; ``step`` is the step index
-    the events carry.
+    every decompose call, ``experience_memo`` to ``build_prompt``. Every
+    attempt hands the backend ``bundle``, the bundle the step's prompt was
+    rendered from; ``step`` is the step index the events carry.
 
     Each attempt passes ``log`` a ``prompt`` event with the whole prompt
     text, a ``completion`` event with the reply, and, for an unusable reply,
@@ -247,7 +256,7 @@ def plan_step(
     """
     if max_retries < 0:
         raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-    base_prompt = build_prompt(bundle)
+    base_prompt = build_prompt(bundle, experience_memo)
     prompt = base_prompt
     failures: list[ParseFailure] = []
     for _attempt in range(max_retries + 1):
@@ -340,6 +349,7 @@ def run_episode(
     goal_embedding: np.ndarray | None = None
     scene_text = render_text(extract(world))
     nav = NavigationMemo()
+    experience_memo: ExperienceMemo = {}
 
     for step_index in range(sim.max_steps):
         if done:
@@ -362,6 +372,7 @@ def run_episode(
             action, decomposition = plan_step(
                 backend, bundle, world, step_index,
                 max_retries=max_retries, log=log, nav=nav,
+                experience_memo=experience_memo,
             )
         except PlannerFailure as exc:
             failure = "planner-failure"

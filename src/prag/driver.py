@@ -10,7 +10,8 @@ pass alone, over ``tasks``, against a given store.
 
 Both go through one set-up, ``_set_up``: it loads and solves every task of
 every pass before ``run_config.json`` is written, so a task the solver
-rejects stops the run before any file or episode. ``task_source`` alone says
+rejects stops the run before any file or episode. Passes that name the same
+source share one loaded and solved task list. ``task_source`` alone says
 which task source a pass runs; ``prag prompt`` asks it too.
 
 A run directory starts with ``run_config.json``. Each iteration writes a
@@ -427,8 +428,11 @@ def _set_up(
             f" {encoder.dimension}"
         )
     backend = build_backend(config)
-    tasks = [load_tasks(task_source(config, phase)) for phase in phases]
-    passes = dict(zip(phases, [(ts, _solve_all(ts)) for ts in tasks]))
+    # Passes that name one source share its tasks: each is loaded and solved once.
+    sources = {phase: task_source(config, phase) for phase in phases}
+    loaded = {source: load_tasks(source) for source in dict.fromkeys(sources.values())}
+    solved = {source: (tasks, _solve_all(tasks)) for source, tasks in loaded.items()}
+    passes = {phase: solved[source] for phase, source in sources.items()}
     out_dir = None if out is None else Path(out)
     if out_dir is not None:
         write_run_config(config, out_dir)

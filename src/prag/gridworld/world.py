@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..scene_graph import AGENT_LABEL, RELATION_NAMES
+from ..scene_graph import AGENT_LABEL, RELATION_NAMES, check_label
 
 Cell = tuple[int, int]
 
@@ -186,6 +186,7 @@ class World:
         open: bool = False,
     ) -> ObjectState:
         """Add an object at construction time. Raises on layout violations."""
+        check_label(label)  # scene_graph.extract trusts every label it reads
         if label in self.objects or label == AGENT_LABEL:
             raise ValueError(f"duplicate or reserved label: {label!r}")
         if kind not in KINDS:

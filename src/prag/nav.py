@@ -56,18 +56,24 @@ def distance_field(navigable, source: Cell) -> DistanceField:
     if not (0 <= sx < width and 0 <= sy < height) or not grid[sy, sx]:
         raise ValueError(f"source {source} is not a navigable cell")
 
-    distances = np.full((height, width), np.inf, dtype=np.float64)
-    distances[sy, sx] = 0.0
+    # The wavefront runs on flat Python lists, index y * width + x: numpy
+    # scalar reads and writes inside this loop cost more than the search.
+    open_cells = grid.ravel().tolist()
+    inf = float("inf")
+    flat = [inf] * (height * width)
+    flat[sy * width + sx] = 0.0
     frontier = deque([source])
     while frontier:
         x, y = frontier.popleft()
-        base = distances[y, x]
+        base = flat[y * width + x] + 1.0
         for dx, dy in NEIGHBOR_ORDER:
             nx, ny = x + dx, y + dy
-            if 0 <= nx < width and 0 <= ny < height and grid[ny, nx]:
-                if distances[ny, nx] == np.inf:
-                    distances[ny, nx] = base + 1.0
+            if 0 <= nx < width and 0 <= ny < height:
+                index = ny * width + nx
+                if open_cells[index] and flat[index] == inf:
+                    flat[index] = base
                     frontier.append((nx, ny))
+    distances = np.array(flat, dtype=np.float64).reshape(height, width)
     return DistanceField(distances=distances, source=source)
 
 

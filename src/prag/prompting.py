@@ -142,8 +142,14 @@ class PromptBundle:
             raise ValueError(f"history_limit must be >= 1, got {self.history_limit}")
 
 
-def _render_experience(index: int, record: TaskRecord, history_limit: int) -> str:
-    lines = [f"[{index}] done={record.done}", f"goal: {record.goal_text}"]
+# Rendered experience text, keyed by (record, history limit): everything of
+# an experience but its "[i] done=" header. Records hash by identity, and a
+# key holds its record, so no other record can come to share its key.
+ExperienceMemo = dict[tuple[TaskRecord, int], str]
+
+
+def _render_experience_body(record: TaskRecord, history_limit: int) -> str:
+    lines = [f"goal: {record.goal_text}"]
     total = len(record.history)
     shown = record.history[-history_limit:]
     if len(shown) < total:
@@ -156,8 +162,16 @@ def _render_experience(index: int, record: TaskRecord, history_limit: int) -> st
     return "\n".join(lines)
 
 
-def build_prompt(bundle: PromptBundle) -> str:
-    """Render the full prompt. Byte-identical for equal bundles."""
+def build_prompt(bundle: PromptBundle, memo: ExperienceMemo | None = None) -> str:
+    """Render the full prompt. Byte-identical for equal bundles.
+
+    ``memo`` keeps each experience's text past the call, so a record
+    retrieved again renders only its header; ``run_episode`` owns one per
+    episode. A direct call without a memo starts an empty one; the text is
+    the same either way.
+    """
+    if memo is None:
+        memo = {}
     sections = [
         "GOAL",
         bundle.goal,
@@ -171,10 +185,14 @@ def build_prompt(bundle: PromptBundle) -> str:
         "EXPERIENCES",
     ]
     if bundle.experiences:
-        rendered = [
-            _render_experience(i, hit.record, bundle.history_limit)
-            for i, hit in enumerate(bundle.experiences, start=1)
-        ]
+        limit = bundle.history_limit
+        rendered = []
+        for i, hit in enumerate(bundle.experiences, start=1):
+            record = hit.record
+            body = memo.get((record, limit))
+            if body is None:
+                body = memo[record, limit] = _render_experience_body(record, limit)
+            rendered.append(f"[{i}] done={record.done}\n{body}")
         sections.append("\n\n".join(rendered))
     else:
         sections.append("(none)")

@@ -9,7 +9,10 @@ states always produce byte-identical text.
 ``extract`` derives the relations from the world's cell stacks and object
 states in one pass over the occupied cells and their neighbours, rather than
 asking ``World.relation_query`` about every label pair and relation; the
-tests keep that per-triple sweep as the reference.
+tests keep that per-triple sweep as the reference. Its graph skips the
+constructor's label, duplicate and endpoint checks, which a world's graph
+passes by construction; a graph built any other way, ``parse_text``'s
+included, is checked.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ class SceneTextError(ValueError):
     """Raised when canonical scene-graph text cannot be parsed."""
 
 
-def _check_label(label: str) -> None:
+def check_label(label: str) -> None:
+    """Reject a label the text form cannot carry: empty, or with a ``/``, ``:`` or newline."""
     if not label or any(ch in label for ch in _LABEL_FORBIDDEN):
         raise ValueError(f"illegal object label: {label!r}")
 
@@ -56,7 +60,7 @@ class SceneGraph:
         )
         seen_nodes = set()
         for label in self.nodes:
-            _check_label(label)
+            check_label(label)
             if label in seen_nodes:
                 raise ValueError(f"duplicate node label: {label!r}")
             seen_nodes.add(label)
@@ -75,6 +79,22 @@ class SceneGraph:
             if triple in seen_triples:
                 raise ValueError(f"duplicate relation triple: {triple!r}")
             seen_triples.add(triple)
+
+    @classmethod
+    def _unchecked(
+        cls, nodes: tuple[str, ...], relations: tuple[tuple[str, str, str], ...]
+    ) -> "SceneGraph":
+        """A graph from tuples already known to pass every check above.
+
+        ``extract`` builds through this: a world's labels are legal and
+        distinct (``World.place_object`` checks them), and its one pass
+        yields each triple once, between present labels, with a known
+        relation name. Everyone else goes through the checked constructor.
+        """
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "nodes", nodes)
+        object.__setattr__(graph, "relations", relations)
+        return graph
 
 
 def order_landmark_first(
@@ -142,7 +162,7 @@ def extract(world) -> SceneGraph:
     if held is not None:
         relations.append((held, "held_by", AGENT_LABEL))
         nodes.append(AGENT_LABEL)
-    return SceneGraph(nodes=tuple(nodes), relations=tuple(relations))
+    return SceneGraph._unchecked(tuple(nodes), tuple(relations))
 
 
 def render_text(graph: SceneGraph) -> str:

@@ -80,7 +80,7 @@ def _as_vector(values, name: str) -> np.ndarray:
     vec = np.asarray(values, dtype=np.float64)
     if vec.ndim != 1 or vec.size == 0:
         raise ValueError(f"{name} must be a non-empty 1-D vector")
-    if not np.all(np.isfinite(vec)):
+    if not np.isfinite(vec).all():
         raise ValueError(f"{name} contains non-finite values")
     return vec
 

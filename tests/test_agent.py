@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import numpy as np
 import pytest
 
 import prag.agent as agent_module
+import prag.prompting as prompting_module
 
 from prag.agent import (
     Decomposition,
@@ -17,7 +19,8 @@ from prag.agent import (
     plan_step,
     run_episode,
 )
-from prag.backends import BackendError, PlannerBackend
+from prag.backends import BackendError, PlannerBackend, ReplayOracleBackend
+from prag.driver import RunConfig, run_iterations
 from prag.embedding import EncoderError, HashingEncoder
 from prag.gridworld.sim import Simulator
 from prag.gridworld.solver import shortest_solution_steps
@@ -510,3 +513,46 @@ class TestNavigationMemo:
             nav.grid[1, 1] = False
         with pytest.raises(ValueError):
             nav.fields[(1, 3)].distances[1, 1] = 0.0
+
+
+class TestExperienceMemo:
+    """An episode renders each retrieved record once; prompts do not change."""
+
+    def test_a_suite_run_prompts_as_an_unmemoized_render(self, monkeypatch):
+        received = []  # (episode, prompt, bundle)
+        episodes = []
+        renders = []
+        complete = ReplayOracleBackend.complete
+        begin_episode = ReplayOracleBackend.begin_episode
+        render = prompting_module._render_experience_body
+
+        def recording_complete(self, prompt, bundle):
+            received.append((len(episodes), prompt, bundle))
+            return complete(self, prompt, bundle)
+
+        def counting_begin(self, *args):
+            episodes.append(args)
+            return begin_episode(self, *args)
+
+        def counting_render(record, history_limit):
+            renders.append(record)
+            return render(record, history_limit)
+
+        monkeypatch.setattr(ReplayOracleBackend, "complete", recording_complete)
+        monkeypatch.setattr(ReplayOracleBackend, "begin_episode", counting_begin)
+        monkeypatch.setattr(prompting_module, "_render_experience_body", counting_render)
+        run_iterations(RunConfig(tasks="suite", iterations=3, early_stop=False))
+        run_renders = len(renders)
+
+        assert received
+        for _episode, prompt, bundle in received:
+            assert prompt == build_prompt(bundle)
+
+        uses = [(ep, hit.record) for ep, _, bundle in received for hit in bundle.experiences]
+        # The memo renders each (episode, record) once, where a render per
+        # prompt would redo the records every step retrieves again.
+        distinct = {(ep, id(record)) for ep, record in uses}
+        assert run_renders == len(distinct) < len(uses)
+        fields = {f.name for f in dataclasses.fields(TaskRecord)}
+        for _ep, record in uses:
+            assert set(vars(record)) == fields

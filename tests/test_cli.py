@@ -19,6 +19,7 @@ from prag.driver import (
     write_run_config,
 )
 from prag.gridworld.sim import EpisodeResult
+from prag.gridworld.tasks import bundled_suite
 
 from tests.test_driver import TASK_A, TASK_B
 from tests.conftest import MISTYPED_STORE_FIELDS, write_mistyped_store
@@ -240,6 +241,32 @@ class TestRunCommand:
         assert not (out_dir / "report_iter_01.json").exists()
         assert not (out_dir / "report_eval.json").exists()
         assert not (out_dir / "run_config.json").exists()
+
+    def test_a_source_both_passes_name_is_loaded_and_solved_once(self, capsys, monkeypatch):
+        import prag.agent as agent_module
+        import prag.driver as driver_module
+
+        loads, solved = [], []
+        load_tasks = driver_module.load_tasks
+        solve = agent_module.shortest_solution_steps
+
+        def counting_load(source):
+            loads.append(source)
+            return load_tasks(source)
+
+        def counting_solve(task):
+            solved.append(task.id)
+            return solve(task)
+
+        monkeypatch.setattr(driver_module, "load_tasks", counting_load)
+        monkeypatch.setattr(agent_module, "shortest_solution_steps", counting_solve)
+        code, out, _ = run_cli(
+            capsys, "run", "--mode", "train-eval", "--eval-tasks", "suite", "--iterations", "1"
+        )
+        assert code == 0
+        assert "eval" in out
+        assert loads == ["suite"]
+        assert solved == [task.id for task in bundled_suite()]
 
     def test_unknown_backend_is_an_argparse_error(self, task_dir):
         with pytest.raises(SystemExit) as info:

@@ -500,7 +500,7 @@ class TestRunIterations:
         # The eval pass must not have grown the saved database.
         assert (out / "db.jsonl").read_text() == (out / "db_iter_02.jsonl").read_text()
 
-    def test_each_task_is_solved_once_per_run(self, task_dir, monkeypatch):
+    def test_each_task_is_solved_once_per_run(self, task_dir, tmp_path, monkeypatch):
         import prag.agent as agent_module
 
         solved = []
@@ -510,8 +510,14 @@ class TestRunIterations:
             return shortest_solution_steps(task)
 
         monkeypatch.setattr(agent_module, "shortest_solution_steps", counting)
+        # A second source holding the same tasks. Passes naming one source
+        # share it (tests/test_cli.py counts that case).
+        eval_dir = tmp_path / "eval_copy"
+        eval_dir.mkdir()
+        for path in task_dir.iterdir():
+            (eval_dir / path.name).write_text(path.read_text())
         config = mini_config(
-            task_dir, iterations=3, mode="train-eval", eval_tasks=str(task_dir)
+            task_dir, iterations=3, mode="train-eval", eval_tasks=str(eval_dir)
         )
         reports = run_iterations(config)
         assert [r.phase for r in reports] == ["train"] * 3 + ["eval"]

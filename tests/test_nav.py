@@ -49,11 +49,18 @@ def random_grid(rng: random.Random, width=10, height=10, obstacle_rate=0.2) -> n
 class TestDistanceField:
     def test_geodesic_matches_bfs(self):
         rng = random.Random(42)
-        for _ in range(20):
-            grid = random_grid(rng)
-            cells = [(x, y) for y in range(10) for x in range(10) if grid[y, x]]
+        # Non-square grids after the square ones: there a swapped flat index shows.
+        shapes = [(10, 10)] * 20 + [(7, 13), (13, 7), (1, 9), (9, 1)] * 5
+        for width, height in shapes:
+            grid = random_grid(rng, width, height)
+            cells = [(x, y) for y in range(height) for x in range(width) if grid[y, x]]
+            if not cells:
+                continue
             source = rng.choice(cells)
             field = distance_field(grid, source)
+            assert field.distances.dtype == np.float64
+            assert field.distances.shape == (height, width)
+            assert np.isinf(field.distances[~grid]).all()
             reference = bfs_distances(grid, source)
             for cell in cells:
                 if cell in reference:

@@ -181,6 +181,8 @@ class TestExtractMatchesRelationSweep:
                 observation = world.observe()
                 graph = extract(observation)
                 assert graph == sweep_extract(observation)
+                # extract skips the checks; the checked constructor agrees.
+                assert SceneGraph(graph.nodes, graph.relations) == graph
                 seen.update(_features(world, graph))
                 world.apply_action(rng.choice(LOW_LEVEL_ACTIONS))
         assert seen >= {
@@ -199,6 +201,7 @@ class TestExtractMatchesRelationSweep:
         world.apply_action("pickup")  # mug_1 out of sink_1
         graph = extract(world.observe())
         assert graph == sweep_extract(world.observe())
+        assert SceneGraph(graph.nodes, graph.relations) == graph
         assert [t for t in graph.relations if "mug_1" in t] == [
             ("mug_1", "held_by", AGENT_LABEL)
         ]
@@ -290,3 +293,11 @@ class TestSceneGraphValidation:
             SceneGraph(("a/b",), ())
         with pytest.raises(ValueError):
             SceneGraph(("a:b",), ())
+
+    @pytest.mark.parametrize("label", ["", "a/b", "a:b", "a\nb"])
+    def test_a_world_refuses_a_label_its_graph_could_not_carry(self, label):
+        # extract builds its graph unchecked, so the world checks each label.
+        world = small_world()
+        with pytest.raises(ValueError, match="illegal object label"):
+            world.place_object(label, "ball", (3, 3))
+        assert extract(world.observe()) == extract(small_world().observe())
