@@ -38,6 +38,13 @@ record retrieved at many steps is rendered once per episode, and each later
 prompt formats only its ``[i] done=`` header. The memo dies with the
 episode; nothing is cached on a record or in the module. A direct call
 without a memo starts an empty one.
+
+Retrieval is shared the same way: run_episode owns one RetrievalMemo and
+hands it to every ``retrieve_top_k`` of the episode. The goal is fixed for
+the episode, so every record's goal term is computed once, each query
+scans only the records that goal term leaves in reach of the top K, and a
+scene the episode asks about again (a navigation changes no relation) gets
+its hits without a scan. The memo dies with the episode too.
 """
 
 from __future__ import annotations
@@ -77,7 +84,7 @@ from .prompting import (
     retry_prompt,
 )
 from .scene_graph import extract, render_text
-from .trajectory_db import RetrievalHit, RetrievalQuery, TaskRecord, TrajectoryDB
+from .trajectory_db import RetrievalHit, RetrievalMemo, RetrievalQuery, TaskRecord, TrajectoryDB
 
 DEFAULT_MAX_RETRIES = 3
 DEFAULT_TOP_K = 3
@@ -350,6 +357,7 @@ def run_episode(
     scene_text = render_text(extract(world))
     nav = NavigationMemo()
     experience_memo: ExperienceMemo = {}
+    retrieval_memo = RetrievalMemo()
 
     for step_index in range(sim.max_steps):
         if done:
@@ -364,7 +372,8 @@ def run_episode(
             break
         hits: tuple[RetrievalHit, ...] = ()
         if len(db) > 0:
-            hits = tuple(db.retrieve_top_k(RetrievalQuery(goal_embedding, obs_embedding), k))
+            query = RetrievalQuery(goal_embedding, obs_embedding)
+            hits = tuple(db.retrieve_top_k(query, k, memo=retrieval_memo))
             retrieval_calls += 1
             log("retrieval", step=step_index, hits=hits)
         bundle = PromptBundle(task.goal, scene_text, action_space_text(world), hits, history_limit)

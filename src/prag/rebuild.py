@@ -33,7 +33,7 @@ from .backends import ScriptedReplyBackend
 from .driver import RunConfig, load_tasks, read_run_config, task_source
 from .embedding import HashingEncoder
 from .gridworld.tasks import Task
-from .trajectory_db import RetrievalHit, RetrievalQuery, TrajectoryDB
+from .trajectory_db import RetrievalHit, RetrievalMemo, RetrievalQuery, TrajectoryDB
 
 PHASES = ("train", "eval")
 
@@ -138,7 +138,10 @@ class _LoggedRetrievals:
     def __len__(self) -> int:
         return len(self._db)
 
-    def retrieve_top_k(self, query: RetrievalQuery, k: int) -> tuple[RetrievalHit, ...]:
+    def retrieve_top_k(
+        self, query: RetrievalQuery, k: int, memo: RetrievalMemo | None = None
+    ) -> tuple[RetrievalHit, ...]:
+        """The next logged hits, one list per call; ``memo`` is not needed."""
         return tuple(_hit(self._db, hit) for hit in next(self._logged, ()))
 
 

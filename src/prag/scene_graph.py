@@ -7,12 +7,12 @@ currently hold. Only true relations are kept, and the rendered form is one
 states always produce byte-identical text.
 
 ``extract`` derives the relations from the world's cell stacks and object
-states in one pass over the occupied cells and their neighbours, rather than
-asking ``World.relation_query`` about every label pair and relation; the
-tests keep that per-triple sweep as the reference. Its graph skips the
-constructor's label, duplicate and endpoint checks, which a world's graph
-passes by construction; a graph built any other way, ``parse_text``'s
-included, is checked.
+states, in one pass over the occupied cells and one over the pairs of
+occupied cells that touch, rather than asking ``World.relation_query``
+about every label pair and relation; the tests keep that per-triple sweep
+as the reference. Its graph skips the constructor's label, duplicate and
+endpoint checks, which a world's graph passes by construction; a graph
+built any other way, ``parse_text``'s included, is checked.
 """
 
 from __future__ import annotations
@@ -114,39 +114,41 @@ def extract(world) -> SceneGraph:
     Spatial relations are read off the stacks in one pass: ``on_top_of``
     pairs consecutive stack entries whose lower entry is not a container,
     ``inside_of`` ties every other label of a stack to its container, and
-    ``next_to`` pairs distinct labels in the same or an 8-neighbouring
-    cell. Object states become self-relations, and a held object relates
-    to the agent pseudo-node. Triples come out in (subject, object,
-    relation) order, the order of a sweep over every sorted label pair.
+    ``next_to`` pairs distinct labels of one stack. A second pass over each
+    pair of occupied cells at most one step apart in x and in y adds
+    ``next_to`` between their labels, both ways. Object states become
+    self-relations, and a held object relates to the agent pseudo-node.
+    Triples come out in (subject, object, relation) order, the order of a
+    sweep over every sorted label pair.
     """
     objects = world.objects
     labels = sorted(objects)
     rank = {label: i for i, label in enumerate(labels)}
     nodes = order_landmark_first(labels, lambda l: objects[l].landmark)
 
-    stacks = world.stacks()
     # (subject rank, object rank, index into SPATIAL_RELATIONS)
     spatial: list[tuple[int, int, int]] = []
-    for (x, y), stack in stacks.items():
+    cells = []
+    for cell, stack in world.stacks().items():
+        ranks = [rank[label] for label in stack]
+        cells.append((cell, ranks))
+        if len(stack) == 1:
+            continue
         for lower, upper in zip(stack, stack[1:]):
             if not objects[lower].container:
                 spatial.append((rank[upper], rank[lower], 0))
-        for holder in stack:
+        for holder, held in zip(stack, ranks):
             if objects[holder].container:
-                spatial.extend(
-                    (rank[label], rank[holder], 1) for label in stack if label != holder
-                )
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                neighbour = stacks.get((x + dx, y + dy))
-                if neighbour is None:
-                    continue
-                for subject in stack:
-                    spatial.extend(
-                        (rank[subject], rank[obj], 2)
-                        for obj in neighbour
-                        if obj != subject
-                    )
+                spatial += [(label, held, 1) for label in ranks if label != held]
+        spatial += [(a, b, 2) for a in ranks for b in ranks if a != b]
+    # next_to across cells: each pair of occupied cells at most one step
+    # apart in x and in y, both ways.
+    for index, ((x, y), ranks) in enumerate(cells):
+        for (u, v), others in cells[index + 1 :]:
+            if -1 <= u - x <= 1 and -1 <= v - y <= 1:
+                for a in ranks:
+                    for b in others:
+                        spatial += [(a, b, 2), (b, a, 2)]
     spatial.sort()
     relations = [
         (labels[subject], SPATIAL_RELATIONS[name], labels[obj])

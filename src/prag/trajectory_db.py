@@ -9,24 +9,34 @@ history and its done flag. Retrieval is exact and scores every record as
 
 with ties broken toward the more recent iteration, then lexicographic task
 id. ``score`` computes this for one record and is the reference.
-``retrieve_top_k`` scans all records at once, in the style of an exact
+``retrieve_top_k`` scans the records at once, in the style of an exact
 inner-product index: a goal matrix with one row per record (in task id
 order), an observation matrix stacking the records' step matrices, and the
 offsets where each record's steps begin. Each matrix keeps only the columns
 that some stored vector uses: hashed scene texts fill a few dozen of 384, so
 a query reads a small fraction of the store, while a dense store keeps every
-column and scans them all. Each row is stored scaled by its vector's inverse
-norm, which the index computes once by the expression ``cosine`` uses (a
-vector of norm 0 becomes a zero row). A query computes its own two norms
-once; one matrix-vector product per matrix with the query divided by its
-norm gives every cosine, and ``np.maximum.reduceat`` keeps each record's
-best step. The records within rounding distance of the k-th best, usually
-just k, are then re-scored exactly: one full-width dot for the goal and for
-each step within rounding distance of the record's best, divided by the
-cached norms through ``cosine_from_parts``, which is ``cosine``'s own
-arithmetic, so hits carry ``score``'s values bit for bit and sort in its
-tie order. The matrices and norms are built on the first retrieval after
-the store changes.
+column and scans them all. Each row is stored scaled by the inverse of its
+norm, computed in bulk over the cut rows (a vector of norm 0 becomes a zero
+row), so one matrix-vector product with the query divided by its norm gives
+the cosines, and ``np.maximum.reduceat`` keeps each record's best step.
+
+Within an episode the store is frozen and the goal fixed, so an episode's
+``RetrievalMemo`` scores the goal against every record once. A record can
+score at most its goal term plus 1, the largest step cosine, so a query
+scans the step rows only of the records whose goal term can still reach
+the k-th best of those scanned: a prefix of the records in goal order,
+gathered into one matrix and grown when a query's bound demands (a prefix
+of over half the step rows is scanned in place instead). A scene asked
+again in the episode gets its hits without a scan.
+
+The records within rounding distance of the k-th best, usually just k, are
+then re-scored exactly: one full-width dot for the goal and for each step
+within rounding distance of the record's best, divided by norms computed
+as ``cosine`` computes them, once per re-scored row and index, through
+``cosine_from_parts``, which is ``cosine``'s own arithmetic. So hits carry
+``score``'s values bit for bit and sort in its tie order, and a pruned
+record could never have been a candidate. The matrices are built on the
+first retrieval after the store changes.
 
 The store is a single line-delimited JSON file with a header line, so a
 checkpoint can be inspected with standard shell tools. ``load`` reads each
@@ -368,6 +378,17 @@ def score(query: RetrievalQuery, record: TaskRecord) -> float:
 _CANDIDATE_MARGIN = 1e-9
 
 
+def _goal_floor(kth_best: float) -> float:
+    """The least goal term with which a record can be a candidate.
+
+    A record scores at most its goal term plus 1, the largest step cosine,
+    up to rounding; it is a candidate only if that comes within the margin
+    of a k-th best that is at least ``kth_best``. Twice the margin covers
+    the rounding of both scores.
+    """
+    return kth_best - 1.0 - 2 * _CANDIDATE_MARGIN
+
+
 class _UsedColumns:
     """Stored vectors as unit rows, cut to the columns any of them uses.
 
@@ -376,9 +397,11 @@ class _UsedColumns:
     begins. Dropped columns are zero in every stored vector, so they add
     nothing to a dot product. Each block is cut as it is copied into place,
     so a dense store (every column used) is never held twice at full width.
-    Each row is then scaled by its vector's inverse norm, and a vector of
-    norm 0 becomes a zero row, so a row's dot with a unit query is its
-    cosine.
+    Each row is then scaled by the inverse of its norm, computed in bulk
+    over the cut row, and a vector of norm 0 becomes a zero row, so a row's
+    dot with a unit query is its cosine up to rounding. The exact norms the
+    re-score divides by are ``cosine``'s, computed by ``norm`` the first
+    time a row is re-scored and kept for the index's life.
     """
 
     def __init__(self, blocks: list[np.ndarray]):
@@ -387,20 +410,31 @@ class _UsedColumns:
         self.matrix = np.empty((self.starts[-1] + len(blocks[-1]), self.columns.size))
         for start, block in zip(self.starts.tolist(), blocks):
             self.matrix[start : start + len(block)] = block[:, self.columns]
-        # Once per stored vector, as ``cosine`` computes it; the exact
-        # re-score divides by these.
-        self.norms = [vector_norm(v) for block in blocks for v in block]
-        norms = np.array(self.norms)
+        # Each row's dot with itself, as a stack of (1, C) @ (C, 1) products.
+        rows = self.matrix[:, np.newaxis]
+        norms = np.sqrt(np.matmul(rows, rows.transpose(0, 2, 1)).ravel())
         inverse = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms != 0.0)
         self.matrix *= inverse[:, np.newaxis]
+        self._norms: dict[int, float] = {}
 
-    def cosines(self, vector: np.ndarray, norm: float) -> np.ndarray:
-        """Cosine of each row with ``vector`` of norm ``norm``; zero vectors give 0."""
+    def norm(self, row: int, vector: np.ndarray) -> float:
+        """``vector_norm`` of ``vector``, the stored vector at ``row``, once per row."""
+        norm = self._norms.get(row)
+        if norm is None:
+            norm = self._norms[row] = vector_norm(vector)
+        return norm
+
+    def unit(self, vector: np.ndarray, norm: float) -> np.ndarray:
+        """``vector`` cut to the used columns and divided by its ``norm``.
+
+        A row's dot with it is the row's cosine with ``vector``; a zero
+        vector gives zeros.
+        """
         if norm == 0.0:
-            return np.zeros(len(self.matrix))
+            return np.zeros(self.columns.size)
         # The query's norm is over all its entries: its mass on dropped
         # columns adds nothing to the dots but still scales every cosine.
-        return self.matrix @ (vector[self.columns] / norm)
+        return vector[self.columns] / norm
 
 
 class _MatrixIndex:
@@ -410,38 +444,140 @@ class _MatrixIndex:
         self.records = records
         self.goals = _UsedColumns([r.goal_embedding[np.newaxis] for r in records])
         self.observations = _UsedColumns([r.obs_embeddings for r in records])
+        self.lengths = np.array([len(r.obs_embeddings) for r in records])
 
-    def top_k(self, query: RetrievalQuery, k: int) -> list[RetrievalHit]:
-        goal, obs = query.goal_embedding, query.obs_embedding
-        goal_norm, obs_norm = vector_norm(goal), vector_norm(obs)
-        starts = self.observations.starts
-        step_terms = self.observations.cosines(obs, obs_norm)
-        best_steps = np.maximum.reduceat(step_terms, starts)
-        scores = self.goals.cosines(goal, goal_norm) + best_steps
-        cut = max(scores.size - k, 0)
-        kth_best = np.partition(scores, cut)[cut]
-        step_norms = self.observations.norms
+
+class _GoalScan:
+    """One goal's terms over one index, and the step rows its queries scan.
+
+    A query scans only the records whose goal term reaches a threshold:
+    a prefix of the records ordered by goal term, best first. The first
+    threshold comes from the records of the k best goal terms, and a query
+    lowers it when its own k-th best demands. Its step rows are gathered
+    into one matrix as the prefix grows; when the prefix would hold more
+    than half the index's step rows, the index's own matrix is scanned in
+    place instead.
+    """
+
+    def __init__(self, index: _MatrixIndex, goal: bytes):
+        self.index, self.key = index, goal
+        self.goal = np.frombuffer(goal)  # the goal the scan is keyed by, read-only
+        self.goal_norm = vector_norm(self.goal)
+        self.all_terms = index.goals.matrix @ index.goals.unit(self.goal, self.goal_norm)
+        self.exact_terms: dict[int, float] = {}  # ``score``'s goal term, by record
+        self.threshold = np.inf
+        self.records = self.terms = self.rows = self.starts = None
+
+    def _reach(self, threshold: float) -> None:
+        """Scan every record whose goal term is at least ``threshold`` from now on."""
+        steps = self.index.observations
+        records = np.flatnonzero(self.all_terms >= threshold)
+        lengths = self.index.lengths[records]
+        ends = np.cumsum(lengths)
+        if 2 * ends[-1] > len(steps.matrix):
+            self.threshold = -np.inf
+            self.records = np.arange(self.all_terms.size)
+            self.terms, self.rows, self.starts = self.all_terms, steps.matrix, steps.starts
+        else:
+            starts = ends - lengths
+            rows = np.repeat(steps.starts[records] - starts, lengths) + np.arange(ends[-1])
+            self.threshold = threshold
+            self.records, self.terms = records, self.all_terms[records]
+            self.rows, self.starts = steps.matrix[rows], starts
+
+    def top_k(self, obs: np.ndarray, k: int) -> tuple[RetrievalHit, ...]:
+        index = self.index
+        steps = index.observations
+        obs_norm = vector_norm(obs)
+        unit = steps.unit(obs, obs_norm)
+        count = self.all_terms.size
+        if self.records is None or self.records.size < min(k, count):
+            # Any k records bound the k-th best from below. Those of the k
+            # best goal terms, each scanned in place, give the first bound.
+            kth_best = -np.inf
+            if k < count:
+                kth_goal = np.partition(self.all_terms, count - k)[count - k]
+                picked = np.flatnonzero(self.all_terms >= kth_goal)[:k]
+                kth_best = min(
+                    self.all_terms[i] + (steps.matrix[start : start + length] @ unit).max()
+                    for i, start, length in zip(
+                        picked.tolist(),
+                        steps.starts[picked].tolist(),
+                        index.lengths[picked].tolist(),
+                    )
+                )
+            self._reach(_goal_floor(kth_best))
+        while True:
+            step_terms = self.rows @ unit
+            best_steps = np.maximum.reduceat(step_terms, self.starts)
+            scores = self.terms + best_steps
+            cut = max(scores.size - k, 0)
+            kth_best = np.partition(scores, cut)[cut]
+            # Scanning more records could only raise this k-th best.
+            threshold = _goal_floor(kth_best)
+            if threshold >= self.threshold:
+                break
+            self._reach(threshold)
+        goal, goals = self.goal, index.goals
+        candidates = np.flatnonzero(scores >= kth_best - _CANDIDATE_MARGIN)
         hits = []
-        for i in np.flatnonzero(scores >= kth_best - _CANDIDATE_MARGIN).tolist():
+        for i, start, best in zip(
+            self.records[candidates].tolist(),
+            self.starts[candidates].tolist(),
+            (best_steps[candidates] - _CANDIDATE_MARGIN).tolist(),
+        ):
             # ``score(query, record)``, from the cached norms. The best step
             # by ``cosine`` is among those near the best scan cosine.
-            record = self.records[i]
-            start = int(starts[i])
-            near = step_terms[start : start + len(record.obs_embeddings)] >= (
-                best_steps[i] - _CANDIDATE_MARGIN
-            )
-            goal_term = cosine_from_parts(
-                float(np.dot(goal, record.goal_embedding)), goal_norm, self.goals.norms[i]
-            )
+            record = index.records[i]
+            vectors = record.obs_embeddings
+            goal_term = self.exact_terms.get(i)
+            if goal_term is None:
+                goal_term = self.exact_terms[i] = cosine_from_parts(
+                    float(np.dot(goal, record.goal_embedding)),
+                    self.goal_norm,
+                    goals.norm(i, record.goal_embedding),
+                )
+            first = int(steps.starts[i])
             obs_term = max(
                 cosine_from_parts(
-                    float(np.dot(obs, record.obs_embeddings[t])), obs_norm, step_norms[start + t]
+                    float(np.dot(obs, vectors[t])), obs_norm, steps.norm(first + t, vectors[t])
                 )
-                for t in np.flatnonzero(near).tolist()
+                for t, term in enumerate(step_terms[start : start + len(vectors)].tolist())
+                if term >= best
             )
             hits.append(RetrievalHit(score=goal_term + obs_term, record=record))
         hits.sort(key=lambda h: (-h.score, -h.record.iteration, h.record.task_id))
-        return hits[:k]
+        return tuple(hits[:k])
+
+
+class RetrievalMemo:
+    """One episode's retrievals: the goal's terms once, and hits by scene.
+
+    ``run_episode`` owns one and hands it to every ``retrieve_top_k`` of the
+    episode. Within an episode the store is frozen and the goal fixed, so
+    every record's goal term is computed once, and a query scans only the
+    records whose goal term plus the largest step cosine can still reach
+    the k-th best (see ``_GoalScan``). A scene asked again gets its hits
+    without a scan. Everything is keyed by the index, the goal's bytes, the
+    scene's bytes and k; a new index or goal starts the memo over. It dies
+    with its episode: nothing is kept on the store or in the module.
+    """
+
+    def __init__(self) -> None:
+        self._scan: _GoalScan | None = None
+        self._hits: dict[tuple[bytes, int], tuple[RetrievalHit, ...]] = {}
+
+    def top_k(self, index: _MatrixIndex, query: RetrievalQuery, k: int) -> list[RetrievalHit]:
+        goal = query.goal_embedding.tobytes()
+        scan = self._scan
+        if scan is None or scan.index is not index or scan.key != goal:
+            scan = self._scan = _GoalScan(index, goal)
+            self._hits = {}
+        key = (query.obs_embedding.tobytes(), k)
+        hits = self._hits.get(key)
+        if hits is None:
+            hits = self._hits[key] = scan.top_k(query.obs_embedding, k)
+        return list(hits)
 
 
 class TrajectoryDB:
@@ -500,12 +636,15 @@ class TrajectoryDB:
                 continue
             self._records[record.task_id] = record
 
-    def retrieve_top_k(self, query: RetrievalQuery, k: int) -> list[RetrievalHit]:
-        """Exact scan over every record returning the k best.
+    def retrieve_top_k(
+        self, query: RetrievalQuery, k: int, memo: RetrievalMemo | None = None
+    ) -> list[RetrievalHit]:
+        """The k best records by ``score``, as an exact scan would find them.
 
         Ordering: score descending, then iteration descending, then task id
         ascending. Returns fewer than k hits when the database is smaller.
-        Hit scores are the values ``score`` returns.
+        Hit scores are the values ``score`` returns. ``memo`` is the
+        episode's ``RetrievalMemo``; a call without one starts an empty one.
         """
         if k < 1:
             raise ValueError(f"k must be positive, got {k}")
@@ -519,7 +658,9 @@ class TrajectoryDB:
                 )
         if self._index is None:
             self._index = _MatrixIndex(self.records())
-        return self._index.top_k(query, k)
+        if memo is None:
+            memo = RetrievalMemo()
+        return memo.top_k(self._index, query, k)
 
     def save(self, path: str | Path) -> None:
         """Write the database as line-delimited JSON with a header line.

@@ -361,9 +361,9 @@ class TestRunPass:
         queries = []
         original = TrajectoryDB.retrieve_top_k
 
-        def counting(self, query, k):
+        def counting(self, query, k, **kwargs):
             queries.append(k)
-            return original(self, query, k)
+            return original(self, query, k, **kwargs)
 
         monkeypatch.setattr(TrajectoryDB, "retrieve_top_k", counting)
         optima = _solve_all(tasks)

@@ -11,6 +11,7 @@ import pytest
 
 import prag.driver as driver_module
 import prag.gridworld as gridworld_package
+import prag.trajectory_db as trajectory_db_module
 from prag.backends import BackendError, PlannerBackend, ReplayOracleBackend
 from prag.cli import main
 from prag.driver import EpisodeLog, RunConfig, run_iterations
@@ -188,6 +189,45 @@ class TestRetryPrompts:
                     cut_short += ran < len(e["low_level"])
                     before[e["task_id"]] = e["sim_steps"]
         assert cut_short
+
+
+class TestRevisitedScenes:
+    def test_an_episode_that_asks_about_a_scene_again_is_rebuilt(self, tmp_path, monkeypatch):
+        # A navigation changes no relation, so the next step asks the store
+        # about the scene it asked about before, and the episode's retrieval
+        # memo answers without a scan. Count each episode's retrievals and
+        # scans to find those steps.
+        asked: dict[tuple[int, str], list[int]] = {}
+        episode = {}
+        run_episode = driver_module.run_episode
+
+        def counting_episode(task, *args, iteration, **kwargs):
+            episode["key"] = (iteration, task.id)
+            asked[episode["key"]] = [0, 0]
+            return run_episode(task, *args, iteration=iteration, **kwargs)
+
+        memo_top_k = trajectory_db_module.RetrievalMemo.top_k
+        scan_top_k = trajectory_db_module._GoalScan.top_k
+
+        def counting_memo(self, *args):
+            asked[episode["key"]][0] += 1
+            return memo_top_k(self, *args)
+
+        def counting_scan(self, *args):
+            asked[episode["key"]][1] += 1
+            return scan_top_k(self, *args)
+
+        monkeypatch.setattr(driver_module, "run_episode", counting_episode)
+        monkeypatch.setattr(trajectory_db_module.RetrievalMemo, "top_k", counting_memo)
+        monkeypatch.setattr(trajectory_db_module._GoalScan, "top_k", counting_scan)
+        out = tmp_path / "run"
+        config = RunConfig(tasks="suite", iterations=3, early_stop=False, out=str(out))
+        captured = run_capturing(monkeypatch, config=config)
+        revisited = [key for key, (queries, scans) in asked.items() if queries > scans]
+        assert revisited
+        for iteration, task_id in revisited:
+            rebuilt = rebuild_prompts(out, "train", iteration, task_id)
+            assert [(p.step, p.text) for p in rebuilt] == captured[("train", iteration, task_id)]
 
 
 class _FlakyEncoder:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from prag.trajectory_db import (
     DatabaseFormatError,
+    RetrievalMemo,
     RetrievalQuery,
     TaskRecord,
     TrajectoryDB,
@@ -642,6 +643,184 @@ class TestSeededRetrieval:
         hits = db.retrieve_top_k(query, 3)
         assert hits[0].record is exact
         assert_reference_hits(db, query, 3, hits)
+
+
+def episode_store(seed: int) -> tuple[TrajectoryDB, list[np.ndarray], list[np.ndarray]]:
+    """A store whose goals repeat, as a suite's goal texts do, and signed
+    hashed-style vectors, so cosines run negative; one step in eight and one
+    scene in six is zero. Returns the store, goals to ask with (stored ones,
+    a fresh one and zero) and scenes (stored steps among them)."""
+    dimension = 64
+    gen = np.random.default_rng(seed)
+    columns = gen.choice(dimension, 12, replace=False)
+
+    def signed(zero_odds: int) -> np.ndarray:
+        vector = np.zeros(dimension)
+        if gen.integers(zero_odds):
+            picked = gen.choice(columns, int(gen.integers(1, 6)), replace=False)
+            vector[picked] = gen.choice([-2.0, -1.0, 1.0, 2.0], picked.size)
+        return vector
+
+    goals = [signed(1000) for _ in range(4)]
+    batches: dict[int, list[TaskRecord]] = {1: [], 2: []}
+    for i in range(int(gen.integers(20, 60))):
+        steps = int(gen.integers(1, 8))
+        iteration = int(gen.integers(1, 3))
+        batches[iteration].append(
+            TaskRecord(
+                task_id=f"t{i:02d}",
+                iteration=iteration,
+                goal_text="g",
+                goal_embedding=goals[int(gen.integers(len(goals)))],
+                obs_embeddings=[signed(8) for _ in range(steps)],
+                history=[("done()", "")] * steps,
+                done=False,
+            )
+        )
+    db = TrajectoryDB(dimension=dimension)
+    for batch in batches.values():
+        db.update_after_iteration(batch)
+    stored = [v for r in db.records() for v in r.obs_embeddings]
+    scenes = [stored[int(gen.integers(len(stored)))] for _ in range(4)]
+    scenes += [signed(6) for _ in range(4)] + [np.zeros(dimension)]
+    return db, [*goals[:2], signed(1000), np.zeros(dimension)], scenes
+
+
+class TestRetrievalMemo:
+    """An episode's queries through one memo give ``brute_force``'s hits."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_an_episode_of_queries_matches_brute_force(self, seed):
+        db, goals, scenes = episode_store(seed)
+        gen = np.random.default_rng(100 + seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for goal in goals:
+                memo = RetrievalMemo()
+                # Scenes come back, each time with another k or the same one.
+                for _ in range(3 * len(scenes)):
+                    query = RetrievalQuery(goal, scenes[int(gen.integers(len(scenes)))])
+                    k = int(gen.choice([1, 2, 3, len(db) - 1, len(db), len(db) + 2]))
+                    assert_reference_hits(db, query, k, db.retrieve_top_k(query, k, memo=memo))
+
+    def test_a_scene_asked_again_with_another_k_gets_its_own_hits(self):
+        db, goals, scenes = episode_store(1)
+        memo = RetrievalMemo()
+        query = RetrievalQuery(goals[0], scenes[0])
+        assert len(db.retrieve_top_k(query, 1, memo=memo)) == 1
+        hits = db.retrieve_top_k(query, 3, memo=memo)
+        assert_reference_hits(db, query, 3, hits)
+        hits.clear()  # the caller's list is its own
+        assert len(db.retrieve_top_k(query, 3, memo=memo)) == 3
+
+    def test_a_larger_k_scans_past_the_records_an_earlier_query_needed(self):
+        # The first query needs only the two records of the query's goal.
+        # The second asks for three hits, and the third is far below both.
+        dim = 8
+        unit = np.eye(dim)
+
+        def record(task_id, goal, step):
+            return TaskRecord(
+                task_id=task_id,
+                iteration=1,
+                goal_text="g",
+                goal_embedding=goal,
+                obs_embeddings=[step],
+                history=[("done()", "")],
+                done=False,
+            )
+
+        db = TrajectoryDB(dimension=dim)
+        db.update_after_iteration(
+            [
+                record("a", unit[0], unit[1]),
+                record("b", unit[0], unit[1] + unit[2]),
+                *(record(f"far{i}", -unit[0] + unit[3 + i], -unit[1]) for i in range(5)),
+            ]
+        )
+        memo = RetrievalMemo()
+        first = RetrievalQuery(unit[0], unit[1])
+        assert_reference_hits(db, first, 1, db.retrieve_top_k(first, 1, memo=memo))
+        second = RetrievalQuery(unit[0], unit[1] + unit[2])
+        hits = db.retrieve_top_k(second, 3, memo=memo)
+        assert len(hits) == 3
+        assert_reference_hits(db, second, 3, hits)
+
+    def test_the_memo_starts_over_when_the_store_changes(self):
+        db, goals, scenes = episode_store(2)
+        memo = RetrievalMemo()
+        query = RetrievalQuery(goals[0], scenes[5])
+        assert_reference_hits(db, query, 3, db.retrieve_top_k(query, 3, memo=memo))
+        exact = TaskRecord(
+            task_id="exact",
+            iteration=3,
+            goal_text="g",
+            goal_embedding=query.goal_embedding,
+            obs_embeddings=[query.obs_embedding],
+            history=[("done()", "")],
+            done=False,
+        )
+        db.update_after_iteration([exact])
+        hits = db.retrieve_top_k(query, 3, memo=memo)
+        assert hits[0].record is exact
+        assert_reference_hits(db, query, 3, hits)
+
+    def test_the_memo_starts_over_when_the_goal_changes(self):
+        db, goals, scenes = episode_store(3)
+        memo = RetrievalMemo()
+        for goal in (goals[0], goals[1], goals[0]):
+            query = RetrievalQuery(goal, scenes[0])
+            assert_reference_hits(db, query, 3, db.retrieve_top_k(query, 3, memo=memo))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_ties_that_straddle_the_bound_keep_the_reference_hits(self, seed):
+        # The records with the query's goal score 1 + c over their step, and
+        # the others c + 1 over their goal, where every c is one ratio of
+        # permuted integer counts: tied in exact arithmetic, while rounding
+        # sets each record's goal term plus 1 just above or just below the
+        # k-th best that the first records give. The later records win ties.
+        dim = 96
+        gen = np.random.default_rng(seed)
+        support = gen.choice(dim, 48, replace=False)
+        flat = np.zeros(dim)
+        flat[support] = 1.0
+        counts = gen.integers(-3, 6, size=48).astype(np.float64)
+
+        def permuted() -> np.ndarray:
+            vector = np.zeros(dim)
+            vector[gen.permutation(support)] = counts
+            return vector
+
+        records = [
+            TaskRecord(
+                task_id=f"a{i:02d}",
+                iteration=1,
+                goal_text="g",
+                goal_embedding=flat,
+                obs_embeddings=[permuted()],
+                history=[("done()", "")],
+                done=False,
+            )
+            for i in range(4)
+        ]
+        later = [
+            TaskRecord(
+                task_id=f"b{i:02d}",
+                iteration=2,
+                goal_text="g",
+                goal_embedding=permuted(),
+                obs_embeddings=[flat * 2.0],
+                history=[("done()", "")],
+                done=False,
+            )
+            for i in range(40)
+        ]
+        db = TrajectoryDB(dimension=dim)
+        db.update_after_iteration(records)
+        db.update_after_iteration(later)
+        query = RetrievalQuery(flat * 3.0, flat)
+        for k in (1, 2, 3, 4):
+            assert_reference_hits(db, query, k, db.retrieve_top_k(query, k))
 
 
 class TestUpdatePolicy:
