@@ -1,8 +1,13 @@
 """Retrieval database of per-task trajectory records.
 
-One record per task id. A record stores the goal embedding, a read-only
-step matrix (one scene-graph embedding per row), the (action, observation)
-history and its done flag. Retrieval is exact and scores every record as
+One record per task id. A record stores the goal embedding and one
+scene-graph embedding per step, the (action, observation) history and its
+done flag. The vectors are kept once, cut to the columns they use: a
+sorted column list and a read-only matrix of their values, the goal's row
+first. Hashed texts fill about 20 of 384 columns, so the 1,000-record
+benchmark store holds 1.05 MB of columns and values where dense rows would
+take 17.3 MB. Dense vectors are laid out only when read. Retrieval is exact
+and scores every record as
 
     score = cosine(query_goal, record_goal)
           + max over steps t of cosine(query_obs, record_obs[t])
@@ -11,11 +16,12 @@ with ties broken toward the more recent iteration, then lexicographic task
 id. ``score`` computes this for one record and is the reference.
 ``retrieve_top_k`` scans the records at once, in the style of an exact
 inner-product index: a goal matrix with one row per record (in task id
-order), an observation matrix stacking the records' step matrices, and the
-offsets where each record's steps begin. Each matrix keeps only the columns
-that some stored vector uses: hashed scene texts fill a few dozen of 384, so
-a query reads a small fraction of the store, while a dense store keeps every
-column and scans them all. Each row is stored scaled by the inverse of its
+order), an observation matrix stacking the records' step rows, and the
+offsets where each record's steps begin. Both are filled from the records'
+kept columns, and each keeps only the columns that some stored vector uses:
+hashed scene texts fill a few dozen of 384, so a query reads a small
+fraction of the store, while a dense store keeps every column and scans
+them all. Each row is stored scaled by the inverse of its
 norm, computed in bulk over the cut rows (a vector of norm 0 becomes a zero
 row), so one matrix-vector product with the query divided by its norm gives
 the cosines, and ``np.maximum.reduceat`` keeps each record's best step.
@@ -31,7 +37,8 @@ again in the episode gets its hits without a scan.
 
 The records within rounding distance of the k-th best, usually just k, are
 then re-scored exactly: one full-width dot for the goal and for each step
-within rounding distance of the record's best, divided by norms computed
+within rounding distance of the record's best (each such row is laid out
+at full width for its dot and not kept), divided by norms computed
 as ``cosine`` computes them, once per re-scored row and index, through
 ``cosine_from_parts``, which is ``cosine``'s own arithmetic. So hits carry
 ``score``'s values bit for bit and sort in its tie order, and a pruned
@@ -46,17 +53,20 @@ them into Python floats was most of a load. Such a line is cut at its three
 fixed key texts. The members before the goal and those from ``history`` on
 are parsed as JSON; the goal and step vectors are read as one byte buffer,
 where numpy finds every entry that is not exactly ``0.0`` and only those
-are parsed, by one ``json.loads``, into a zeroed matrix. A line laid out
-any other way is parsed whole. Either way a record line must be an object
-that gives no key twice and whose vector entries are numbers.
+are parsed, by one ``json.loads``. The record's columns and values are
+filled straight from those entries, and only they are checked for
+finiteness. A line laid out any other way is parsed whole and goes through
+the constructor. Either way a record line must be an object that gives no
+key twice and whose vector entries are numbers.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import accumulate
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,27 +119,59 @@ def _numbers(values: list, name: str) -> np.ndarray:
         raise ValueError(f"{name} has an entry too large for a float") from None
 
 
-def _vector_json(vec: np.ndarray) -> str:
-    """``json.dumps(vec.tolist())`` for a non-empty vector, without a list."""
-    parts = []
-    end = 0
-    nonzero = np.flatnonzero((vec != 0.0) | np.signbit(vec))
-    for index, value in zip(nonzero.tolist(), vec[nonzero].tolist()):
-        parts.append("0.0, " * (index - end))
-        parts.append(repr(value))
-        parts.append(", ")
-        end = index + 1
-    parts.append("0.0, " * (vec.size - end))
-    return "[" + "".join(parts)[:-2] + "]"
+def _rows_json(columns: list[int], dimension: int, rows: list[list[float]]) -> list[str]:
+    """Each row at full width, as ``json.dumps(row.tolist())`` writes it.
+
+    ``rows`` hold the values of ``columns``; every other entry is ``0.0``.
+    The zero runs lie at the same places in every row, so one template
+    serves them all, and each value is its ``repr``, as ``json`` writes
+    floats.
+    """
+    if not columns:
+        return ["[" + ", ".join(["0.0"] * dimension) + "]"] * len(rows)
+    template = (
+        "["
+        + ", ".join("0.0, " * (c - p - 1) + "{}" for p, c in zip([-1, *columns], columns))
+        + ", 0.0" * (dimension - 1 - columns[-1])
+        + "]"
+    )
+    return [template.format(*map(repr, row)) for row in rows]
+
+
+def _column_list(used: np.ndarray) -> np.ndarray:
+    """The places of ``used``'s true entries, in an array that owns its data.
+
+    ``nonzero`` gives a view, which would keep a second array object alive
+    in every record.
+    """
+    return used.nonzero()[0].copy()
+
+
+def _written(values: np.ndarray) -> np.ndarray:
+    """Where ``values`` holds an entry JSON writes as other than ``0.0``.
+
+    ``0.0`` is the one float64 whose bits are all zero; ``-0.0`` is not.
+    """
+    return values.view(np.uint64) != 0
 
 
 @dataclass(eq=False)
 class TaskRecord:
     """One task's latest trajectory, as stored in the database.
 
-    A record owns read-only float64 copies of its vectors: ``obs_embeddings``,
-    given as any sequence of step vectors, becomes one ``(len(history),
-    dimension)`` matrix, so a caller's later writes reach no stored record.
+    A record keeps its goal and step vectors once, cut to the columns they
+    use. ``columns`` lists, in order, every column where the goal or a step
+    holds an entry other than ``0.0`` (``-0.0`` counts: JSON writes its
+    sign), and ``values`` is a ``(1 + len(history), len(columns))`` matrix:
+    row 0 is the goal, row t + 1 is step t. Both are read-only copies, so a
+    caller's later writes reach no stored record. Hashed scene texts fill
+    about 20 of 384 columns, so a record holds about a twentieth of its
+    dense bytes.
+
+    ``goal_embedding`` and ``obs_embeddings`` are what the constructor
+    takes, the steps as any sequence of step vectors. Read back, they are
+    read-only dense arrays built on each read: the goal vector and one
+    ``(len(history), dimension)`` step matrix. ``row`` builds one row.
     Records compare by identity: their fields hold arrays, whose ``==`` has
     no single truth value. Content equality is ``to_json_line()`` equality.
     Every field is type-checked, since ``load`` builds records from a file:
@@ -139,12 +181,31 @@ class TaskRecord:
     task_id: str
     iteration: int
     goal_text: str
-    goal_embedding: np.ndarray
-    obs_embeddings: np.ndarray
+    goal_embedding: InitVar[np.ndarray]
+    obs_embeddings: InitVar[np.ndarray]
     history: list[tuple[str, str]]
     done: bool
+    dimension: int = field(init=False)
+    columns: np.ndarray = field(init=False, repr=False)
+    values: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, goal_embedding, obs_embeddings) -> None:
+        self._check_members()
+        goal = _as_vector(goal_embedding, "goal_embedding")
+        steps = np.asarray(obs_embeddings, dtype=np.float64)  # ragged input fails here
+        shape = (len(self.history), goal.size)
+        if steps.shape != shape:
+            raise ValueError(f"obs_embeddings has shape {steps.shape}, expected {shape}")
+        if not np.isfinite(steps).all():
+            raise ValueError("obs_embeddings contains non-finite values")
+        columns = _column_list(_written(goal) | steps.view(np.uint64).any(axis=0))
+        values = np.empty((1 + len(steps), columns.size))
+        goal.take(columns, out=values[0])
+        steps.take(columns, axis=1, out=values[1:])
+        self._keep(goal.size, columns, values)
+
+    def _check_members(self) -> None:
+        """Check every member but the vectors, and copy the history."""
         if not isinstance(self.task_id, str) or not self.task_id:
             raise ValueError(f"task_id must be a non-empty string, got {self.task_id!r}")
         if not isinstance(self.goal_text, str):
@@ -162,28 +223,69 @@ class TaskRecord:
         self.history = [(a, o) for a, o in self.history]
         if len(self.history) < 1:
             raise ValueError("history must contain at least one step")
-        goal = _as_vector(np.array(self.goal_embedding, dtype=np.float64), "goal_embedding")
-        steps = np.array(self.obs_embeddings, dtype=np.float64)  # ragged input fails here
-        shape = (len(self.history), goal.size)
-        if steps.shape != shape:
-            raise ValueError(f"obs_embeddings has shape {steps.shape}, expected {shape}")
-        if not np.isfinite(steps).all():
-            raise ValueError("obs_embeddings contains non-finite values")
-        goal.setflags(write=False)
-        steps.setflags(write=False)
-        self.goal_embedding, self.obs_embeddings = goal, steps
 
-    @property
-    def dimension(self) -> int:
-        return int(self.goal_embedding.size)
+    def _keep(self, dimension: int, columns: np.ndarray, values: np.ndarray) -> None:
+        columns.setflags(write=False)
+        values.setflags(write=False)
+        self.dimension, self.columns, self.values = dimension, columns, values
+
+    @classmethod
+    def _from_saved(cls, data: dict, saved: "_SavedVectors") -> "TaskRecord":
+        """The record of a saved line: ``data``'s members and ``saved``'s vectors.
+
+        The checks and their order are the constructor's, but the vectors
+        are never laid out at full width: only their parsed entries are
+        checked, and those JSON writes as other than ``0.0`` are kept.
+        """
+        record = cls.__new__(cls)
+        record.task_id, record.iteration, record.goal_text, record.history, record.done = (
+            data["task_id"], data["iteration"], data["goal_text"], data["history"], data["done"]
+        )
+        record._check_members()
+        entries, values = saved.entries, saved.values
+        finite = np.isfinite(values).all()
+        if not finite and not np.isfinite(values[: saved.in_goal]).all():
+            raise ValueError("goal_embedding contains non-finite values")
+        found, shape = (saved.rows - 1, saved.width), (len(record.history), saved.width)
+        if found != shape:
+            raise ValueError(f"obs_embeddings has shape {found}, expected {shape}")
+        if not finite:
+            raise ValueError("obs_embeddings contains non-finite values")
+        if not values.all():  # an entry such as ``0`` or ``-0.0``: only ``-0.0`` is kept
+            kept = _written(values)
+            entries, values = entries[kept], values[kept]
+        rows, at = np.divmod(entries, saved.width)
+        used = np.zeros(saved.width, dtype=bool)
+        used[at] = True
+        columns = _column_list(used)
+        matrix = np.zeros((saved.rows, columns.size))
+        matrix[rows, columns.searchsorted(at)] = values
+        record._keep(saved.width, columns, matrix)
+        return record
+
+    def row(self, index: int) -> np.ndarray:
+        """Row ``index`` of ``values`` at full width: 0 is the goal, t + 1 step t."""
+        vector = np.zeros(self.dimension)
+        vector[self.columns] = self.values[index]
+        return vector
+
+    def _goal_embedding(self) -> np.ndarray:
+        goal = self.row(0)
+        goal.setflags(write=False)
+        return goal
+
+    def _obs_embeddings(self) -> np.ndarray:
+        steps = np.zeros((len(self.values) - 1, self.dimension))
+        steps[:, self.columns] = self.values[1:]
+        steps.setflags(write=False)
+        return steps
 
     def to_json_line(self) -> str:
         """The record as one JSON object, without the newline.
 
         The bytes are those of ``json.dumps`` of the record's fields in
-        order. Most stored entries are zero, so each vector is written as
-        runs of ``0.0`` around the ``repr`` of its other entries; ``-0.0``
-        counts as non-zero, since JSON writes it with its sign.
+        order, written from the kept columns: the columns a record does not
+        keep are runs of ``0.0``, and a kept entry is its ``repr``.
         """
         head = json.dumps(
             {
@@ -193,11 +295,11 @@ class TaskRecord:
                 "done": self.done,
             }
         )
-        steps = ", ".join(_vector_json(v) for v in self.obs_embeddings)
+        goal, *steps = _rows_json(self.columns.tolist(), self.dimension, self.values.tolist())
         history = json.dumps([[a, o] for a, o in self.history])
         return (
-            f'{head[:-1]}, "goal_embedding": {_vector_json(self.goal_embedding)},'
-            f' "obs_embeddings": [{steps}], "history": {history}}}'
+            f'{head[:-1]}, "goal_embedding": {goal},'
+            f' "obs_embeddings": [{", ".join(steps)}], "history": {history}}}'
         )
 
     @classmethod
@@ -211,6 +313,13 @@ class TaskRecord:
             history=data["history"],
             done=data["done"],
         )
+
+
+# The constructor's vector keywords read back as dense arrays. Set once the
+# dataclass is built: in the class body a property would be the InitVar's
+# default value.
+TaskRecord.goal_embedding = property(TaskRecord._goal_embedding)
+TaskRecord.obs_embeddings = property(TaskRecord._obs_embeddings)
 
 
 # ``to_json_line`` writes the vectors between these texts. Each holds a
@@ -242,7 +351,22 @@ def _json_object(text: str) -> dict:
     return data
 
 
-def _saved_vectors(goal: str, steps: str) -> np.ndarray:
+class _SavedVectors(NamedTuple):
+    """A saved line's vectors, as the entries that are not the text ``0.0``.
+
+    The line holds ``rows`` rows of ``width`` entries, the goal first.
+    ``entries`` are the row-major places of those entries and ``values``
+    their parsed numbers; the first ``in_goal`` are the goal's.
+    """
+
+    width: int
+    rows: int
+    entries: np.ndarray
+    values: np.ndarray
+    in_goal: int
+
+
+def _saved_vectors(goal: str, steps: str) -> _SavedVectors:
     """The goal row and step rows, laid out as ``to_json_line`` writes them.
 
     ``goal`` is the text inside the goal's brackets, ``steps`` the text
@@ -287,10 +411,13 @@ def _saved_vectors(goal: str, steps: str) -> np.ndarray:
     if not isinstance(values, list) or len(values) != others.size:
         raise ValueError("vector entries must be JSON numbers")
     in_goal = int(others.searchsorted(width))
-    matrix = np.zeros((len(rows), width))
-    matrix.reshape(-1)[others[:in_goal]] = _numbers(values[:in_goal], "goal_embedding")
-    matrix.reshape(-1)[others[in_goal:]] = _numbers(values[in_goal:], "obs_embeddings")
-    return matrix
+    try:
+        numbers = _numbers(values, "vectors")
+    except ValueError:  # raised again by the part that holds the entry, naming it
+        _numbers(values[:in_goal], "goal_embedding")
+        _numbers(values[in_goal:], "obs_embeddings")
+        raise
+    return _SavedVectors(width, len(rows), others, numbers, in_goal)
 
 
 def _read_record(line: str) -> TaskRecord:
@@ -314,20 +441,14 @@ def _read_record(line: str) -> TaskRecord:
         except json.JSONDecodeError:
             head = None
         if head:  # an empty head would have been "{, ...", no JSON
-            rows = _saved_vectors(
+            saved = _saved_vectors(
                 line[goal_at + len(_GOAL_KEY) : steps_at],
                 line[steps_at + len(_STEPS_KEY) : history_at],
             )
-            return TaskRecord.from_json_dict(
-                _unique_keys(
-                    [
-                        *head.items(),
-                        ("goal_embedding", rows[0]),
-                        ("obs_embeddings", rows[1:]),
-                        *tail.items(),
-                    ]
-                )
+            data = _unique_keys(
+                [*head.items(), ("goal_embedding", None), ("obs_embeddings", None), *tail.items()]
             )
+            return TaskRecord._from_saved(data, saved)
     data = _json_object(line)
     goal, steps = data.get("goal_embedding"), data.get("obs_embeddings")
     if isinstance(goal, list):
@@ -392,24 +513,34 @@ def _goal_floor(kth_best: float) -> float:
 class _UsedColumns:
     """Stored vectors as unit rows, cut to the columns any of them uses.
 
-    The vectors come as 2-D blocks, never empty: a record's step matrix, or
-    its goal as a one-row view. ``starts`` holds the row where each block
-    begins. Dropped columns are zero in every stored vector, so they add
-    nothing to a dot product. Each block is cut as it is copied into place,
-    so a dense store (every column used) is never held twice at full width.
-    Each row is then scaled by the inverse of its norm, computed in bulk
-    over the cut row, and a vector of norm 0 becomes a zero row, so a row's
-    dot with a unit query is its cosine up to rounding. The exact norms the
-    re-score divides by are ``cosine``'s, computed by ``norm`` the first
-    time a row is re-scored and kept for the index's life.
+    The vectors come as blocks of at least one row: a record's ``columns``
+    with rows of its ``values``, its goal or its steps. ``starts`` holds the row
+    where each block begins. The blocks are scattered into rows as wide as
+    the columns the records keep, so no record is laid out at full width,
+    and the columns no row uses are then dropped: they are zero in every
+    stored vector and add nothing to a dot product. A dense store (every
+    column used) is never held twice. Each row is then scaled by the
+    inverse of its norm, computed in bulk over the cut row, and a vector of
+    norm 0 becomes a zero row, so a row's dot with a unit query is its
+    cosine up to rounding. The exact norms the re-score divides by are
+    ``cosine``'s, computed by ``cosine`` the first time a row is re-scored
+    and kept for the index's life.
     """
 
-    def __init__(self, blocks: list[np.ndarray]):
-        self.columns = np.flatnonzero(np.any([(b != 0.0).any(axis=0) for b in blocks], axis=0))
-        self.starts = np.cumsum([0] + [len(block) for block in blocks[:-1]])
-        self.matrix = np.empty((self.starts[-1] + len(blocks[-1]), self.columns.size))
-        for start, block in zip(self.starts.tolist(), blocks):
-            self.matrix[start : start + len(block)] = block[:, self.columns]
+    def __init__(self, blocks: list[tuple[np.ndarray, np.ndarray]], dimension: int):
+        keeps = np.zeros(dimension, dtype=bool)
+        keeps[np.concatenate([columns for columns, _ in blocks])] = True
+        place = np.cumsum(keeps) - 1  # a kept column's place in the rows
+        kept = np.flatnonzero(keeps)
+        self.starts = np.cumsum([0] + [len(values) for _, values in blocks[:-1]])
+        matrix = np.zeros((self.starts[-1] + len(blocks[-1][1]), kept.size))
+        for start, (columns, values) in zip(self.starts.tolist(), blocks):
+            matrix[start : start + len(values), place[columns]] = values
+        # A record keeps the columns of its goal and of its steps, and those
+        # that hold only -0.0; the index drops those none of its rows uses.
+        used = matrix.any(axis=0)
+        self.columns = kept[used]
+        self.matrix = matrix if used.all() else matrix.compress(used, axis=1)  # C order
         # Each row's dot with itself, as a stack of (1, C) @ (C, 1) products.
         rows = self.matrix[:, np.newaxis]
         norms = np.sqrt(np.matmul(rows, rows.transpose(0, 2, 1)).ravel())
@@ -417,12 +548,16 @@ class _UsedColumns:
         self.matrix *= inverse[:, np.newaxis]
         self._norms: dict[int, float] = {}
 
-    def norm(self, row: int, vector: np.ndarray) -> float:
-        """``vector_norm`` of ``vector``, the stored vector at ``row``, once per row."""
+    def cosine(self, query: np.ndarray, query_norm: float, row: int, vector: np.ndarray) -> float:
+        """``cosine(query, vector)`` for ``vector``, the stored vector at ``row``.
+
+        ``query_norm`` is the query's ``vector_norm``; the vector's is
+        computed once per row.
+        """
         norm = self._norms.get(row)
         if norm is None:
             norm = self._norms[row] = vector_norm(vector)
-        return norm
+        return cosine_from_parts(float(np.dot(query, vector)), query_norm, norm)
 
     def unit(self, vector: np.ndarray, norm: float) -> np.ndarray:
         """``vector`` cut to the used columns and divided by its ``norm``.
@@ -442,9 +577,10 @@ class _MatrixIndex:
 
     def __init__(self, records: list[TaskRecord]):
         self.records = records
-        self.goals = _UsedColumns([r.goal_embedding[np.newaxis] for r in records])
-        self.observations = _UsedColumns([r.obs_embeddings for r in records])
-        self.lengths = np.array([len(r.obs_embeddings) for r in records])
+        dimension = records[0].dimension
+        self.goals = _UsedColumns([(r.columns, r.values[:1]) for r in records], dimension)
+        self.observations = _UsedColumns([(r.columns, r.values[1:]) for r in records], dimension)
+        self.lengths = np.array([len(r.history) for r in records])
 
 
 class _GoalScan:
@@ -527,22 +663,18 @@ class _GoalScan:
             (best_steps[candidates] - _CANDIDATE_MARGIN).tolist(),
         ):
             # ``score(query, record)``, from the cached norms. The best step
-            # by ``cosine`` is among those near the best scan cosine.
+            # by ``cosine`` is among those near the best scan cosine. Only
+            # the rows dotted here are laid out at full width, and not kept.
             record = index.records[i]
-            vectors = record.obs_embeddings
             goal_term = self.exact_terms.get(i)
             if goal_term is None:
-                goal_term = self.exact_terms[i] = cosine_from_parts(
-                    float(np.dot(goal, record.goal_embedding)),
-                    self.goal_norm,
-                    goals.norm(i, record.goal_embedding),
+                goal_term = self.exact_terms[i] = goals.cosine(
+                    goal, self.goal_norm, i, record.row(0)
                 )
             first = int(steps.starts[i])
             obs_term = max(
-                cosine_from_parts(
-                    float(np.dot(obs, vectors[t])), obs_norm, steps.norm(first + t, vectors[t])
-                )
-                for t, term in enumerate(step_terms[start : start + len(vectors)].tolist())
+                steps.cosine(obs, obs_norm, first + t, record.row(t + 1))
+                for t, term in enumerate(step_terms[start : start + len(record.history)].tolist())
                 if term >= best
             )
             hits.append(RetrievalHit(score=goal_term + obs_term, record=record))
@@ -584,8 +716,8 @@ class TrajectoryDB:
     """In-memory record store with exact top-k retrieval and JSONL persistence."""
 
     def __init__(self, dimension: int | None = None):
-        if dimension is not None and dimension < 1:
-            raise ValueError(f"dimension must be positive, got {dimension}")
+        if dimension is not None and (not _is_int(dimension) or dimension < 1):
+            raise ValueError(f"dimension must be a positive integer, got {dimension!r}")
         self._dimension = dimension
         self._records: dict[str, TaskRecord] = {}
         self._index: _MatrixIndex | None = None
@@ -646,8 +778,8 @@ class TrajectoryDB:
         Hit scores are the values ``score`` returns. ``memo`` is the
         episode's ``RetrievalMemo``; a call without one starts an empty one.
         """
-        if k < 1:
-            raise ValueError(f"k must be positive, got {k}")
+        if not _is_int(k) or k < 1:
+            raise ValueError(f"k must be a positive integer, got {k!r}")
         if not self._records:
             return []
         for name in ("goal_embedding", "obs_embedding"):

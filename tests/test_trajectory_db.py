@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
+import tracemalloc
+import types
 import warnings
 from unittest import mock
 
@@ -170,6 +173,24 @@ class TestRetrieveTopK:
         db = TrajectoryDB(dimension=8)
         with pytest.raises(ValueError):
             db.retrieve_top_k(make_query(random.Random(0)), 0)
+
+    @pytest.mark.parametrize("k", [True, False, 2.5, "3", None, -1], ids=repr)
+    def test_k_must_be_a_positive_integer(self, k):
+        rng = random.Random(4)
+        db = TrajectoryDB(dimension=8)
+        db.update_after_iteration([make_record(rng, "t0"), make_record(rng, "t1")])
+        for store in (db, TrajectoryDB(dimension=8)):
+            with pytest.raises(ValueError, match="k must be a positive integer"):
+                store.retrieve_top_k(make_query(rng), k)
+
+    @pytest.mark.parametrize("dimension", [True, False, 2.5, "3", 0, -4], ids=repr)
+    def test_dimension_must_be_a_positive_integer(self, dimension):
+        with pytest.raises(ValueError, match="dimension must be a positive integer"):
+            TrajectoryDB(dimension=dimension)
+
+    def test_a_store_takes_an_integer_dimension_or_none(self):
+        assert TrajectoryDB(dimension=3).dimension == 3
+        assert TrajectoryDB().dimension is None
 
 
 def random_record(gen: np.random.Generator, task_id: str, dimension: int, iteration: int = 1):
@@ -1089,10 +1110,11 @@ def vectors(draw, dimension: int) -> np.ndarray:
 
 
 @st.composite
-def records(draw, goal_text=st.text(max_size=12), step_text=st.text(max_size=6)) -> TaskRecord:
+def record_fields(draw, goal_text=st.text(max_size=12), step_text=st.text(max_size=6)) -> dict:
+    """A record's constructor keywords."""
     dimension = draw(st.integers(1, 12))
     steps = draw(st.integers(1, 3))
-    return TaskRecord(
+    return dict(
         task_id=draw(st.text(min_size=1, max_size=6)),
         iteration=draw(st.integers(1, 10**6)),
         goal_text=draw(goal_text),
@@ -1101,6 +1123,10 @@ def records(draw, goal_text=st.text(max_size=12), step_text=st.text(max_size=6))
         history=tuple((draw(step_text), draw(step_text)) for _ in range(steps)),
         done=draw(st.booleans()),
     )
+
+
+def records(goal_text=st.text(max_size=12), step_text=st.text(max_size=6)):
+    return record_fields(goal_text, step_text).map(lambda fields: TaskRecord(**fields))
 
 
 class TestCheckpointLine:
@@ -1190,7 +1216,7 @@ class TestTaskRecordValidation:
 
 
 class TestRecordArrays:
-    """A record owns one read-only copy of its vectors."""
+    """A record owns one read-only copy of its vectors, read back as dense arrays."""
 
     @staticmethod
     def record(goal, steps):
@@ -1238,6 +1264,148 @@ class TestRecordArrays:
         with pytest.raises(ValueError):
             write(record)
         assert record.goal_embedding.tolist() == record.obs_embeddings[0].tolist() == [1.0] * 4
+
+
+def written_columns(goal, steps) -> list[int]:
+    """The columns where an input entry is written as other than ``0.0``."""
+    matrix = np.vstack([goal, *steps])
+    return np.flatnonzero(((matrix != 0.0) | np.signbit(matrix)).any(axis=0)).tolist()
+
+
+class TestCompactRecord:
+    """A record keeps only the columns its vectors use, and reads back its inputs."""
+
+    @given(record_fields())
+    @settings(max_examples=300, deadline=None)
+    def test_views_are_the_inputs_byte_for_byte(self, fields):
+        goal, steps = fields["goal_embedding"], fields["obs_embeddings"]
+        goal_bytes, step_bytes = goal.tobytes(), np.array(steps).tobytes()
+        line = reference_line(types.SimpleNamespace(**fields))
+        columns = written_columns(goal, steps)
+        record = TaskRecord(**fields)
+        goal[:] = 7.0
+        for step in steps:
+            step[:] = 7.0
+        assert record.goal_embedding.tobytes() == goal_bytes
+        assert record.obs_embeddings.tobytes() == step_bytes
+        assert record.to_json_line() == line
+        assert record.columns.tolist() == columns
+        assert record.values.shape == (1 + len(steps), len(columns))
+        for array in (record.goal_embedding, record.obs_embeddings, record.obs_embeddings[0]):
+            assert not array.flags.writeable
+        assert not record.columns.flags.writeable and not record.values.flags.writeable
+        assert set(vars(record)) == {f.name for f in dataclasses.fields(TaskRecord)}
+        # A saved line is read straight into the same columns and values.
+        read = _read_record(line + "\n")
+        assert read.columns.tolist() == columns
+        assert read.values.tobytes() == record.values.tobytes()
+
+    def test_an_all_zero_record_keeps_no_column(self):
+        record = TaskRecord(
+            task_id="t",
+            iteration=1,
+            goal_text="g",
+            goal_embedding=np.zeros(5),
+            obs_embeddings=(np.zeros(5), np.zeros(5)),
+            history=(("a()", "o"), ("b()", "p")),
+            done=False,
+        )
+        assert record.columns.shape == (0,) and record.values.shape == (3, 0)
+        assert record.goal_embedding.tobytes() == np.zeros(5).tobytes()
+        assert record.obs_embeddings.tobytes() == np.zeros((2, 5)).tobytes()
+        line = record.to_json_line()
+        assert line == reference_line(record)
+        assert '"goal_embedding": [0.0, 0.0, 0.0, 0.0, 0.0]' in line
+        assert _read_record(line + "\n").values.shape == (3, 0)
+        db = TrajectoryDB(dimension=5)
+        db.update_after_iteration([record])
+        query = RetrievalQuery(np.ones(5), np.ones(5))
+        assert [h.score for h in db.retrieve_top_k(query, 1)] == [score(query, record)] == [0.0]
+
+    def test_a_saved_line_keeps_no_column_of_zeros_written_otherwise(self):
+        # ``save`` writes a zero as ``0.0``; another text of +0.0 is read as a
+        # zero too, so columns 4 and 5 are not kept, while -0.0 keeps column 2.
+        goal = np.array([0.5, 0.0, 0.0, -1.5, 0.0, 0.0])
+        steps = (np.eye(6)[1] * 0.25, np.eye(6)[0])
+        record = TaskRecord("t", 1, "g", goal, steps, [("a()", "o"), ("b()", "p")], False)
+        line = record.to_json_line()
+        edited = (
+            line.replace("[0.5, 0.0, 0.0, -1.5, 0.0, 0.0]", "[0.5, 0.0, 0.0, -1.5, 0, 0.0]")
+            .replace("[0.0, 0.25, 0.0, 0.0, 0.0, 0.0]", "[0.0, 0.25, 0.0, 0.0, -0, 0.0]")
+            .replace("[1.0, 0.0, 0.0, 0.0, 0.0, 0.0]", "[1.0, 0.0, -0.0, 0.0, 0.0, 0e0]")
+        )
+        assert edited.count(" 0,") + edited.count("-0,") + edited.count("0e0") == 3
+        read = _read_record(edited + "\n")
+        assert record.columns.tolist() == [0, 1, 3]
+        assert read.columns.tolist() == [0, 1, 2, 3]
+        assert read.to_json_line() == read_whole_line(edited).to_json_line()
+        assert read.obs_embeddings.tobytes() == read_whole_line(edited).obs_embeddings.tobytes()
+
+    def test_a_dense_record_holds_its_dense_bytes_and_no_more(self):
+        gen = np.random.default_rng(12)
+        goal, steps = gen.standard_normal(384), gen.standard_normal((8, 384))
+        dense = goal.nbytes + steps.nbytes
+        history = [("a()", "o")] * 8
+        tracemalloc.start()
+        try:
+            record = TaskRecord("t", 1, "g", goal, steps, history, False)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert record.columns.size == 384
+        assert record.obs_embeddings.tobytes() == steps.tobytes()
+        # The values and one column list, not a second copy of the vectors.
+        assert dense <= retained < dense + record.columns.nbytes + 4096
+
+
+def sparse_store(path, records: int = 300, rows: int = 6, dimension: int = 384) -> None:
+    """Save a store of hashed-text-like vectors: 12 of 64 columns per vector."""
+    gen = np.random.default_rng(300)
+    pool = gen.choice(dimension, 64, replace=False)
+
+    def vector() -> np.ndarray:
+        values = np.zeros(dimension)
+        values[gen.choice(pool, 12, replace=False)] = gen.integers(1, 4, 12)
+        return values
+
+    db = TrajectoryDB(dimension=dimension)
+    db.update_after_iteration(
+        [
+            TaskRecord(
+                task_id=f"t{i:03d}",
+                iteration=1,
+                goal_text="put the mug on the table",
+                goal_embedding=vector(),
+                obs_embeddings=[vector() for _ in range(rows - 1)],
+                history=[("navigate(table_1)", "mug_1/table_1/on_top_of: True")] * (rows - 1),
+                done=i % 2 == 0,
+            )
+            for i in range(records)
+        ]
+    )
+    db.save(path)
+
+
+class TestStoreMemory:
+    """A loaded store holds its vectors compactly (tracemalloc sees numpy's buffers)."""
+
+    def test_a_sparse_store_loads_and_retrieves_in_under_its_dense_bytes(self, tmp_path):
+        path = tmp_path / "db.jsonl"
+        sparse_store(path)
+        dense = 300 * 6 * 384 * 8
+        query = RetrievalQuery(np.ones(384), np.ones(384))
+        tracemalloc.start()
+        try:
+            db = TrajectoryDB.load(path)
+            retained, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            hits = db.retrieve_top_k(query, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(db) == 300 and len(hits) == 3
+        assert retained < dense / 2
+        assert peak < dense
 
 
 # Texts that look like the parts of a saved line, so a reader that splits a
