@@ -53,11 +53,11 @@ them into Python floats was most of a load. Such a line is cut at its three
 fixed key texts. The members before the goal and those from ``history`` on
 are parsed as JSON; the goal and step vectors are read as one byte buffer,
 where numpy finds every entry that is not exactly ``0.0`` and only those
-are parsed, by one ``json.loads``. The record's columns and values are
-filled straight from those entries, and only they are checked for
-finiteness. A line laid out any other way is parsed whole and goes through
-the constructor. Either way a record line must be an object that gives no
-key twice and whose vector entries are numbers.
+are parsed, by one ``json.loads``, into a zeroed matrix. A line laid out
+any other way is parsed whole. Either way the record is built by the
+constructor, which keeps the used columns, so only the line being read is
+ever held at full width. A record line must be an object that gives no key
+twice and whose vector entries are numbers.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ import json
 from dataclasses import InitVar, dataclass, field
 from itertools import accumulate
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -138,23 +137,6 @@ def _rows_json(columns: list[int], dimension: int, rows: list[list[float]]) -> l
     return [template.format(*map(repr, row)) for row in rows]
 
 
-def _column_list(used: np.ndarray) -> np.ndarray:
-    """The places of ``used``'s true entries, in an array that owns its data.
-
-    ``nonzero`` gives a view, which would keep a second array object alive
-    in every record.
-    """
-    return used.nonzero()[0].copy()
-
-
-def _written(values: np.ndarray) -> np.ndarray:
-    """Where ``values`` holds an entry JSON writes as other than ``0.0``.
-
-    ``0.0`` is the one float64 whose bits are all zero; ``-0.0`` is not.
-    """
-    return values.view(np.uint64) != 0
-
-
 @dataclass(eq=False)
 class TaskRecord:
     """One task's latest trajectory, as stored in the database.
@@ -190,22 +172,6 @@ class TaskRecord:
     values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, goal_embedding, obs_embeddings) -> None:
-        self._check_members()
-        goal = _as_vector(goal_embedding, "goal_embedding")
-        steps = np.asarray(obs_embeddings, dtype=np.float64)  # ragged input fails here
-        shape = (len(self.history), goal.size)
-        if steps.shape != shape:
-            raise ValueError(f"obs_embeddings has shape {steps.shape}, expected {shape}")
-        if not np.isfinite(steps).all():
-            raise ValueError("obs_embeddings contains non-finite values")
-        columns = _column_list(_written(goal) | steps.view(np.uint64).any(axis=0))
-        values = np.empty((1 + len(steps), columns.size))
-        goal.take(columns, out=values[0])
-        steps.take(columns, axis=1, out=values[1:])
-        self._keep(goal.size, columns, values)
-
-    def _check_members(self) -> None:
-        """Check every member but the vectors, and copy the history."""
         if not isinstance(self.task_id, str) or not self.task_id:
             raise ValueError(f"task_id must be a non-empty string, got {self.task_id!r}")
         if not isinstance(self.goal_text, str):
@@ -223,45 +189,23 @@ class TaskRecord:
         self.history = [(a, o) for a, o in self.history]
         if len(self.history) < 1:
             raise ValueError("history must contain at least one step")
-
-    def _keep(self, dimension: int, columns: np.ndarray, values: np.ndarray) -> None:
+        goal = _as_vector(goal_embedding, "goal_embedding")
+        steps = np.asarray(obs_embeddings, dtype=np.float64)  # ragged input fails here
+        shape = (len(self.history), goal.size)
+        if steps.shape != shape:
+            raise ValueError(f"obs_embeddings has shape {steps.shape}, expected {shape}")
+        if not np.isfinite(steps).all():
+            raise ValueError("obs_embeddings contains non-finite values")
+        # A column is kept where some entry's bits are not all zero: 0.0 is
+        # the one float64 whose bits are, and JSON writes -0.0 with its sign.
+        used = (goal.view(np.uint64) != 0) | steps.view(np.uint64).any(axis=0)
+        columns = used.nonzero()[0].copy()  # a view would keep ``used`` alive
+        values = np.empty((1 + len(steps), columns.size))
+        goal.take(columns, out=values[0])
+        steps.take(columns, axis=1, out=values[1:])
         columns.setflags(write=False)
         values.setflags(write=False)
-        self.dimension, self.columns, self.values = dimension, columns, values
-
-    @classmethod
-    def _from_saved(cls, data: dict, saved: "_SavedVectors") -> "TaskRecord":
-        """The record of a saved line: ``data``'s members and ``saved``'s vectors.
-
-        The checks and their order are the constructor's, but the vectors
-        are never laid out at full width: only their parsed entries are
-        checked, and those JSON writes as other than ``0.0`` are kept.
-        """
-        record = cls.__new__(cls)
-        record.task_id, record.iteration, record.goal_text, record.history, record.done = (
-            data["task_id"], data["iteration"], data["goal_text"], data["history"], data["done"]
-        )
-        record._check_members()
-        entries, values = saved.entries, saved.values
-        finite = np.isfinite(values).all()
-        if not finite and not np.isfinite(values[: saved.in_goal]).all():
-            raise ValueError("goal_embedding contains non-finite values")
-        found, shape = (saved.rows - 1, saved.width), (len(record.history), saved.width)
-        if found != shape:
-            raise ValueError(f"obs_embeddings has shape {found}, expected {shape}")
-        if not finite:
-            raise ValueError("obs_embeddings contains non-finite values")
-        if not values.all():  # an entry such as ``0`` or ``-0.0``: only ``-0.0`` is kept
-            kept = _written(values)
-            entries, values = entries[kept], values[kept]
-        rows, at = np.divmod(entries, saved.width)
-        used = np.zeros(saved.width, dtype=bool)
-        used[at] = True
-        columns = _column_list(used)
-        matrix = np.zeros((saved.rows, columns.size))
-        matrix[rows, columns.searchsorted(at)] = values
-        record._keep(saved.width, columns, matrix)
-        return record
+        self.dimension, self.columns, self.values = goal.size, columns, values
 
     def row(self, index: int) -> np.ndarray:
         """Row ``index`` of ``values`` at full width: 0 is the goal, t + 1 step t."""
@@ -351,22 +295,7 @@ def _json_object(text: str) -> dict:
     return data
 
 
-class _SavedVectors(NamedTuple):
-    """A saved line's vectors, as the entries that are not the text ``0.0``.
-
-    The line holds ``rows`` rows of ``width`` entries, the goal first.
-    ``entries`` are the row-major places of those entries and ``values``
-    their parsed numbers; the first ``in_goal`` are the goal's.
-    """
-
-    width: int
-    rows: int
-    entries: np.ndarray
-    values: np.ndarray
-    in_goal: int
-
-
-def _saved_vectors(goal: str, steps: str) -> _SavedVectors:
+def _saved_vectors(goal: str, steps: str) -> np.ndarray:
     """The goal row and step rows, laid out as ``to_json_line`` writes them.
 
     ``goal`` is the text inside the goal's brackets, ``steps`` the text
@@ -411,13 +340,10 @@ def _saved_vectors(goal: str, steps: str) -> _SavedVectors:
     if not isinstance(values, list) or len(values) != others.size:
         raise ValueError("vector entries must be JSON numbers")
     in_goal = int(others.searchsorted(width))
-    try:
-        numbers = _numbers(values, "vectors")
-    except ValueError:  # raised again by the part that holds the entry, naming it
-        _numbers(values[:in_goal], "goal_embedding")
-        _numbers(values[in_goal:], "obs_embeddings")
-        raise
-    return _SavedVectors(width, len(rows), others, numbers, in_goal)
+    matrix = np.zeros((len(rows), width))
+    matrix.reshape(-1)[others[:in_goal]] = _numbers(values[:in_goal], "goal_embedding")
+    matrix.reshape(-1)[others[in_goal:]] = _numbers(values[in_goal:], "obs_embeddings")
+    return matrix
 
 
 def _read_record(line: str) -> TaskRecord:
@@ -441,14 +367,20 @@ def _read_record(line: str) -> TaskRecord:
         except json.JSONDecodeError:
             head = None
         if head:  # an empty head would have been "{, ...", no JSON
-            saved = _saved_vectors(
+            rows = _saved_vectors(
                 line[goal_at + len(_GOAL_KEY) : steps_at],
                 line[steps_at + len(_STEPS_KEY) : history_at],
             )
-            data = _unique_keys(
-                [*head.items(), ("goal_embedding", None), ("obs_embeddings", None), *tail.items()]
+            return TaskRecord.from_json_dict(
+                _unique_keys(
+                    [
+                        *head.items(),
+                        ("goal_embedding", rows[0]),
+                        ("obs_embeddings", rows[1:]),
+                        *tail.items(),
+                    ]
+                )
             )
-            return TaskRecord._from_saved(data, saved)
     data = _json_object(line)
     goal, steps = data.get("goal_embedding"), data.get("obs_embeddings")
     if isinstance(goal, list):

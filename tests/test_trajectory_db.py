@@ -1295,7 +1295,7 @@ class TestCompactRecord:
             assert not array.flags.writeable
         assert not record.columns.flags.writeable and not record.values.flags.writeable
         assert set(vars(record)) == {f.name for f in dataclasses.fields(TaskRecord)}
-        # A saved line is read straight into the same columns and values.
+        # A saved line reads back into the same columns and values.
         read = _read_record(line + "\n")
         assert read.columns.tolist() == columns
         assert read.values.tobytes() == record.values.tobytes()
