@@ -10,10 +10,13 @@ instance memoizes the hashed bucket and sign of every token it has seen
 the per-token accumulation bit for bit. It also remembers the vector of each
 distinct text it has encoded, up to ``_TEXT_MEMO_LIMIT`` texts (a run's scene
 texts repeat: about three in four household encodes are of a text already
-seen), and every vector it returns is read-only, since a remembered vector
-is handed to every caller that encodes the same text. A remote HTTP encoder
-with the same interface can be swapped in for real runs; it remembers
-nothing.
+seen). A scene text fills about 14 of 384 columns, so it remembers only the
+columns whose entries are not all zero bits and their values, and lays out
+a fresh dense vector, with the same bytes, each time the text is asked for
+again. Every vector it returns is read-only. A remote HTTP encoder with the
+same interface can be swapped in for real runs; it remembers nothing, and
+it refuses any reply that is not an object holding a list of ``dimension``
+finite JSON numbers.
 
 ``cosine`` is the one similarity formula. Retrieval re-scores with
 ``cosine_from_parts`` and norms from ``vector_norm``, the same expressions,
@@ -43,7 +46,9 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 # Texts one HashingEncoder remembers; past this, the oldest is forgotten.
-# At the default dimension that holds about 12 MB of vectors.
+# Kept as their used columns and values, a scene text of about 14 columns
+# takes about 500 bytes, so the cap holds about 2 MB where dense vectors at
+# the default dimension would take 12.6 MB.
 _TEXT_MEMO_LIMIT = 4096
 
 
@@ -65,6 +70,27 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
+def check_dimension(dimension) -> None:
+    """Refuse a dimension that is no ``int`` of at least 1 (a ``bool`` is none)."""
+    if isinstance(dimension, bool) or not isinstance(dimension, int) or dimension < 1:
+        raise ValueError(f"dimension must be a positive integer, got {dimension!r}")
+
+
+def json_numbers(values: list, name: str) -> np.ndarray:
+    """Parsed JSON vector entries as float64, refusing any that is no number.
+
+    ``np.array`` would read ``true`` as 1.0, ``"1.5"`` as 1.5 and ``[1.0]``
+    as a row.
+    """
+    if not set(map(type, values)) <= {float, int}:  # a bool's type is not int
+        odd = next(v for v in values if type(v) is not float and type(v) is not int)
+        raise ValueError(f"{name} entries must be numbers, got {odd!r}")
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(f"{name} has an entry too large for a float") from None
+
+
 class Encoder(Protocol):
     """Anything that turns text into a fixed-dimension float vector."""
 
@@ -80,8 +106,10 @@ class HashingEncoder:
     Each token is hashed with FNV-1a 64. Bit 0 of the hash selects the sign
     and the remaining bits select the bucket, so the sign bit is disjoint
     from the index computation. Token contributions accumulate and the result
-    is L2-normalized; text with no tokens stays the all-zero vector. The
-    returned vector is read-only and may be shared with other callers.
+    is L2-normalized; text with no tokens stays the all-zero vector. A text
+    encoded before is not hashed again: its vector is laid out from the
+    columns and values remembered for it. Every returned vector is a fresh,
+    read-only array.
     """
 
     dimension: int = DEFAULT_DIMENSION
@@ -89,14 +117,14 @@ class HashingEncoder:
     _codes: dict[str, int] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    # text -> its vector, oldest first; depends only on the text and dimension.
-    _vectors: dict[str, np.ndarray] = field(
+    # text -> the columns of its vector whose bits are not all zero, and their
+    # values, oldest first; depends only on the text and dimension.
+    _vectors: dict[str, tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise ValueError(f"dimension must be positive, got {self.dimension}")
+        check_dimension(self.dimension)
 
     def _code(self, token: str) -> int:
         h = fnv1a64(token.encode("utf-8"))
@@ -105,13 +133,17 @@ class HashingEncoder:
         return code
 
     def encode(self, text: str) -> np.ndarray:
-        vec = self._vectors.get(text)
-        if vec is None:
+        kept = self._vectors.get(text)
+        if kept is None:
             vec = self._encode(text)
-            vec.setflags(write=False)
+            columns = vec.view(np.uint64).nonzero()[0].copy()  # a view would keep its base
             if len(self._vectors) >= _TEXT_MEMO_LIMIT:
                 del self._vectors[next(iter(self._vectors))]
-            self._vectors[text] = vec
+            self._vectors[text] = (columns, vec[columns])
+        else:
+            vec = np.zeros(self.dimension)
+            vec[kept[0]] = kept[1]
+        vec.setflags(write=False)
         return vec
 
     def _encode(self, text: str) -> np.ndarray:
@@ -133,7 +165,10 @@ class HashingEncoder:
 class RemoteEncoder:
     """HTTP embedding endpoint client.
 
-    POSTs ``{"text": ...}`` and expects ``{"embedding": [...]}`` back. The
+    POSTs ``{"text": ...}`` and expects ``{"embedding": [...]}`` back: an
+    object whose ``embedding`` is a list of ``dimension`` finite JSON numbers
+    (``true`` is none). Any other reply raises ``EncoderError``, which ends
+    one episode, not the run. The returned vector is read-only. The
     credential, if any, is read from the environment at call time and sent as
     a bearer token; it is never accepted as a constructor argument so it
     cannot end up in config files or logs.
@@ -143,6 +178,9 @@ class RemoteEncoder:
     dimension: int = DEFAULT_DIMENSION
     timeout: float = 30.0
     api_key_env: str = "PRAG_ENCODER_API_KEY"
+
+    def __post_init__(self) -> None:
+        check_dimension(self.dimension)
 
     def encode(self, text: str) -> np.ndarray:
         import requests  # deferred: only remote clients need it, and it is slow to import
@@ -162,6 +200,10 @@ class RemoteEncoder:
         except ValueError as exc:
             raise EncoderError(f"remote encoder returned invalid JSON: {exc}") from exc
 
+        if not isinstance(payload, dict):
+            raise EncoderError(
+                f"remote encoder response is not a JSON object, got {type(payload).__name__}"
+            )
         values = payload.get("embedding")
         if not isinstance(values, list):
             raise EncoderError("remote encoder response has no 'embedding' list")
@@ -169,9 +211,13 @@ class RemoteEncoder:
             raise EncoderError(
                 f"remote encoder returned dimension {len(values)}, expected {self.dimension}"
             )
-        vec = np.asarray(values, dtype=np.float64)
+        try:
+            vec = json_numbers(values, "remote encoder embedding")
+        except ValueError as exc:
+            raise EncoderError(str(exc)) from None
         if not np.all(np.isfinite(vec)):
             raise EncoderError("remote encoder returned non-finite values")
+        vec.setflags(write=False)
         return vec
 
 

@@ -37,6 +37,7 @@ from prag.gridworld.tasks import load_task_text
 from prag.trajectory_db import RetrievalHit, TrajectoryDB
 
 from tests.conftest import ScriptedBackend, make_ball_task
+from tests.test_embedding import FakeResponse
 from tests.test_trajectory_db import make_record
 
 TASK_A = """\
@@ -352,6 +353,35 @@ class TestRunPass:
         )
         assert report.failures == {ball_task.id: "planner-failure"}
         assert report.total_sr == 0.0
+
+    def test_a_malformed_encoder_reply_ends_one_episode(self, task_dir, monkeypatch):
+        import requests
+
+        config = mini_config(
+            task_dir, encoder="remote", encoder_url="http://enc.test/embed", dimension=32
+        )
+        hashing = HashingEncoder(dimension=32)
+
+        def fake_post(url, json=None, headers=None, timeout=None):
+            if json["text"] == "Put the ball on the table":
+                return FakeResponse(hashing.encode(json["text"]).tolist())  # no object
+            return FakeResponse({"embedding": hashing.encode(json["text"]).tolist()})
+
+        monkeypatch.setattr(requests, "post", fake_post)
+        tasks = load_tasks(str(task_dir))
+        db = TrajectoryDB(dimension=32)
+        report = run_pass(
+            tasks,
+            db,
+            build_backend(config),
+            build_encoder(config),
+            config,
+            optima=_solve_all(tasks),
+            iteration=1,
+        )
+        assert report.failures == {"easy_ball": "encoder-error"}
+        assert [r.task_id for r in report.results] == ["easy_ball", "mug_to_sink"]
+        assert [r.task_id for r in db.records()] == ["mug_to_sink"]
 
     def test_retrieval_calls_count_the_store_queries(self, task_dir, monkeypatch):
         config = mini_config(task_dir)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,16 +157,49 @@ class TestHashingEncoder:
         assert hash(used) == hash(HashingEncoder(dimension=16))
         assert repr(used) == "HashingEncoder(dimension=16)"
 
-    def test_rejects_bad_dimension(self):
-        with pytest.raises(ValueError):
-            HashingEncoder(dimension=0)
+    @pytest.mark.parametrize("dimension", [0, -1, True, 2.5, "8", None])
+    def test_rejects_bad_dimension(self, dimension):
+        with pytest.raises(ValueError, match="dimension must be a positive integer"):
+            HashingEncoder(dimension=dimension)
 
-    def test_remembered_vector_equals_a_fresh_encoding(self):
+    def test_remembered_vector_equals_a_fresh_encoding(self, monkeypatch):
         encoder = HashingEncoder()
         text = "mug_1 on table_1: True\nagent at (2, 3)"
         first = encoder.encode(text)
-        assert encoder.encode(text) is first
+
+        def encode_again(self, text):
+            raise AssertionError(f"{text!r} was encoded twice")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(HashingEncoder, "_encode", encode_again)
+            again = encoder.encode(text)
+        assert again.tobytes() == first.tobytes()
         assert first.tobytes() == HashingEncoder().encode(text).tobytes()
+
+    def test_remembered_texts_take_a_fraction_of_their_dense_bytes(self):
+        rng = random.Random(11)
+        labels = [f"{kind}_{i}" for kind in ("mug", "plant", "sink", "table", "ball") for i in range(1, 4)]
+        relations = ["on_top_of", "next_to", "inside", "held_by"]
+        texts = set()
+        while len(texts) < 1000:
+            lines = {
+                f"{rng.choice(labels)}/{rng.choice(labels)}/{rng.choice(relations)}: True"
+                for _ in range(rng.randint(2, 6))
+            }
+            texts.add("\n".join(sorted(lines)))
+        texts = sorted(texts)
+        encoder = HashingEncoder()
+        tracemalloc.start()
+        try:
+            for text in texts:
+                encoder.encode(text)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(encoder._vectors) == len(texts)
+        assert retained < len(texts) * encoder.dimension * 8 / 4
+        for text in texts[:50]:  # laid out again, with the bytes of a fresh encoding
+            assert encoder.encode(text).tobytes() == loop_encode(text, encoder.dimension).tobytes()
 
     @pytest.mark.parametrize("text", ["plant sink mug", ""])
     def test_returned_vectors_are_read_only(self, text):
@@ -254,6 +288,8 @@ class TestRemoteEncoder:
         assert seen["timeout"] == 30.0
         np.testing.assert_array_equal(vector, [3.0, 4.0, 0.0])
         assert vector.dtype == np.float64
+        with pytest.raises(ValueError):
+            vector[0] = 1.0
 
     def test_api_key_from_environment_only(self, monkeypatch):
         seen = {}
@@ -298,3 +334,37 @@ class TestRemoteEncoder:
         )
         with pytest.raises(EncoderError):
             RemoteEncoder("http://enc.test/embed", dimension=2).encode("x")
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [1.0, 2.0],
+            "1.0, 2.0",
+            None,
+            {"embedding": ["1.0", 2.0]},
+            {"embedding": [True, False]},
+            {"embedding": [1.0, None]},
+            {"embedding": [[1.0], [2.0]]},
+            {"embedding": [{"value": 1.0}, 2.0]},
+            {"embedding": [10**400, 0.0]},
+            {"embedding": {"0": 1.0, "1": 2.0}},
+        ],
+        ids=[
+            "array-body", "string-body", "null-body", "string-entry", "bool-entries",
+            "null-entry", "nested-rows", "object-entry", "huge-integer", "object-embedding",
+        ],
+    )
+    def test_a_malformed_reply_raises_encoder_error(self, monkeypatch, payload):
+        self.patch_post(monkeypatch, lambda *a, **k: FakeResponse(payload))
+        with pytest.raises(EncoderError):
+            RemoteEncoder("http://enc.test/embed", dimension=2).encode("x")
+
+    def test_integer_entries_are_numbers(self, monkeypatch):
+        self.patch_post(monkeypatch, lambda *a, **k: FakeResponse({"embedding": [3, -4]}))
+        vector = RemoteEncoder("http://enc.test/embed", dimension=2).encode("x")
+        assert vector.dtype == np.float64 and vector.tolist() == [3.0, -4.0]
+
+    @pytest.mark.parametrize("dimension", [0, -1, True, 2.5, "8", None])
+    def test_rejects_bad_dimension(self, dimension):
+        with pytest.raises(ValueError, match="dimension must be a positive integer"):
+            RemoteEncoder("http://enc.test/embed", dimension=dimension)

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prag.embedding import HashingEncoder
 from prag.trajectory_db import (
     DatabaseFormatError,
     RetrievalMemo,
@@ -23,6 +24,7 @@ from prag.trajectory_db import (
     TaskRecord,
     TrajectoryDB,
     _read_record,
+    _UsedColumns,
     score,
 )
 
@@ -1406,6 +1408,96 @@ class TestStoreMemory:
         assert len(db) == 300 and len(hits) == 3
         assert retained < dense / 2
         assert peak < dense
+
+
+class TestSharedTexts:
+    """A load holds each distinct goal, action and scene text once."""
+
+    def test_a_load_holds_one_object_per_distinct_text(self, tmp_path):
+        encoder = HashingEncoder(dimension=64)
+        goals = ["put the mug in the sink", "put the ball on the table"]
+        actions = ["navigate(table_1)", "pickup(mug_1)", "drop(sink_1)", "done()"]
+        scenes = [
+            "mug_1/table_1/on_top_of: True",
+            "mug_1/hand/held_by: True\nsink_1/table_1/next_to: True",
+            "mug_1/sink_1/inside: True",
+            "",
+        ]
+        records = []
+        for i in range(24):
+            history = [(actions[(i + t) % 4], scenes[(i * t + t) % 4]) for t in range(1 + i % 5)]
+            records.append(
+                TaskRecord(
+                    task_id=f"t{i:02d}",
+                    iteration=1,
+                    goal_text=goals[i % 2],
+                    goal_embedding=encoder.encode(goals[i % 2]),
+                    obs_embeddings=[encoder.encode(scene) for _, scene in history],
+                    history=history,
+                    done=i % 3 == 0,
+                )
+            )
+        live = TrajectoryDB(dimension=64)
+        live.update_after_iteration(records)
+        live.save(tmp_path / "db.jsonl")
+        loaded = TrajectoryDB.load(tmp_path / "db.jsonl")
+
+        texts = [r.goal_text for r in loaded.records()]
+        texts += [text for r in loaded.records() for step in r.history for text in step]
+        assert len({id(text) for text in texts}) == len(set(texts)) == 2 + 4 + 4
+        assert [r.to_json_line() for r in loaded.records()] == [
+            r.to_json_line() for r in live.records()
+        ]
+        for goal in goals:
+            for scene in scenes:
+                query = RetrievalQuery(encoder.encode(goal), encoder.encode(scene))
+                hits = loaded.retrieve_top_k(query, 5)
+                assert_reference_hits(loaded, query, 5, hits)
+                assert [(h.record.task_id, repr(h.score)) for h in hits] == [
+                    (h.record.task_id, repr(h.score)) for h in live.retrieve_top_k(query, 5)
+                ]
+
+
+class TestIndexBuildMemory:
+    """The step index finds its columns before it allocates its matrix."""
+
+    def test_the_step_index_peaks_below_one_and_a_half_matrices(self):
+        # As in a hashed store: goals use columns no step uses, and steps
+        # columns no goal uses, so each record keeps more than either needs.
+        dim = 384
+        gen = np.random.default_rng(29)
+        pool = gen.choice(dim, 40, replace=False)
+        goal_pool, step_pool = pool[:26], pool[12:]
+
+        def vector(columns, count):
+            values = np.zeros(dim)
+            values[gen.choice(columns, count, replace=False)] = gen.integers(1, 4, count)
+            return values
+
+        records = []
+        for i in range(1000):
+            steps = int(gen.integers(1, 9))
+            records.append(
+                TaskRecord(
+                    task_id=f"t{i:04d}",
+                    iteration=1,
+                    goal_text="g",
+                    goal_embedding=vector(goal_pool, 6),
+                    obs_embeddings=[vector(step_pool, 14) for _ in range(steps)],
+                    history=[("done()", "")] * steps,
+                    done=False,
+                )
+            )
+        blocks = [(r.columns, r.values[1:]) for r in records]
+        tracemalloc.start()
+        try:
+            index = _UsedColumns(blocks, dim)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert index.columns.tolist() == sorted(step_pool.tolist())
+        assert index.matrix.shape == (sum(len(r.history) for r in records), 28)
+        assert peak < 1.5 * index.matrix.nbytes
 
 
 # Texts that look like the parts of a saved line, so a reader that splits a
