@@ -41,10 +41,11 @@ without a memo starts an empty one.
 
 Retrieval is shared the same way: run_episode owns one RetrievalMemo and
 hands it to every ``retrieve_top_k`` of the episode. The goal is fixed for
-the episode, so every record's goal term is computed once, each query
-scans only the records that goal term leaves in reach of the top K, and a
-scene the episode asks about again (a navigation changes no relation) gets
-its hits without a scan. The memo dies with the episode too.
+the episode, so that one object holds every record's goal term, computed
+once, the records those terms leave in reach of the top K and the hits of
+each scene: each query scans only those records, and a scene the episode
+asks about again (a navigation changes no relation) gets its hits without
+a scan. The memo dies with the episode too.
 """
 
 from __future__ import annotations

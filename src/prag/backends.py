@@ -19,11 +19,10 @@ that as a failed episode, not a crashed run.
 
 from __future__ import annotations
 
-import os
 import random
 from typing import Iterable
 
-from .embedding import fnv1a64
+from .embedding import fnv1a64, post_json
 from .gridworld.world import World
 from .prompting import PromptBundle
 
@@ -44,8 +43,6 @@ class BackendError(RuntimeError):
 class PlannerBackend:
     """Base backend. Subclasses must implement complete()."""
 
-    name = "base"
-
     def begin_episode(
         self, task_id: str, iteration: int, goal_text: str, world: World
     ) -> None:
@@ -63,8 +60,6 @@ class RemoteChatBackend(PlannerBackend):
     logged. Requests use temperature 0 so reruns are as stable as the remote
     model allows.
     """
-
-    name = "remote-chat"
 
     def __init__(
         self,
@@ -86,8 +81,6 @@ class RemoteChatBackend(PlannerBackend):
         self.api_key_env = api_key_env
 
     def complete(self, prompt: str, bundle: PromptBundle) -> str:
-        import requests  # deferred: only remote clients need it, and it is slow to import
-
         payload = {
             "model": self.model,
             "messages": [
@@ -96,23 +89,10 @@ class RemoteChatBackend(PlannerBackend):
             ],
             "temperature": self.temperature,
         }
-        headers = {"Content-Type": "application/json"}
-        api_key = os.environ.get(self.api_key_env)
-        if api_key:
-            headers["Authorization"] = f"Bearer {api_key}"
-        try:
-            response = requests.post(
-                f"{self.base_url}/chat/completions",
-                json=payload,
-                headers=headers,
-                timeout=self.timeout,
-            )
-            response.raise_for_status()
-            body = response.json()
-        except requests.RequestException as exc:
-            raise BackendError(f"chat request failed: {exc}") from exc
-        except ValueError as exc:  # json.JSONDecodeError is one
-            raise BackendError(f"chat response is not JSON: {exc}") from exc
+        body = post_json(
+            f"{self.base_url}/chat/completions", payload, timeout=self.timeout,
+            api_key_env=self.api_key_env, error=BackendError, what="chat",
+        )
         try:
             text = body["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
@@ -178,8 +158,6 @@ class ScriptedReplyBackend(PlannerBackend):
 class SeededExplorerBackend(ScriptedReplyBackend):
     """Replies with a deterministic exploration script, then declares done."""
 
-    name = "seeded-explorer"
-
     def __init__(self, seed: int = 0) -> None:
         super().__init__()
         self.seed = seed
@@ -199,8 +177,6 @@ class ReplayOracleBackend(PlannerBackend):
     progress; once the stored trajectory is exhausted it emits done(). With
     no usable hit, it behaves exactly like SeededExplorerBackend.
     """
-
-    name = "replay-oracle"
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed

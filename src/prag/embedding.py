@@ -16,7 +16,8 @@ a fresh dense vector, with the same bytes, each time the text is asked for
 again. Every vector it returns is read-only. A remote HTTP encoder with the
 same interface can be swapped in for real runs; it remembers nothing, and
 it refuses any reply that is not an object holding a list of ``dimension``
-finite JSON numbers.
+finite JSON numbers. It and the chat backend make their HTTP calls through
+``post_json``, the one place that sends a request and reads its reply.
 
 ``cosine`` is the one similarity formula. Retrieval re-scores with
 ``cosine_from_parts`` and norms from ``vector_norm``, the same expressions,
@@ -70,9 +71,14 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
+def is_int(value) -> bool:
+    """An ``int`` that is not a ``bool`` (JSON's true and false are ints in Python)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_dimension(dimension) -> None:
     """Refuse a dimension that is no ``int`` of at least 1 (a ``bool`` is none)."""
-    if isinstance(dimension, bool) or not isinstance(dimension, int) or dimension < 1:
+    if not is_int(dimension) or dimension < 1:
         raise ValueError(f"dimension must be a positive integer, got {dimension!r}")
 
 
@@ -161,6 +167,34 @@ class HashingEncoder:
         return vec
 
 
+def post_json(
+    url: str, payload: dict, *, timeout: float, api_key_env: str, error: type, what: str
+):
+    """POST ``payload`` as JSON to ``url`` and return the reply's decoded body.
+
+    The bearer key, if any, is read from the variable ``api_key_env`` at call
+    time. A failed request or an error status raises ``error`` ("``what``
+    request failed"), and so does a body that is no JSON ("``what`` response
+    is not JSON").
+    """
+    import requests  # deferred: only remote clients need it, and it is slow to import
+
+    headers = {"Content-Type": "application/json"}
+    api_key = os.environ.get(api_key_env)
+    if api_key:
+        headers["Authorization"] = f"Bearer {api_key}"
+    try:
+        response = requests.post(url, json=payload, headers=headers, timeout=timeout)
+        response.raise_for_status()
+    except requests.RequestException as exc:
+        raise error(f"{what} request failed: {exc}") from exc
+    # Decoded apart: requests' JSONDecodeError is also a RequestException.
+    try:
+        return response.json()
+    except ValueError as exc:
+        raise error(f"{what} response is not JSON: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class RemoteEncoder:
     """HTTP embedding endpoint client.
@@ -168,9 +202,9 @@ class RemoteEncoder:
     POSTs ``{"text": ...}`` and expects ``{"embedding": [...]}`` back: an
     object whose ``embedding`` is a list of ``dimension`` finite JSON numbers
     (``true`` is none). Any other reply raises ``EncoderError``, which ends
-    one episode, not the run. The returned vector is read-only. The
-    credential, if any, is read from the environment at call time and sent as
-    a bearer token; it is never accepted as a constructor argument so it
+    one episode, not the run. The returned vector is read-only. It posts
+    through ``post_json``, which reads the credential from the environment
+    at call time; it is never accepted as a constructor argument so it
     cannot end up in config files or logs.
     """
 
@@ -183,23 +217,10 @@ class RemoteEncoder:
         check_dimension(self.dimension)
 
     def encode(self, text: str) -> np.ndarray:
-        import requests  # deferred: only remote clients need it, and it is slow to import
-
-        headers = {"Content-Type": "application/json"}
-        api_key = os.environ.get(self.api_key_env)
-        if api_key:
-            headers["Authorization"] = f"Bearer {api_key}"
-        try:
-            response = requests.post(
-                self.url, json={"text": text}, headers=headers, timeout=self.timeout
-            )
-            response.raise_for_status()
-            payload = response.json()
-        except requests.RequestException as exc:
-            raise EncoderError(f"remote encoder request failed: {exc}") from exc
-        except ValueError as exc:
-            raise EncoderError(f"remote encoder returned invalid JSON: {exc}") from exc
-
+        payload = post_json(
+            self.url, {"text": text}, timeout=self.timeout, api_key_env=self.api_key_env,
+            error=EncoderError, what="remote encoder",
+        )
         if not isinstance(payload, dict):
             raise EncoderError(
                 f"remote encoder response is not a JSON object, got {type(payload).__name__}"

@@ -27,14 +27,15 @@ stored scaled by the inverse of its norm, computed in bulk over the cut rows
 the query divided by its norm gives the cosines, and ``np.maximum.reduceat``
 keeps each record's best step.
 
-Within an episode the store is frozen and the goal fixed, so an episode's
-``RetrievalMemo`` scores the goal against every record once. A record can
-score at most its goal term plus 1, the largest step cosine, so a query
-scans the step rows only of the records whose goal term can still reach
-the k-th best of those scanned: a prefix of the records in goal order,
-gathered into one matrix and grown when a query's bound demands (a prefix
-of over half the step rows is scanned in place instead). A scene asked
-again in the episode gets its hits without a scan.
+Within an episode the store is frozen and the goal fixed, so one object,
+the episode's ``RetrievalMemo``, holds every record's goal term, computed
+once, the step rows its queries scan and the hits of each scene. A record
+can score at most its goal term plus 1, the largest step cosine, so a
+query scans the step rows only of the records whose goal term can still
+reach the k-th best of those scanned: a prefix of the records in goal
+order, gathered into one matrix and grown when a query's bound demands (a
+prefix of over half the step rows is scanned in place instead). A scene
+asked again in the episode gets its hits without a scan.
 
 The records within rounding distance of the k-th best, usually just k, are
 then re-scored exactly: one full-width dot for the goal and for each step
@@ -73,7 +74,8 @@ from pathlib import Path
 import numpy as np
 
 from .atomic_io import open_atomic
-from .embedding import check_dimension, cosine, cosine_from_parts, json_numbers, vector_norm
+from .embedding import check_dimension, cosine, cosine_from_parts, is_int, json_numbers
+from .embedding import vector_norm
 
 FORMAT_NAME = "prag-trajectory-db"
 FORMAT_VERSION = 1
@@ -91,11 +93,6 @@ class DatabaseFormatError(Exception):
             message = f"line {line_number}: {message}"
         super().__init__(message)
         self.line_number = line_number
-
-
-def _is_int(value) -> bool:
-    """An ``int`` that is not a ``bool`` (JSON's true and false are ints in Python)."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _as_vector(values, name: str) -> np.ndarray:
@@ -165,7 +162,7 @@ class TaskRecord:
             raise ValueError(f"task_id must be a non-empty string, got {self.task_id!r}")
         if not isinstance(self.goal_text, str):
             raise ValueError(f"goal_text must be a string, got {self.goal_text!r}")
-        if not _is_int(self.iteration) or self.iteration < 1:
+        if not is_int(self.iteration) or self.iteration < 1:
             raise ValueError(f"iteration must be an integer >= 1, got {self.iteration!r}")
         if not isinstance(self.done, bool):
             raise ValueError(f"done must be true or false, got {self.done!r}")
@@ -532,59 +529,75 @@ class _MatrixIndex:
         self.lengths = np.array([len(r.history) for r in records])
 
 
-class _GoalScan:
-    """One goal's terms over one index, and the step rows its queries scan.
+class RetrievalMemo:
+    """One episode's retrievals: the goal's terms once, and hits by scene.
 
-    A query scans only the records whose goal term reaches a threshold:
-    a prefix of the records ordered by goal term, best first. The first
-    threshold comes from the records of the k best goal terms, and a query
-    lowers it when its own k-th best demands. Its step rows are gathered
-    into one matrix as the prefix grows; when the prefix would hold more
-    than half the index's step rows, the index's own matrix is scanned in
-    place instead.
+    ``run_episode`` owns one and hands it to every ``retrieve_top_k`` of the
+    episode, whose store is frozen and goal fixed. For one index and goal it
+    holds every record's goal term, the exact ones re-scored so far, the
+    step rows its queries scan and the hits of each scene and k; a new index
+    or goal resets them together. A query scans the records whose goal term
+    reaches a threshold, a prefix in goal-term order: first set from the
+    records of the k best goal terms, then lowered when a query's k-th best
+    demands. The prefix's step rows are gathered into one matrix as it
+    grows; once it would hold over half the index's step rows, the index's
+    own matrix is scanned in place instead. It dies with its episode:
+    nothing is kept on the store or in the module.
     """
 
-    def __init__(self, index: _MatrixIndex, goal: bytes):
-        self.index, self.key = index, goal
-        self.goal = np.frombuffer(goal)  # the goal the scan is keyed by, read-only
-        self.goal_norm = vector_norm(self.goal)
-        self.all_terms = index.goals.matrix @ index.goals.unit(self.goal, self.goal_norm)
-        self.exact_terms: dict[int, float] = {}  # ``score``'s goal term, by record
-        self.threshold = np.inf
-        self.records = self.terms = self.rows = self.starts = None
+    def __init__(self) -> None:
+        self._index = self._key = None
+
+    def top_k(self, index: _MatrixIndex, query: RetrievalQuery, k: int) -> list[RetrievalHit]:
+        goal = query.goal_embedding.tobytes()
+        if index is not self._index or goal != self._key:
+            self._index, self._key = index, goal
+            self._goal = np.frombuffer(goal)  # the goal the memo is keyed by, read-only
+            self._goal_norm = vector_norm(self._goal)
+            self._all_terms = index.goals.matrix @ index.goals.unit(self._goal, self._goal_norm)
+            self._exact_terms: dict[int, float] = {}  # ``score``'s goal term, by record
+            self._hits: dict[tuple[bytes, int], tuple[RetrievalHit, ...]] = {}
+            self._threshold = np.inf
+            self._records = self._terms = self._rows = self._starts = None
+        key = (query.obs_embedding.tobytes(), k)
+        hits = self._hits.get(key)
+        if hits is None:
+            hits = self._hits[key] = self._scan(query.obs_embedding, k)
+        return list(hits)
 
     def _reach(self, threshold: float) -> None:
         """Scan every record whose goal term is at least ``threshold`` from now on."""
-        steps = self.index.observations
-        records = np.flatnonzero(self.all_terms >= threshold)
-        lengths = self.index.lengths[records]
+        steps = self._index.observations
+        records = np.flatnonzero(self._all_terms >= threshold)
+        lengths = self._index.lengths[records]
         ends = np.cumsum(lengths)
         if 2 * ends[-1] > len(steps.matrix):
-            self.threshold = -np.inf
-            self.records = np.arange(self.all_terms.size)
-            self.terms, self.rows, self.starts = self.all_terms, steps.matrix, steps.starts
+            self._threshold = -np.inf
+            self._records = np.arange(self._all_terms.size)
+            self._terms, self._rows, self._starts = self._all_terms, steps.matrix, steps.starts
         else:
             starts = ends - lengths
             rows = np.repeat(steps.starts[records] - starts, lengths) + np.arange(ends[-1])
-            self.threshold = threshold
-            self.records, self.terms = records, self.all_terms[records]
-            self.rows, self.starts = steps.matrix[rows], starts
+            self._threshold = threshold
+            self._records, self._terms = records, self._all_terms[records]
+            self._rows, self._starts = steps.matrix[rows], starts
 
-    def top_k(self, obs: np.ndarray, k: int) -> tuple[RetrievalHit, ...]:
-        index = self.index
+    def _scan(self, obs: np.ndarray, k: int) -> tuple[RetrievalHit, ...]:
+        index = self._index
         steps = index.observations
+        all_terms = self._all_terms
         obs_norm = vector_norm(obs)
         unit = steps.unit(obs, obs_norm)
-        count = self.all_terms.size
-        if self.records is None or self.records.size < min(k, count):
+        count = all_terms.size
+        if self._records is None or self._records.size < min(k, count):
             # Any k records bound the k-th best from below. Those of the k
             # best goal terms, each scanned in place, give the first bound.
             kth_best = -np.inf
             if k < count:
-                kth_goal = np.partition(self.all_terms, count - k)[count - k]
-                picked = np.flatnonzero(self.all_terms >= kth_goal)[:k]
+                kth_goal = np.partition(all_terms, count - k)[count - k]
+                picked = np.flatnonzero(all_terms >= kth_goal)[:k]
                 kth_best = min(
-                    self.all_terms[i] + (steps.matrix[start : start + length] @ unit).max()
+                    all_terms[i] + (steps.matrix[start : start + length] @ unit).max()
                     for i, start, length in zip(
                         picked.tolist(),
                         steps.starts[picked].tolist(),
@@ -593,32 +606,32 @@ class _GoalScan:
                 )
             self._reach(_goal_floor(kth_best))
         while True:
-            step_terms = self.rows @ unit
-            best_steps = np.maximum.reduceat(step_terms, self.starts)
-            scores = self.terms + best_steps
+            step_terms = self._rows @ unit
+            best_steps = np.maximum.reduceat(step_terms, self._starts)
+            scores = self._terms + best_steps
             cut = max(scores.size - k, 0)
             kth_best = np.partition(scores, cut)[cut]
             # Scanning more records could only raise this k-th best.
             threshold = _goal_floor(kth_best)
-            if threshold >= self.threshold:
+            if threshold >= self._threshold:
                 break
             self._reach(threshold)
-        goal, goals = self.goal, index.goals
+        goal, goals = self._goal, index.goals
         candidates = np.flatnonzero(scores >= kth_best - _CANDIDATE_MARGIN)
         hits = []
         for i, start, best in zip(
-            self.records[candidates].tolist(),
-            self.starts[candidates].tolist(),
+            self._records[candidates].tolist(),
+            self._starts[candidates].tolist(),
             (best_steps[candidates] - _CANDIDATE_MARGIN).tolist(),
         ):
             # ``score(query, record)``, from the cached norms. The best step
             # by ``cosine`` is among those near the best scan cosine. Only
             # the rows dotted here are laid out at full width, and not kept.
             record = index.records[i]
-            goal_term = self.exact_terms.get(i)
+            goal_term = self._exact_terms.get(i)
             if goal_term is None:
-                goal_term = self.exact_terms[i] = goals.cosine(
-                    goal, self.goal_norm, i, record.row(0)
+                goal_term = self._exact_terms[i] = goals.cosine(
+                    goal, self._goal_norm, i, record.row(0)
                 )
             first = int(steps.starts[i])
             obs_term = max(
@@ -629,36 +642,6 @@ class _GoalScan:
             hits.append(RetrievalHit(score=goal_term + obs_term, record=record))
         hits.sort(key=lambda h: (-h.score, -h.record.iteration, h.record.task_id))
         return tuple(hits[:k])
-
-
-class RetrievalMemo:
-    """One episode's retrievals: the goal's terms once, and hits by scene.
-
-    ``run_episode`` owns one and hands it to every ``retrieve_top_k`` of the
-    episode. Within an episode the store is frozen and the goal fixed, so
-    every record's goal term is computed once, and a query scans only the
-    records whose goal term plus the largest step cosine can still reach
-    the k-th best (see ``_GoalScan``). A scene asked again gets its hits
-    without a scan. Everything is keyed by the index, the goal's bytes, the
-    scene's bytes and k; a new index or goal starts the memo over. It dies
-    with its episode: nothing is kept on the store or in the module.
-    """
-
-    def __init__(self) -> None:
-        self._scan: _GoalScan | None = None
-        self._hits: dict[tuple[bytes, int], tuple[RetrievalHit, ...]] = {}
-
-    def top_k(self, index: _MatrixIndex, query: RetrievalQuery, k: int) -> list[RetrievalHit]:
-        goal = query.goal_embedding.tobytes()
-        scan = self._scan
-        if scan is None or scan.index is not index or scan.key != goal:
-            scan = self._scan = _GoalScan(index, goal)
-            self._hits = {}
-        key = (query.obs_embedding.tobytes(), k)
-        hits = self._hits.get(key)
-        if hits is None:
-            hits = self._hits[key] = scan.top_k(query.obs_embedding, k)
-        return list(hits)
 
 
 class TrajectoryDB:
@@ -727,7 +710,7 @@ class TrajectoryDB:
         Hit scores are the values ``score`` returns. ``memo`` is the
         episode's ``RetrievalMemo``; a call without one starts an empty one.
         """
-        if not _is_int(k) or k < 1:
+        if not is_int(k) or k < 1:
             raise ValueError(f"k must be a positive integer, got {k!r}")
         if not self._records:
             return []
@@ -797,7 +780,7 @@ class TrajectoryDB:
                         f"unsupported version {header.get('version')!r}", line_number=1
                     )
                 dimension = header.get("dimension")
-                if dimension is not None and (not _is_int(dimension) or dimension < 1):
+                if dimension is not None and (not is_int(dimension) or dimension < 1):
                     raise DatabaseFormatError(
                         f"invalid dimension {dimension!r}", line_number=1
                     )

@@ -16,8 +16,6 @@ from prag.trajectory_db import TaskRecord
 class ScriptedBackend(PlannerBackend):
     """Returns queued replies verbatim and records every prompt and bundle."""
 
-    name = "scripted"
-
     def __init__(self, replies):
         self.replies = list(replies)
         self.calls = 0

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from prag.backends import (
     SeededExplorerBackend,
     exploration_script,
 )
+from prag.embedding import EncoderError, RemoteEncoder
 from prag.prompting import HighLevelAction, PromptBundle, action_space_text, parse_action
 from prag.trajectory_db import RetrievalHit, TaskRecord
 
@@ -217,35 +221,35 @@ class TestReplayOracle:
 
 
 class FakeResponse:
-    def __init__(self, body=None, status=200, invalid_json=False):
+    def __init__(self, body):
         self.body = body
-        self.status = status
-        self.invalid_json = invalid_json
 
     def raise_for_status(self):
-        if self.status >= 400:
-            raise requests.HTTPError(f"status {self.status}")
+        pass
 
     def json(self):
-        if self.invalid_json:
-            raise ValueError("not json")
         return self.body
 
 
 GOOD_BODY = {"choices": [{"message": {"content": "Action: done()"}}]}
 
 
-@pytest.fixture
-def capture_post(monkeypatch):
+def answer_with(monkeypatch, response) -> list[dict]:
+    """Make every POST get ``response``; returns each call's arguments."""
     calls = []
 
     def fake_post(url, json=None, headers=None, timeout=None):
         calls.append({"url": url, "json": json, "headers": headers, "timeout": timeout})
-        return FakeResponse(GOOD_BODY)
+        return response
 
     monkeypatch.setattr(requests, "post", fake_post)
-    monkeypatch.delenv(CHAT_API_KEY_ENV, raising=False)
     return calls
+
+
+@pytest.fixture
+def capture_post(monkeypatch):
+    monkeypatch.delenv(CHAT_API_KEY_ENV, raising=False)
+    return answer_with(monkeypatch, FakeResponse(GOOD_BODY))
 
 
 class TestRemoteChatBackend:
@@ -292,49 +296,10 @@ class TestRemoteChatBackend:
         self.make_backend().complete("p", make_bundle(obs))
         assert capture_post[0]["headers"]["Authorization"] == "Bearer sekret"
 
-    def test_custom_key_env_name(self, capture_post, monkeypatch):
-        monkeypatch.setenv("OTHER_KEY", "tok")
+    def test_custom_temperature(self, capture_post):
         obs = make_ball_world().observe()
-        self.make_backend(api_key_env="OTHER_KEY").complete("p", make_bundle(obs))
-        assert capture_post[0]["headers"]["Authorization"] == "Bearer tok"
-
-    def test_key_is_read_at_call_time(self, capture_post, monkeypatch):
-        obs = make_ball_world().observe()
-        backend = self.make_backend()
-        backend.complete("p", make_bundle(obs))
-        monkeypatch.setenv(CHAT_API_KEY_ENV, "late")
-        backend.complete("p", make_bundle(obs))
-        assert "Authorization" not in capture_post[0]["headers"]
-        assert capture_post[1]["headers"]["Authorization"] == "Bearer late"
-
-    def test_custom_temperature_and_timeout(self, capture_post):
-        obs = make_ball_world().observe()
-        self.make_backend(temperature=0.7, timeout=5.0).complete("p", make_bundle(obs))
+        self.make_backend(temperature=0.7).complete("p", make_bundle(obs))
         assert capture_post[0]["json"]["temperature"] == 0.7
-        assert capture_post[0]["timeout"] == 5.0
-
-    def test_transport_error_becomes_backend_error(self, monkeypatch):
-        def boom(*args, **kwargs):
-            raise requests.ConnectionError("refused")
-
-        monkeypatch.setattr(requests, "post", boom)
-        obs = make_ball_world().observe()
-        with pytest.raises(BackendError, match="chat request failed"):
-            self.make_backend().complete("p", make_bundle(obs))
-
-    def test_http_error_status_becomes_backend_error(self, monkeypatch):
-        monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(status=500))
-        obs = make_ball_world().observe()
-        with pytest.raises(BackendError, match="chat request failed"):
-            self.make_backend().complete("p", make_bundle(obs))
-
-    def test_non_json_body_becomes_backend_error(self, monkeypatch):
-        monkeypatch.setattr(
-            requests, "post", lambda *a, **k: FakeResponse(invalid_json=True)
-        )
-        obs = make_ball_world().observe()
-        with pytest.raises(BackendError, match="not JSON"):
-            self.make_backend().complete("p", make_bundle(obs))
 
     @pytest.mark.parametrize(
         "body",
@@ -357,6 +322,101 @@ class TestRemoteChatBackend:
         obs = make_ball_world().observe()
         with pytest.raises(BackendError, match="not a string"):
             self.make_backend().complete("p", make_bundle(obs))
+
+
+def http_response(content: bytes, status: int = 200) -> requests.Response:
+    """A response as ``requests`` builds it from a server's reply."""
+    response = requests.models.Response()
+    response.status_code = status
+    response.reason = "Server Error" if status >= 400 else "OK"
+    response.url = "http://remote.test/"
+    response.encoding = "utf-8"
+    response._content = content
+    return response
+
+
+@dataclass(frozen=True)
+class RemoteClient:
+    """A remote client under test: its error type, key variable and a good reply."""
+
+    error: type[Exception]
+    key_env: str
+    body: dict
+    build: Callable[..., Callable[[], object]]  # constructor keywords -> one request
+
+
+def chat_request(**kwargs):
+    backend = RemoteChatBackend("http://chat.test/v1", "planner-small", **kwargs)
+    bundle = make_bundle(make_ball_world().observe())
+    return lambda: backend.complete("p", bundle)
+
+
+def encoder_request(**kwargs):
+    encoder = RemoteEncoder("http://enc.test/embed", dimension=2, **kwargs)
+    return lambda: encoder.encode("x")
+
+
+REMOTE_CLIENTS = {
+    "chat": RemoteClient(BackendError, CHAT_API_KEY_ENV, GOOD_BODY, chat_request),
+    "encoder": RemoteClient(
+        EncoderError, "PRAG_ENCODER_API_KEY", {"embedding": [1.0, 0.0]}, encoder_request
+    ),
+}
+
+
+@pytest.fixture(params=list(REMOTE_CLIENTS))
+def remote(request, monkeypatch):
+    client = REMOTE_CLIENTS[request.param]
+    monkeypatch.delenv(client.key_env, raising=False)
+    return client
+
+
+class TestRemoteClients:
+    """The chat backend and the remote encoder make one HTTP call the same way."""
+
+    def good_reply(self, remote) -> requests.Response:
+        return http_response(json.dumps(remote.body).encode())
+
+    def test_transport_error_becomes_client_error(self, remote, monkeypatch):
+        def boom(*args, **kwargs):
+            raise requests.ConnectionError("refused")
+
+        monkeypatch.setattr(requests, "post", boom)
+        with pytest.raises(remote.error, match="request failed: refused"):
+            remote.build()()
+
+    def test_error_status_becomes_client_error(self, remote, monkeypatch):
+        answer_with(monkeypatch, http_response(b"{}", status=500))
+        with pytest.raises(remote.error, match="request failed: 500 Server Error"):
+            remote.build()()
+
+    def test_non_json_body_becomes_client_error(self, remote, monkeypatch):
+        # requests' own decode error is also a RequestException, so this
+        # reply must not be reported as a failed request.
+        answer_with(monkeypatch, http_response(b"<html>busy</html>"))
+        with pytest.raises(remote.error, match="response is not JSON") as failure:
+            remote.build()()
+        assert "request failed" not in str(failure.value)
+
+    def test_key_is_read_at_call_time(self, remote, monkeypatch):
+        calls = answer_with(monkeypatch, self.good_reply(remote))
+        request = remote.build()
+        request()
+        monkeypatch.setenv(remote.key_env, "late")
+        request()
+        assert "Authorization" not in calls[0]["headers"]
+        assert calls[1]["headers"]["Authorization"] == "Bearer late"
+
+    def test_custom_key_env_name(self, remote, monkeypatch):
+        monkeypatch.setenv("OTHER_KEY", "tok")
+        calls = answer_with(monkeypatch, self.good_reply(remote))
+        remote.build(api_key_env="OTHER_KEY")()
+        assert calls[0]["headers"]["Authorization"] == "Bearer tok"
+
+    def test_timeout_is_passed_through(self, remote, monkeypatch):
+        calls = answer_with(monkeypatch, self.good_reply(remote))
+        remote.build(timeout=5.0)()
+        assert calls[0]["timeout"] == 5.0
 
 
 def test_importing_prag_leaves_requests_unimported():

@@ -14,6 +14,7 @@ import pytest
 import prag.driver as driver_module
 from prag.agent import run_episode
 from prag.atomic_io import open_atomic
+from prag.backends import RemoteChatBackend, ReplayOracleBackend, SeededExplorerBackend
 from prag.driver import (
     ConfigError,
     EpisodeLog,
@@ -282,12 +283,12 @@ class TestAtomicWrites:
 
 class TestBuilders:
     def test_backend_names_map_to_classes(self):
-        assert build_backend(RunConfig(backend="replay-oracle")).name == "replay-oracle"
-        assert build_backend(RunConfig(backend="seeded-explorer")).name == "seeded-explorer"
+        assert type(build_backend(RunConfig(backend="replay-oracle"))) is ReplayOracleBackend
+        assert type(build_backend(RunConfig(backend="seeded-explorer"))) is SeededExplorerBackend
         remote = build_backend(
             RunConfig(backend="remote-chat", chat_url="http://x", chat_model="m")
         )
-        assert remote.name == "remote-chat"
+        assert type(remote) is RemoteChatBackend
 
     def test_hash_encoder_dimension(self):
         encoder = build_encoder(RunConfig(encoder="hash", dimension=32))

@@ -207,7 +207,7 @@ class TestRevisitedScenes:
             return run_episode(task, *args, iteration=iteration, **kwargs)
 
         memo_top_k = trajectory_db_module.RetrievalMemo.top_k
-        scan_top_k = trajectory_db_module._GoalScan.top_k
+        scan_top_k = trajectory_db_module.RetrievalMemo._scan
 
         def counting_memo(self, *args):
             asked[episode["key"]][0] += 1
@@ -219,7 +219,7 @@ class TestRevisitedScenes:
 
         monkeypatch.setattr(driver_module, "run_episode", counting_episode)
         monkeypatch.setattr(trajectory_db_module.RetrievalMemo, "top_k", counting_memo)
-        monkeypatch.setattr(trajectory_db_module._GoalScan, "top_k", counting_scan)
+        monkeypatch.setattr(trajectory_db_module.RetrievalMemo, "_scan", counting_scan)
         out = tmp_path / "run"
         config = RunConfig(tasks="suite", iterations=3, early_stop=False, out=str(out))
         captured = run_capturing(monkeypatch, config=config)
