@@ -189,9 +189,10 @@ def post_json(
     except requests.RequestException as exc:
         raise error(f"{what} request failed: {exc}") from exc
     # Decoded apart: requests' JSONDecodeError is also a RequestException.
+    # A body nested past Python's recursion limit raises RecursionError.
     try:
         return response.json()
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise error(f"{what} response is not JSON: {exc}") from exc
 
 

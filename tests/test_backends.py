@@ -398,6 +398,11 @@ class TestRemoteClients:
             remote.build()()
         assert "request failed" not in str(failure.value)
 
+    def test_too_deeply_nested_body_becomes_client_error(self, remote, monkeypatch):
+        answer_with(monkeypatch, http_response(b"[" * 100_000))
+        with pytest.raises(remote.error, match="response is not JSON"):
+            remote.build()()
+
     def test_key_is_read_at_call_time(self, remote, monkeypatch):
         calls = answer_with(monkeypatch, self.good_reply(remote))
         request = remote.build()
