@@ -122,7 +122,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         raise ConfigError(f"{run_dir} is not a directory")
     try:
         reports = _load_reports(run_dir)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot parse reports under {run_dir}: {exc}") from exc
     if not reports:
         raise ConfigError(f"no report files found under {run_dir}")

@@ -356,7 +356,7 @@ def read_run_config(run_dir: Path) -> RunConfig:
         config = RunConfig(**data)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError, TypeError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:  # bad UTF-8 or JSON, deep nesting
         raise ConfigError(f"{path} is not a run configuration: {exc}") from exc
     config.validate()
     return config

@@ -32,24 +32,42 @@ interactions left and moves left:
 * interactions: 2 per goal item neither on ``T`` nor held (pickup and drop),
   1 for a held item (drop), 1 if the container's toggle is needed and off,
   and 1 (open) if ``T`` is sealed while an item still has to go there;
-* moves: the maximum of ``via(c)`` over the cells of outstanding items.
-  With none outstanding, ``to_face(T)`` while an item is held or the toggle
-  is left, else 0.
+* moves: each outstanding item has a value at the agent's pose,
+  ``via(c)`` for an item on a cell ``c`` other than ``T`` and
+  ``to_face(T)`` for the held item. With the m values sorted in descending
+  order, v_0 >= v_1 >= ..., the moves left are at least the maximum of
+  v_i + 2i: the item delivered last takes at least its own value, and
+  each delivery before it at least 2 moves more, since between two drops
+  onto ``T`` the agent faces another cell to pick the next item up, so it
+  turns away from ``T`` and back. With none outstanding, ``to_face(T)``
+  while the toggle is left, else 0.
 
 For ``agent_holds`` the bound is 0 when holding, else 1 plus the fewest
 moves to face an item.
 
-The bound is consistent: no action lowers it by more than 1. A turn or
-forward changes only the pose, and each table is a shortest-move count, so
-it changes by at most 1. The other actions leave the pose alone. At a pose
-``p`` facing ``c``, ``via(c)[p]`` equals ``to_face(T)[p]``, since reaching
-``T`` from ``p`` through another pose facing ``c`` is never shorter. So a
-pickup or a drop away from ``T`` swaps equal move terms and changes the
-interaction count by 1, and a drop onto ``T`` removes a move term of 0.
-Toggle and open change one interaction term by 1. Goal states score 0. A
-consistent bound makes the first goal state taken off the queue an optimal
-one, and it never overestimates, so a state it scores as unreachable is
-dropped without changing the answer.
+The bound is consistent: no action lowers it by more than 1.
+
+* A turn or forward changes only the pose. Each table is a shortest-move
+  count, so each value falls by at most 1; then so does the value at each
+  rank of the sorted list, and so does the maximum.
+* The other actions leave the pose alone. At a pose ``p`` facing ``c``,
+  ``via(c)[p]`` equals ``to_face(T)[p]``, since reaching ``T`` from ``p``
+  through another pose facing ``c`` is never shorter. So a pickup or a
+  drop away from ``T`` keeps every value (an item's ``via`` value becomes
+  the held item's ``to_face`` value, or back) and changes the interaction
+  count by 1.
+* A pickup from ``T`` adds a value and an interaction; an added value never
+  lowers the maximum.
+* A drop onto ``T`` removes an interaction and the held item's value, 0,
+  which ranks last and adds 2(m - 1). Every other value belongs to an item
+  away from ``T``, and from a pose facing ``T`` it takes at least 1 move to
+  face another cell and 1 more to face ``T`` again, so the value ranked
+  m - 2 adds at least 2 + 2(m - 2) and the maximum does not fall.
+* Toggle and open change one interaction term by 1.
+
+Goal states score 0. A consistent bound makes the first goal state taken
+off the queue an optimal one, and it never overestimates, so a state it
+scores as unreachable is dropped without changing the answer.
 """
 
 from __future__ import annotations
@@ -301,9 +319,9 @@ class _Model:
             if ci >= 0:
                 self._facing[ci].append(pose)
         self._to_face_tables: dict[int, list[int]] = {}
-        self._via_tables: dict[tuple[int, ...], list[int]] = {}
+        self._via_tables: dict[int, list[int]] = {}
         self._no_moves = [0] * npose
-        self._terms: dict[tuple, tuple[int, list[int]]] = {}
+        self._terms: dict[tuple, tuple[int, tuple[list[int], ...]]] = {}
 
     def is_goal(self, state) -> bool:
         held, flags, positions = state[1]
@@ -318,8 +336,12 @@ class _Model:
         terms = self._terms.get(config)
         if terms is None:
             terms = self._terms[config] = self._config_terms(*config)
-        interactions, moves_left = terms
-        return interactions + moves_left[pose]
+        interactions, tables = terms
+        if len(tables) == 1:
+            return interactions + tables[0][pose]
+        # The maximum of v_i + 2i over the values in descending order.
+        values = sorted([table[pose] for table in tables], reverse=True)
+        return interactions + max(value + 2 * rank for rank, value in enumerate(values))
 
     def successors(self, state) -> list:
         """The states one action away; actions that change nothing are left out."""
@@ -358,28 +380,19 @@ class _Model:
             table = self._to_face_tables[ci] = _backward_bfs(seeds, self._arrivals)
         return table
 
-    def _via(self, cells: tuple[int, ...]) -> list[int]:
-        """Fewest moves from every pose to face a cell of ``cells``, then the target.
-
-        For several cells it is the largest of their single-cell counts: each
-        cell has to be faced at some point, and the target after it.
-        """
-        table = self._via_tables.get(cells)
+    def _via(self, ci: int) -> list[int]:
+        """Fewest moves from every pose to face cell ``ci``, then the target."""
+        table = self._via_tables.get(ci)
         if table is None:
-            if len(cells) == 1:
-                to_target = self._to_face(self._target)
-                seeds = {pose: to_target[pose] for pose in self._facing[cells[0]]}
-                table = _backward_bfs(seeds, self._arrivals)
-            else:
-                singles = [self._via((ci,)) for ci in cells]
-                table = [max(column) for column in zip(*singles)]
-            self._via_tables[cells] = table
+            to_target = self._to_face(self._target)
+            seeds = {pose: to_target[pose] for pose in self._facing[ci]}
+            table = self._via_tables[ci] = _backward_bfs(seeds, self._arrivals)
         return table
 
     def _config_terms(self, held: int, flags: int, positions: tuple[int, ...]):
-        """(interactions left, moves-left table) for one configuration."""
+        """(interactions left, the move tables of the outstanding items) for one configuration."""
         if self._target is None:  # agent_holds, whose one item is held or on the floor
-            return (0, self._no_moves) if held else (1, self._to_face(positions[0]))
+            return (0, (self._no_moves,)) if held else (1, (self._to_face(positions[0]),))
         target = self._target
         away = [ci for ci in positions if ci != target]
         toggle_left = self._need_toggle and not flags & 1
@@ -387,8 +400,9 @@ class _Model:
         seal = self._sealed_mask[target]
         if (away or held) and (flags & seal) != seal:
             interactions += 1
-        if not away:
-            return interactions, self._to_face(target) if held or toggle_left else self._no_moves
-        # via(c) >= to_face(target) at every pose, so the target's own table
-        # only matters once no item is outstanding.
-        return interactions, self._via(tuple(dict.fromkeys(away)))
+        tables = [self._via(ci) for ci in away]
+        if held:
+            tables.append(self._to_face(target))
+        if not tables:
+            tables.append(self._to_face(target) if toggle_left else self._no_moves)
+        return interactions, tuple(tables)

@@ -81,7 +81,7 @@ def _episode_events(log_path: Path, task_id: str) -> list[dict[str, Any]]:
         for lineno, line in enumerate(fh, start=1):
             try:
                 event = json.loads(line.decode("utf-8"))
-            except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or deep nesting
                 raise RebuildError(f"{log_path.name} line {lineno} is not JSON: {exc}") from exc
             if not isinstance(event, dict):
                 raise RebuildError(

@@ -22,10 +22,13 @@ some stored vector uses, found in bulk from the records' kept columns before
 the matrix is allocated, and is then filled from them: hashed scene texts
 fill a few dozen of 384, so a query reads a small fraction of the store,
 while a dense store keeps every column and scans them all. Each row is
-stored scaled by the inverse of its norm, computed in bulk over the cut rows
-(a vector of norm 0 becomes a zero row), so one matrix-vector product with
-the query divided by its norm gives the cosines, and ``np.maximum.reduceat``
-keeps each record's best step.
+divided by its norm in float64, computed in bulk over the cut rows (a
+vector of norm 0 becomes a zero row), and then rounded once to float32,
+which halves the index: the 1,000-record benchmark store's two matrices
+take 0.62 MB instead of 1.24 MB. One float32 matrix-vector product with the
+query, divided by its norm and rounded the same way, gives the cosines to
+within a bound derived below, and ``np.maximum.reduceat`` keeps each
+record's best step.
 
 Within an episode the store is frozen and the goal fixed, so one object,
 the episode's ``RetrievalMemo``, holds every record's goal term, computed
@@ -37,15 +40,39 @@ order, gathered into one matrix and grown when a query's bound demands (a
 prefix of over half the step rows is scanned in place instead). A scene
 asked again in the episode gets its hits without a scan.
 
-The records within rounding distance of the k-th best, usually just k, are
+The records within the scan's margin of the k-th best, usually just k, are
 then re-scored exactly: one full-width dot for the goal and for each step
-within rounding distance of the record's best (each such row is laid out
-at full width for its dot and not kept), divided by norms computed
-as ``cosine`` computes them, once per re-scored row and index, through
+within the margin of the record's best (each such row is laid out at full
+width for its dot and not kept), divided by norms computed as ``cosine``
+computes them, once per re-scored row and index, through
 ``cosine_from_parts``, which is ``cosine``'s own arithmetic. So hits carry
 ``score``'s values bit for bit and sort in its tie order, and a pruned
 record could never have been a candidate. The matrices are built on the
 first retrieval after the store changes.
+
+The margin is a worst-case bound that each index works out from its column
+count n. Let u = 2**-24, float32's unit roundoff, and gamma(m) = m u / (1 -
+m u). A stored row and the unit query are each rounded once from float64,
+so each entry is off by at most u of its size, which moves their dot by at
+most (2u + u**2) times the sum of |r_j q_j|, and that sum is at most 1 for
+two unit vectors (Cauchy-Schwarz). Summing the n products in float32 adds
+at most gamma(n) times the same sum (Higham, "Accuracy and Stability of
+Numerical Algorithms", section 3.1), and adding a goal term to a step term
+at most u of each term's size. The float64 norms and divisions, and
+``score``'s own arithmetic, move a cosine by under (3d + 8) 2**-53 for a
+dimension d, less than u / 2 for any d below 2**26, and float32 underflow
+by at most 2n 2**-149. So a scanned cosine lies within gamma(n + 5) of
+``cosine``'s value, and a scanned score within e, the goal index's bound
+plus the step index's, of ``score``'s. A record whose score reaches the
+k-th best score scans at most e below it, and the k-th best scan is at
+most e above it, so the cut keeps every record within 2e of the k-th best
+scan: each index's ``margin`` is 2 gamma(n + 5), and a score's is the sum
+of the goal index's and the step index's. Steps within a record are cut by
+the step index's margin the same way, and since a record scans at most its
+goal term plus 1 plus e, the goal-term threshold sits twice a score's
+margin below the k-th best scan minus 1. Hashed stores use a few dozen
+columns, where a score's margin is under 1e-5; a dense 384-column store's
+is about 1e-4.
 
 The store is a single line-delimited JSON file with a header line, so a
 checkpoint can be inspected with standard shell tools. ``load`` reads each
@@ -407,31 +434,37 @@ def score(query: RetrievalQuery, record: TaskRecord) -> float:
     return goal_term + obs_term
 
 
-# Sums of the same terms in another order can differ in the last bit, and
-# distinct stored vectors often tie exactly (hashed embeddings are integer
-# counts, so their cosines are equal ratios). The matrix scores therefore
-# only select candidates: every record within this margin of the k-th best,
-# and within it every step within this margin of the record's best, is
-# scored again with ``score``'s arithmetic, whose values and tie order are
-# the reference. Rounding moves a score by about 1e-13 at most.
-_CANDIDATE_MARGIN = 1e-9
+# float32's unit roundoff: away from underflow, a float32 operation gives its
+# exact result times 1 + d with |d| at most this.
+_U32 = 2.0**-24
 
 
-def _goal_floor(kth_best: float) -> float:
+def _scan_margin(columns: int) -> float:
+    """Twice the most a scan cosine over ``columns`` columns can be off.
+
+    ``gamma(columns + 5)`` bounds one scan cosine's distance from
+    ``cosine``'s value, and a cut compares two scanned values, each off by
+    up to that much. The module docstring derives the bound.
+    """
+    rounding = (columns + 5) * _U32
+    return 2 * rounding / (1 - rounding)
+
+
+def _goal_floor(kth_best: float, margin: float) -> float:
     """The least goal term with which a record can be a candidate.
 
-    A record scores at most its goal term plus 1, the largest step cosine,
-    up to rounding; it is a candidate only if that comes within the margin
-    of a k-th best that is at least ``kth_best``. Twice the margin covers
-    the rounding of both scores.
+    A record scans at most its goal term plus 1, the largest step cosine,
+    plus half the score ``margin`` for rounding; it is a candidate only if
+    that comes within ``margin`` of a k-th best that is at least
+    ``kth_best``. Twice the margin covers both.
     """
-    return kth_best - 1.0 - 2 * _CANDIDATE_MARGIN
+    return float(kth_best) - 1.0 - 2 * margin
 
 
 # Blocks of one height are laid out side by side, at most this many rows of
 # them at once: a few dozen numpy calls per index, and a transient a small
 # part of the matrix.
-_ROWS_AT_ONCE = 256
+_ROWS_AT_ONCE = 128
 
 
 def _side_by_side(blocks: list[tuple[np.ndarray, np.ndarray]], piece: np.ndarray):
@@ -447,7 +480,7 @@ def _side_by_side(blocks: list[tuple[np.ndarray, np.ndarray]], piece: np.ndarray
 
 
 class _UsedColumns:
-    """Stored vectors as unit rows, cut to the columns any of them uses.
+    """Stored vectors as float32 unit rows, cut to the columns any of them uses.
 
     The vectors come as blocks of at least one row: a record's ``columns``
     with rows of its ``values``, its goal or its steps. ``starts`` holds the
@@ -457,12 +490,13 @@ class _UsedColumns:
     side, and only then is the matrix allocated at that width and filled the
     same way. The columns no row uses are zero in every stored vector and
     add nothing to a dot product. No record is laid out at full width, and
-    nothing is held at the records' kept width. Each row is then scaled by
-    the inverse of its norm, computed in bulk over the cut row, and a vector
-    of norm 0 becomes a zero row, so a row's dot with a unit query is its
-    cosine up to rounding. The exact norms the re-score divides by are
-    ``cosine``'s, computed by ``cosine`` the first time a row is re-scored
-    and kept for the index's life.
+    nothing is held at the records' kept width. Each row is divided by its
+    norm in float64, computed over the cut row, and then rounded once to
+    float32; a vector of norm 0 becomes a zero row. So a row's dot with a
+    ``unit`` query is its cosine to within ``margin``'s half, and ``margin``
+    is what a cut between two such values allows. The exact norms the
+    re-score divides by are ``cosine``'s, computed by ``cosine`` the first
+    time a row is re-scored and kept for the index's life.
     """
 
     def __init__(self, blocks: list[tuple[np.ndarray, np.ndarray]], dimension: int):
@@ -479,19 +513,22 @@ class _UsedColumns:
             columns, values = _side_by_side(blocks, piece)
             used[columns[values.any(axis=0)]] = True
         self.columns = np.flatnonzero(used)
+        self.margin = _scan_margin(self.columns.size)
         place = np.cumsum(used) - 1  # a used column's place in the rows
-        self.matrix = np.zeros((int(heights.sum()), self.columns.size))
+        self.matrix = np.zeros((int(heights.sum()), self.columns.size), dtype=np.float32)
         for piece in pieces:
             columns, values = _side_by_side(blocks, piece)
+            # A block's entries are a run of the piece's columns (a block
+            # that keeps no column has none), so a row's norm sums one run.
+            width = widths[piece]
+            runs = (np.cumsum(width) - width)[width > 0]
+            norms = np.sqrt(np.add.reduceat(np.square(values), runs, axis=1))
+            inverse = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms != 0.0)
+            values *= np.repeat(inverse, width[width > 0], axis=1)
             keep = used[columns]  # a column no row uses holds only zeros
-            firsts = np.repeat(self.starts[piece], widths[piece])[keep]
+            firsts = np.repeat(self.starts[piece], width)[keep]
             rows = firsts + np.arange(len(values))[:, np.newaxis]
             self.matrix[rows, place[columns[keep]]] = values[:, keep]
-        # Each row's dot with itself, as a stack of (1, C) @ (C, 1) products.
-        rows = self.matrix[:, np.newaxis]
-        norms = np.sqrt(np.matmul(rows, rows.transpose(0, 2, 1)).ravel())
-        inverse = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms != 0.0)
-        self.matrix *= inverse[:, np.newaxis]
         self._norms: dict[int, float] = {}
 
     def cosine(self, query: np.ndarray, query_norm: float, row: int, vector: np.ndarray) -> float:
@@ -506,16 +543,16 @@ class _UsedColumns:
         return cosine_from_parts(float(np.dot(query, vector)), query_norm, norm)
 
     def unit(self, vector: np.ndarray, norm: float) -> np.ndarray:
-        """``vector`` cut to the used columns and divided by its ``norm``.
+        """``vector`` cut to the used columns, divided by its ``norm``, in float32.
 
-        A row's dot with it is the row's cosine with ``vector``; a zero
-        vector gives zeros.
+        A row's dot with it is the row's cosine with ``vector`` to within
+        half of ``margin``; a zero vector gives zeros.
         """
         if norm == 0.0:
-            return np.zeros(self.columns.size)
+            return np.zeros(self.columns.size, dtype=np.float32)
         # The query's norm is over all its entries: its mass on dropped
         # columns adds nothing to the dots but still scales every cosine.
-        return vector[self.columns] / norm
+        return (vector[self.columns] / norm).astype(np.float32)
 
 
 class _MatrixIndex:
@@ -527,6 +564,8 @@ class _MatrixIndex:
         self.goals = _UsedColumns([(r.columns, r.values[:1]) for r in records], dimension)
         self.observations = _UsedColumns([(r.columns, r.values[1:]) for r in records], dimension)
         self.lengths = np.array([len(r.history) for r in records])
+        # A score adds a goal cosine to a step cosine, and a cut compares two.
+        self.margin = self.goals.margin + self.observations.margin
 
 
 class RetrievalMemo:
@@ -534,15 +573,18 @@ class RetrievalMemo:
 
     ``run_episode`` owns one and hands it to every ``retrieve_top_k`` of the
     episode, whose store is frozen and goal fixed. For one index and goal it
-    holds every record's goal term, the exact ones re-scored so far, the
-    step rows its queries scan and the hits of each scene and k; a new index
-    or goal resets them together. A query scans the records whose goal term
-    reaches a threshold, a prefix in goal-term order: first set from the
-    records of the k best goal terms, then lowered when a query's k-th best
-    demands. The prefix's step rows are gathered into one matrix as it
-    grows; once it would hold over half the index's step rows, the index's
-    own matrix is scanned in place instead. It dies with its episode:
-    nothing is kept on the store or in the module.
+    holds every record's float32 goal term, the exact ones re-scored so far,
+    the step rows its queries scan and the hits of each scene and k; a new
+    index or goal resets them together. Bounds, gathers and scans run in
+    float32, and every cut allows the index's ``margin``, so the exact
+    re-score sees every record and step that can be a hit. A query scans
+    the records whose goal term reaches a threshold, a prefix in goal-term
+    order: first set from the records of the k best goal terms, then
+    lowered when a query's k-th best demands. The prefix's step rows are
+    gathered into one matrix as it grows; once it would hold over half the
+    index's step rows, the index's own matrix is scanned in place instead.
+    It dies with its episode: nothing is kept on the store or in the
+    module.
     """
 
     def __init__(self) -> None:
@@ -604,7 +646,7 @@ class RetrievalMemo:
                         index.lengths[picked].tolist(),
                     )
                 )
-            self._reach(_goal_floor(kth_best))
+            self._reach(_goal_floor(kth_best, index.margin))
         while True:
             step_terms = self._rows @ unit
             best_steps = np.maximum.reduceat(step_terms, self._starts)
@@ -612,17 +654,17 @@ class RetrievalMemo:
             cut = max(scores.size - k, 0)
             kth_best = np.partition(scores, cut)[cut]
             # Scanning more records could only raise this k-th best.
-            threshold = _goal_floor(kth_best)
+            threshold = _goal_floor(kth_best, index.margin)
             if threshold >= self._threshold:
                 break
             self._reach(threshold)
         goal, goals = self._goal, index.goals
-        candidates = np.flatnonzero(scores >= kth_best - _CANDIDATE_MARGIN)
+        candidates = np.flatnonzero(scores >= float(kth_best) - index.margin)
         hits = []
         for i, start, best in zip(
             self._records[candidates].tolist(),
             self._starts[candidates].tolist(),
-            (best_steps[candidates] - _CANDIDATE_MARGIN).tolist(),
+            best_steps[candidates].tolist(),
         ):
             # ``score(query, record)``, from the cached norms. The best step
             # by ``cosine`` is among those near the best scan cosine. Only
@@ -637,7 +679,7 @@ class RetrievalMemo:
             obs_term = max(
                 steps.cosine(obs, obs_norm, first + t, record.row(t + 1))
                 for t, term in enumerate(step_terms[start : start + len(record.history)].tolist())
-                if term >= best
+                if term >= best - steps.margin
             )
             hits.append(RetrievalHit(score=goal_term + obs_term, record=record))
         hits.sort(key=lambda h: (-h.score, -h.record.iteration, h.record.task_id))
@@ -766,7 +808,8 @@ class TrajectoryDB:
 
                 try:
                     header = json.loads(first)
-                except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+                # JSONDecodeError, an integer past the digit limit, or deep nesting
+                except (ValueError, RecursionError) as exc:
                     raise DatabaseFormatError(f"invalid header JSON: {exc}", line_number=1)
                 if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
                     raise DatabaseFormatError(
@@ -793,7 +836,7 @@ class TrajectoryDB:
                         continue
                     try:
                         record = _read_record(line)
-                    except json.JSONDecodeError as exc:
+                    except (json.JSONDecodeError, RecursionError) as exc:
                         raise DatabaseFormatError(f"invalid JSON: {exc}", line_number=lineno)
                     except (KeyError, TypeError, ValueError, OverflowError) as exc:
                         raise DatabaseFormatError(f"invalid record: {exc}", line_number=lineno)

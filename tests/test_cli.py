@@ -550,6 +550,58 @@ class TestInputsThatAreNotUtf8:
         assert "0xff" in err
 
 
+# Nested far past Python's recursion limit, so ``json.loads`` raises
+# RecursionError rather than a ValueError.
+_DEEP = "[" * 100_000
+
+
+def _deep_store_record(tmp_path):
+    path = tmp_path / "db.jsonl"
+    path.write_text(f'{{"format": "prag-trajectory-db", "version": 1, "dimension": 4}}\n{_DEEP}\n')
+    return ["db", path, "--validate"], "line 2: invalid JSON"
+
+
+def _deep_store_header(tmp_path):
+    path = tmp_path / "db.jsonl"
+    path.write_text(f"{_DEEP}\n")
+    return ["db", path, "--validate"], "line 1: invalid header JSON"
+
+
+def _deep_report(tmp_path):
+    (tmp_path / "report_iter_01.json").write_text(_DEEP)
+    return ["report", tmp_path], "cannot parse reports"
+
+
+def _deep_run_config(tmp_path):
+    (tmp_path / "run_config.json").write_text(_DEEP)
+    argv = ["prompt", tmp_path, "--phase", "train", "--iteration", "1", "--task", "wash_mugs"]
+    return argv, "is not a run configuration"
+
+
+def _deep_event_log(tmp_path):
+    write_run_config(RunConfig(tasks="suite"), tmp_path)
+    (tmp_path / "train_iter_01.jsonl").write_text(
+        f'{{"event": "episode-start", "task_id": "wash_mugs"}}\n{_DEEP}\n'
+    )
+    argv = ["prompt", tmp_path, "--phase", "train", "--iteration", "1", "--task", "wash_mugs"]
+    return argv, "train_iter_01.jsonl line 2 is not JSON"
+
+
+class TestInputsNestedTooDeeply:
+    @pytest.mark.parametrize(
+        "write_input",
+        [_deep_store_record, _deep_store_header, _deep_report, _deep_run_config, _deep_event_log],
+        ids=["store-record", "store-header", "report", "run-config", "event-log"],
+    )
+    def test_json_nested_past_the_recursion_limit_exits_two(self, capsys, tmp_path, write_input):
+        argv, named = write_input(tmp_path)
+        code, out, err = run_cli(capsys, *map(str, argv))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert named in err
+
+
 class TestParser:
     def test_no_subcommand_is_an_error(self):
         with pytest.raises(SystemExit) as info:

@@ -607,3 +607,26 @@ class TestBoundIsConsistent:
         assert checked > 50_000
         for kind in ("placed_at", "items_in_container_toggled", "agent_holds"):
             assert goals.get(kind, 0) >= 5, goals
+
+
+class TestDeliveryBound:
+    def test_each_item_owed_after_the_next_costs_two_more_moves(self):
+        # Two mugs share a cell. Whichever goes first, the agent turns from
+        # the sink to the mugs and back again before the second drop.
+        world = World(5, 5, walls=border_walls(5, 5), agent_position=(1, 2), agent_heading="N")
+        world.place_object("sink_1", "sink", (3, 1))
+        world.place_object("mug_1", "mug", (1, 1))
+        world.place_object("mug_2", "mug", (1, 1))
+        task = Task(
+            id="two_mugs",
+            goal="Wash both mugs",
+            world=world,
+            predicate=ItemsInContainerToggled(("mug_1", "mug_2"), "sink_1"),
+            max_steps=30,
+        )
+        model = solver._Model(task)
+        pose, (_, _, positions) = model.start
+        moves = model._via(positions[0])[pose]
+        # Two pickups, two drops and the toggle, then the moves.
+        assert model.bound(model.start) == 5 + moves + 2
+        assert model.bound(model.start) <= shortest_solution_steps(task) == simulation_bfs(task) == 12

@@ -846,6 +846,91 @@ class TestRetrievalMemo:
             assert_reference_hits(db, query, k, db.retrieve_top_k(query, k))
 
 
+def near_tie_store(seed: int) -> tuple[TrajectoryDB, list[RetrievalQuery]]:
+    """Dense 384-column records and queries, each a few base vectors apart
+    by about 1e-6: their cosines differ by about as much as float32 rounds
+    a 384-term dot product."""
+    dim = 384
+    gen = np.random.default_rng(seed)
+    bases = gen.uniform(-1, 1, (3, dim))
+
+    def near(base: int) -> np.ndarray:
+        return bases[base] + gen.uniform(-1e-6, 1e-6, dim)
+
+    batches: dict[int, list[TaskRecord]] = {1: [], 2: []}
+    for i in range(30):
+        steps = int(gen.integers(1, 6))
+        batches[1 + i % 2].append(
+            TaskRecord(
+                task_id=f"t{i:02d}",
+                iteration=1 + i % 2,
+                goal_text="g",
+                goal_embedding=near(int(gen.integers(2))),
+                obs_embeddings=[near(int(gen.integers(3))) for _ in range(steps)],
+                history=[("done()", "")] * steps,
+                done=False,
+            )
+        )
+    db = TrajectoryDB(dimension=dim)
+    for batch in batches.values():
+        db.update_after_iteration(batch)
+    goal = near(0)
+    return db, [RetrievalQuery(goal, near(q % 3)) for q in range(10)]
+
+
+class TestFloat32Scan:
+    """The float32 scan selects candidates; ``score`` still decides every hit."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_dense_near_ties_match_brute_force(self, seed):
+        db, queries = near_tie_store(seed)
+        memo = RetrievalMemo()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for query in queries:
+                for k in range(1, 8):
+                    assert_reference_hits(db, query, k, db.retrieve_top_k(query, k, memo=memo))
+
+    @pytest.mark.parametrize("scale", [1e-30, 1e30], ids=repr)
+    def test_vectors_past_float32s_range_match_brute_force(self, scale):
+        # Every other record is scaled so far that its squares leave
+        # float32's range: rows are divided by their norms before they are
+        # rounded to float32.
+        db, queries = count_store(4)
+        scaled = TrajectoryDB(dimension=db.dimension)
+        for iteration in (1, 2, 3):
+            scaled.update_after_iteration(
+                [
+                    TaskRecord(
+                        task_id=r.task_id,
+                        iteration=r.iteration,
+                        goal_text=r.goal_text,
+                        goal_embedding=r.goal_embedding * factor,
+                        obs_embeddings=r.obs_embeddings * factor,
+                        history=r.history,
+                        done=r.done,
+                    )
+                    for factor, r in zip([scale, 1.0] * len(db), db.records())
+                    if r.iteration == iteration
+                ]
+            )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for query in queries:
+                for k in (1, 3, len(db)):
+                    assert_reference_hits(scaled, query, k, scaled.retrieve_top_k(query, k))
+
+    def test_the_margin_grows_with_the_columns(self):
+        db, queries = near_tie_store(0)
+        db.retrieve_top_k(queries[0], 1)
+        index = db._index
+        assert index.observations.matrix.dtype == np.float32
+        assert index.observations.columns.size == 384
+        # (384 + 5) float32 roundings, twice: about 4.6e-5.
+        assert 4.6e-5 < index.observations.margin < 4.7e-5
+        assert index.margin == index.goals.margin + index.observations.margin
+
+
 class TestUpdatePolicy:
     def test_latest_iteration_wins(self):
         rng = random.Random(9)
