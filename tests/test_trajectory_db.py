@@ -847,9 +847,9 @@ class TestRetrievalMemo:
 
 
 def near_tie_store(seed: int) -> tuple[TrajectoryDB, list[RetrievalQuery]]:
-    """Dense 384-column records and queries, each a few base vectors apart
-    by about 1e-6: their cosines differ by about as much as float32 rounds
-    a 384-term dot product."""
+    """Dense 384-column records and queries, each one of three base vectors
+    moved by about 1e-6, so their cosines differ by about as much as float32
+    rounds a 384-term dot product."""
     dim = 384
     gen = np.random.default_rng(seed)
     bases = gen.uniform(-1, 1, (3, dim))
@@ -920,7 +920,7 @@ class TestFloat32Scan:
                 for k in (1, 3, len(db)):
                     assert_reference_hits(scaled, query, k, scaled.retrieve_top_k(query, k))
 
-    def test_the_margin_grows_with_the_columns(self):
+    def test_a_dense_index_is_float32_with_its_derived_margin(self):
         db, queries = near_tie_store(0)
         db.retrieve_top_k(queries[0], 1)
         index = db._index
