@@ -434,11 +434,6 @@ def score(query: RetrievalQuery, record: TaskRecord) -> float:
     return goal_term + obs_term
 
 
-# float32's unit roundoff: away from underflow, a float32 operation gives its
-# exact result times 1 + d with |d| at most this.
-_U32 = 2.0**-24
-
-
 def _scan_margin(columns: int) -> float:
     """Twice the most a scan cosine over ``columns`` columns can be off.
 
@@ -446,7 +441,7 @@ def _scan_margin(columns: int) -> float:
     ``cosine``'s value, and a cut compares two scanned values, each off by
     up to that much. The module docstring derives the bound.
     """
-    rounding = (columns + 5) * _U32
+    rounding = (columns + 5) * 2.0**-24  # float32's unit roundoff
     return 2 * rounding / (1 - rounding)
 
 
