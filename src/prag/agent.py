@@ -3,20 +3,21 @@
 plan_step asks a backend for an action line, retrying with feedback on
 malformed or undecomposable replies up to max_retries times (so at most
 max_retries + 1 backend calls). decompose expands a parsed action into a
-sequence of low-level simulator actions using the navigation planner.
-run_episode drives one task episode end to end: it encodes the goal once,
-then per step encodes the current scene graph, retrieves the top-K similar
-trajectories when the database is non-empty, builds the prompt, plans,
-executes, and finally packages the trajectory as a TaskRecord for the
-database. Each executed action costs one world snapshot (a private copy
-of the world, from ``Simulator.observe``) and one scene graph: the
-post-action scene text stored in the record is also the next step's
-pre-action scene. Every reader of a step reads that one copy: the agent's
-pose from the world, object flags from each ``ObjectState``, and a held
-object as one whose ``position`` is None. The retrieval hits go into the
-prompt bundle as they are; the prompt cuts each record's history as it
-renders it, and the backend receives the bundle beside the prompt text.
-K and the retry budget have their defaults here, the history limit in
+tuple of simulator primitives using the navigation planner; done() expands
+to none and ends the episode. run_episode drives one task episode end to
+end: it encodes the goal once, then per step encodes the current scene
+graph, retrieves the top-K similar trajectories when the database is
+non-empty, builds the prompt, plans, executes, and finally packages the
+trajectory as a TaskRecord for the database, whose history is the one list
+of the episode's executed actions. Each executed action costs one world
+snapshot (a private copy of the world, from ``Simulator.observe``) and one
+scene graph: the post-action scene text stored in the record is also the
+next step's pre-action scene. Every reader of a step reads that one copy:
+the agent's pose from the world, object flags from each ``ObjectState``,
+and a held object as one whose ``position`` is None. The retrieval hits go
+into the prompt bundle as they are; the prompt cuts each record's history
+as it renders it, and the backend receives the bundle beside the prompt
+text. K and the retry budget have their defaults here, the history limit in
 ``prompting``; the run configuration imports them.
 
 An episode's only inputs from outside the planner are the backend's replies
@@ -109,17 +110,6 @@ class PlannerFailure(Exception):
         self.failures = failures
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Low-level actions realizing one high-level action.
-
-    ``stop`` marks the done() action: no simulator steps, end the episode.
-    """
-
-    actions: tuple[str, ...] = ()
-    stop: bool = False
-
-
 @dataclass
 class NavigationMemo:
     """One episode's navigable grid and its distance fields, by source cell.
@@ -157,14 +147,13 @@ def _stand_and_face(
     Ties between equally near stand cells resolve in N, E, S, W order around
     the target. Raises DecompositionError when no adjacent cell is reachable.
     """
-    grid = nav.navigable_grid(world)
+    # The field is grown over the navigable grid, so it is inf on every
+    # cell the grid blocks.
     field_ = nav.field_from(world)
     best: tuple[float, int, Cell] | None = None
     for order, (dx, dy) in enumerate(NEIGHBOR_ORDER):
         cell = (target[0] + dx, target[1] + dy)
         if not world.in_bounds(cell):
-            continue
-        if not grid[cell[1], cell[0]]:
             continue
         dist = field_.at(cell)
         if not np.isfinite(dist):
@@ -181,18 +170,19 @@ def decompose(
     action: HighLevelAction,
     world: World,
     nav: NavigationMemo | None = None,
-) -> Decomposition:
-    """Expand a high-level action into simulator actions.
+) -> tuple[str, ...]:
+    """Expand a high-level action into the simulator primitives that realize it.
 
     navigate moves next to its target (or onto it, for a cell argument) and
     turns to face it. Manipulation verbs navigate the same way and append
-    their single primitive. done() produces a stop marker. ``nav`` is the
-    episode's navigation memo; without one, an empty memo is used.
+    their single primitive. done() expands to no primitives; the episode
+    runner ends the episode on it. ``nav`` is the episode's navigation memo;
+    without one, an empty memo is used.
     """
     if nav is None:
         nav = NavigationMemo()
     if action.verb == "done":
-        return Decomposition(stop=True)
+        return ()
 
     arg = action.argument
     if isinstance(arg, tuple):
@@ -217,7 +207,7 @@ def decompose(
             path = backtrack_path(field_, target)
         except NoPathError as exc:
             raise DecompositionError(str(exc)) from exc
-        return Decomposition(tuple(path_to_actions(path, heading)))
+        return tuple(path_to_actions(path, heading))
 
     if action.verb != "navigate" and isinstance(arg, tuple):
         if target in world.walls:
@@ -225,14 +215,13 @@ def decompose(
 
     stand, path = _stand_and_face(world, target, nav)
     actions = path_to_actions(path, heading)
-    end_heading = heading
-    for step_from, step_to in zip(path, path[1:]):
-        end_heading = heading_between(step_from, step_to)
-    actions.extend(turns_between(end_heading, heading_between(stand, target)))
+    if len(path) > 1:
+        heading = heading_between(path[-2], path[-1])
+    actions.extend(turns_between(heading, heading_between(stand, target)))
     if action.verb != "navigate":
         # Manipulation verbs share their names with the simulator primitives.
         actions.append(action.verb)
-    return Decomposition(tuple(actions))
+    return tuple(actions)
 
 
 def plan_step(
@@ -245,12 +234,13 @@ def plan_step(
     log: LogFn = _no_log,
     nav: NavigationMemo | None = None,
     experience_memo: ExperienceMemo | None = None,
-) -> tuple[HighLevelAction, Decomposition]:
-    """Obtain one executable action, retrying bad replies with feedback.
+) -> tuple[HighLevelAction, tuple[str, ...]]:
+    """Obtain one executable action and its primitives, retrying bad replies.
 
     Parse failures and decomposition failures share the same retry budget.
     Raises PlannerFailure once max_retries + 1 replies were all unusable;
-    BackendError propagates to the caller untouched. ``nav`` is passed to
+    BackendError propagates to the caller untouched. Returns the parsed
+    action with ``decompose``'s primitives for it. ``nav`` is passed to
     every decompose call, ``experience_memo`` to ``build_prompt``. Every
     attempt hands the backend ``bundle``, the bundle the step's prompt was
     rendered from; ``step`` is the step index the events carry.
@@ -289,13 +279,12 @@ def plan_step(
 
 @dataclass
 class EpisodeOutcome:
-    """Everything one episode produced."""
+    """Everything one episode produced; its executed actions are the record's history."""
 
     result: EpisodeResult
     record: TaskRecord | None
     failure: str | None = None  # None | planner-failure | backend-error | encoder-error
     retrieval_calls: int = 0  # database queries; a pass sums them for its report
-    actions: list[str] = field(default_factory=list)
 
 
 def run_episode(
@@ -350,7 +339,6 @@ def run_episode(
 
     history: list[tuple[str, str]] = []
     obs_embeddings: list[np.ndarray] = []
-    executed: list[str] = []
     failure: str | None = None
     retrieval_calls = 0
     done = False
@@ -379,7 +367,7 @@ def run_episode(
             log("retrieval", step=step_index, hits=hits)
         bundle = PromptBundle(task.goal, scene_text, action_space_text(world), hits, history_limit)
         try:
-            action, decomposition = plan_step(
+            action, primitives = plan_step(
                 backend, bundle, world, step_index,
                 max_retries=max_retries, log=log, nav=nav,
                 experience_memo=experience_memo,
@@ -392,24 +380,23 @@ def run_episode(
             failure = "backend-error"
             log("backend-error", step=step_index, detail=str(exc))
             break
-        if decomposition.stop:
+        if action.verb == "done":
             log("stop", step=step_index)
             break
-        for low_level in decomposition.actions:
+        for low_level in primitives:
             done = sim.step(low_level)
             if done:
                 break
         world = sim.observe()
         scene_text = render_text(extract(world))
         action_text = render_action(action)
-        executed.append(action_text)
         history.append((action_text, scene_text))
         obs_embeddings.append(obs_embedding)
         log(
             "step",
             step=step_index,
             action=action_text,
-            low_level=list(decomposition.actions),
+            low_level=list(primitives),
             sim_steps=sim.step_count,
             succeeded=sim.succeeded,
         )
@@ -443,5 +430,4 @@ def run_episode(
         record=record,
         failure=failure,
         retrieval_calls=retrieval_calls,
-        actions=executed,
     )

@@ -9,9 +9,10 @@ can name three implementations:
 - SeededExplorerBackend follows a short scripted exploration routine derived
   deterministically from (seed, task id, iteration), so different iterations
   try different things without any model in the loop.
-- ReplayOracleBackend replays the best retrieved trajectory verbatim when it
-  solved the same goal, and falls back to the seeded explorer otherwise. It
-  exists to exercise the progressive retrieval loop deterministically.
+- ReplayOracleBackend is a seeded explorer that replays first: it replays
+  the best retrieved trajectory verbatim when it solved the same goal, and
+  explores otherwise. It exists to exercise the progressive retrieval loop
+  deterministically.
 
 Transport or protocol problems raise BackendError; the episode runner treats
 that as a failed episode, not a crashed run.
@@ -168,25 +169,22 @@ class SeededExplorerBackend(ScriptedReplyBackend):
         self._replies = iter(exploration_script(self.seed, task_id, iteration, world))
 
 
-class ReplayOracleBackend(PlannerBackend):
-    """Replay a successful retrieved trajectory for the same goal, else explore.
+class ReplayOracleBackend(SeededExplorerBackend):
+    """A seeded explorer that first replays a solved retrieved trajectory.
 
     At each step, if the top retrieval hit is a finished (done) record whose
     goal text matches the current goal exactly, the backend emits that
     record's next not-yet-replayed action. A per-episode cursor tracks replay
     progress; once the stored trajectory is exhausted it emits done(). With
-    no usable hit, it behaves exactly like SeededExplorerBackend.
+    no usable hit, it replies exactly as SeededExplorerBackend does.
     """
 
-    def __init__(self, seed: int = 0) -> None:
-        self.seed = seed
-        self._explorer = SeededExplorerBackend(seed)
-        self._replay_cursor = 0
+    _replay_cursor = 0
 
     def begin_episode(
         self, task_id: str, iteration: int, goal_text: str, world: World
     ) -> None:
-        self._explorer.begin_episode(task_id, iteration, goal_text, world)
+        super().begin_episode(task_id, iteration, goal_text, world)
         self._replay_cursor = 0
 
     def complete(self, prompt: str, bundle: PromptBundle) -> str:
@@ -198,4 +196,4 @@ class ReplayOracleBackend(PlannerBackend):
                     self._replay_cursor += 1
                     return f"Action: {action_text}"
                 return "Action: done()"
-        return self._explorer.complete(prompt, bundle)
+        return super().complete(prompt, bundle)

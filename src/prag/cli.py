@@ -34,34 +34,47 @@ from .driver import (
     run_iterations,
 )
 from .gridworld.solver import SolverLimitation, UnsolvableTaskError
-from .gridworld.tasks import TaskFileError
+from .gridworld.tasks import DEFAULT_MAX_STEPS, TaskFileError
 from .rebuild import RebuildError, rebuild_prompts
 from .trajectory_db import DatabaseFormatError, TrajectoryDB
 
 
 def _add_run_options(parser: argparse.ArgumentParser, *, include_mode: bool) -> None:
+    defaults = RunConfig()
     parser.add_argument("--config", help="YAML config file; flags override its values")
     if include_mode:
         parser.add_argument("--mode", choices=MODES)
         parser.add_argument("--eval-tasks", dest="eval_tasks", help="held-out task source for train-eval")
-        parser.add_argument("--iterations", type=int, help="iteration cap (default 6)")
+        parser.add_argument("--iterations", type=int, help=f"iteration cap (default {defaults.iterations})")
         parser.add_argument(
             "--no-early-stop",
             action="store_true",
             help="disable stopping on two identical consecutive done vectors",
         )
     parser.add_argument("--tasks", help='task source: "suite" or a directory of task files')
-    parser.add_argument("--k", type=int, help="retrieved experiences per step (default 3)")
-    parser.add_argument("--seed", type=int, help="run seed (default 0)")
+    parser.add_argument("--k", type=int, help=f"retrieved experiences per step (default {defaults.k})")
+    parser.add_argument("--seed", type=int, help=f"run seed (default {defaults.seed})")
     parser.add_argument("--backend", choices=BACKEND_NAMES)
     parser.add_argument("--encoder", choices=ENCODER_NAMES)
-    parser.add_argument("--dimension", type=int, help="embedding dimension (default 384)")
+    parser.add_argument(
+        "--dimension", type=int, help=f"embedding dimension (default {defaults.dimension})"
+    )
     parser.add_argument("--encoder-url", dest="encoder_url", help="remote encoder endpoint")
     parser.add_argument("--chat-url", dest="chat_url", help="chat-completions base URL")
     parser.add_argument("--chat-model", dest="chat_model", help="chat model name")
-    parser.add_argument("--max-retries", dest="max_retries", type=int)
-    parser.add_argument("--max-steps", dest="max_steps", type=int)
-    parser.add_argument("--history-limit", dest="history_limit", type=int)
+    parser.add_argument(
+        "--max-retries", dest="max_retries", type=int,
+        help=f"retries after an unusable reply, per planning step (default {defaults.max_retries})",
+    )
+    parser.add_argument(
+        "--max-steps", dest="max_steps", type=int,
+        help="simulator step budget of every episode (default: each task's max_steps,"
+        f" {DEFAULT_MAX_STEPS} when its file gives none)",
+    )
+    parser.add_argument(
+        "--history-limit", dest="history_limit", type=int,
+        help=f"latest steps shown of each retrieved record (default {defaults.history_limit})",
+    )
     parser.add_argument("--out", help="output directory for logs, reports, checkpoints")
 
 

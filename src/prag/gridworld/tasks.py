@@ -16,7 +16,7 @@ from pathlib import Path
 
 import yaml
 
-from .world import HEADING_ORDER, KINDS, Cell, World
+from .world import Cell, World
 
 DEFAULT_MAX_STEPS = 60
 
@@ -97,16 +97,21 @@ class AgentHolds(GoalPredicate):
 
 
 def predicate_from_params(params: dict) -> GoalPredicate:
-    kind = params.get("kind")
+    where = "goal_predicate."
+    kind = _field(params, "kind", str, where)
     if kind == "placed_at":
-        return PlacedAt(item=params["item"], target=params["target"])
+        return PlacedAt(
+            item=_field(params, "item", str, where), target=_field(params, "target", str, where)
+        )
     if kind == "items_in_container_toggled":
-        items = params["items"]
-        if not isinstance(items, list) or not items:
-            raise TaskFileError("items_in_container_toggled needs a non-empty items list")
-        return ItemsInContainerToggled(items=tuple(items), container=params["container"])
+        items = _field(params, "items", list, where)
+        if not items or not all(isinstance(item, str) for item in items):
+            raise TaskFileError("items_in_container_toggled needs a non-empty list of labels")
+        return ItemsInContainerToggled(
+            items=tuple(items), container=_field(params, "container", str, where)
+        )
     if kind == "agent_holds":
-        return AgentHolds(item=params["item"])
+        return AgentHolds(item=_field(params, "item", str, where))
     raise TaskFileError(f"unknown goal predicate kind: {kind!r}")
 
 
@@ -158,6 +163,22 @@ def _parse_grid(grid_text: str) -> tuple[int, int, frozenset[Cell], dict[str, Ce
     return width, len(rows), frozenset(walls), anchors
 
 
+_REQUIRED = object()
+
+
+def _field(mapping: dict, key: str, kind: type, where: str = "", default=_REQUIRED):
+    """``mapping[key]``, checked to be a ``kind``; ``where`` prefixes the key in errors."""
+    if key not in mapping:
+        if default is _REQUIRED:
+            raise TaskFileError(f"missing required key '{where}{key}'")
+        return default
+    value = mapping[key]
+    # YAML reads true and false as bools, which Python counts as ints.
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise TaskFileError(f"{where}{key} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def _resolve_cell(spec, anchors: dict[str, Cell], placed: dict[str, Cell]) -> Cell:
     if isinstance(spec, str):
         if spec in anchors:
@@ -165,13 +186,21 @@ def _resolve_cell(spec, anchors: dict[str, Cell], placed: dict[str, Cell]) -> Ce
         if spec in placed:
             return placed[spec]
         raise TaskFileError(f"unknown placement anchor or label: {spec!r}")
-    if isinstance(spec, list) and len(spec) == 2:
-        return (int(spec[0]), int(spec[1]))
+    if (
+        isinstance(spec, list)
+        and len(spec) == 2
+        and all(isinstance(v, int) and not isinstance(v, bool) for v in spec)
+    ):
+        return (spec[0], spec[1])
     raise TaskFileError(f"bad cell spec: {spec!r}")
 
 
 def load_task_text(text: str, source: str = "<string>") -> Task:
-    """Parse one task from YAML text. Raises TaskFileError with context."""
+    """Parse one task from YAML text. Raises TaskFileError with context.
+
+    Every key is checked for its type where it is read, so a malformed file
+    raises TaskFileError, never another exception.
+    """
     try:
         data = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
@@ -180,72 +209,53 @@ def load_task_text(text: str, source: str = "<string>") -> Task:
         raise TaskFileError(f"{source}: task document must be a mapping")
 
     try:
-        task_id = data["id"]
-        goal = data["goal"]
-        grid_text = data["grid"]
-        object_specs = data.get("objects", {})
-        agent_spec = data["agent"]
-        predicate_params = data["goal_predicate"]
-    except KeyError as exc:
-        raise TaskFileError(f"{source}: missing required key {exc}")
-
-    try:
-        width, height, walls, anchors = _parse_grid(grid_text)
-
+        task_id = _field(data, "id", str)
+        goal = _field(data, "goal", str)
+        width, height, walls, anchors = _parse_grid(_field(data, "grid", str))
+        agent_spec = _field(data, "agent", dict)
         agent_cell = _resolve_cell(agent_spec.get("at"), anchors, {})
-        heading = agent_spec.get("heading", "N")
-        if heading not in HEADING_ORDER:
-            raise TaskFileError(f"unknown agent heading: {heading!r}")
         world = World(
             width,
             height,
             walls=walls,
             agent_position=agent_cell,
-            agent_heading=heading,
+            agent_heading=_field(agent_spec, "heading", str, "agent.", "N"),
         )
 
-        if not isinstance(object_specs, dict):
-            raise TaskFileError("objects must be a mapping of label to spec")
         placed: dict[str, Cell] = {}
-        for label, spec in object_specs.items():
-            if isinstance(spec, dict):
-                # YAML 1.1 reads a bare `on:` key as boolean True.
-                spec = {("on" if key is True else key): v for key, v in spec.items()}
-            if not _LABEL_RE.match(str(label)):
+        for label, spec in _field(data, "objects", dict, default={}).items():
+            if not (isinstance(label, str) and _LABEL_RE.match(label)):
                 raise TaskFileError(f"illegal object label: {label!r}")
-            if not isinstance(spec, dict) or "kind" not in spec:
-                raise TaskFileError(f"object {label!r} needs a kind")
-            kind = spec["kind"]
-            if kind not in KINDS:
-                raise TaskFileError(f"object {label!r} has unknown kind {kind!r}")
+            where = f"objects.{label}."
+            if not isinstance(spec, dict):
+                raise TaskFileError(f"objects.{label} must be dict, got {spec!r}")
+            # YAML 1.1 reads a bare `on:` key as boolean True.
+            spec = {("on" if key is True else key): v for key, v in spec.items()}
             where_keys = [k for k in ("at", "on", "in") if k in spec]
             if len(where_keys) != 1:
                 raise TaskFileError(
                     f"object {label!r} needs exactly one of at/on/in placement"
                 )
             cell = _resolve_cell(spec[where_keys[0]], anchors, placed)
-            try:
-                world.place_object(
-                    label,
-                    kind,
-                    cell,
-                    toggled=bool(spec.get("toggled", False)),
-                    open=bool(spec.get("open", False)),
-                )
-            except ValueError as exc:
-                raise TaskFileError(str(exc))
+            world.place_object(
+                label,
+                _field(spec, "kind", str, where),
+                cell,
+                toggled=_field(spec, "toggled", bool, where, False),
+                open=_field(spec, "open", bool, where, False),
+            )
             placed[label] = cell
 
         if not world.navigable(agent_cell):
             raise TaskFileError(f"agent start cell {agent_cell} is blocked")
 
-        predicate = predicate_from_params(predicate_params)
+        predicate = predicate_from_params(_field(data, "goal_predicate", dict))
         return Task(
-            id=str(task_id),
-            goal=str(goal),
+            id=task_id,
+            goal=goal,
             world=world,
             predicate=predicate,
-            max_steps=int(data.get("max_steps", DEFAULT_MAX_STEPS)),
+            max_steps=_field(data, "max_steps", int, default=DEFAULT_MAX_STEPS),
         )
     except TaskFileError as exc:
         raise TaskFileError(f"{source}: {exc}") from None

@@ -32,7 +32,10 @@ HIGH_LEVEL_VERBS = ("navigate", "pickup", "drop", "toggle", "open", "close", "do
 
 OUTPUT_INSTRUCTION = "Respond with exactly one line: Action: <verb>(<argument>)"
 
-_ACTION_LINE_RE = re.compile(r"^\s*Action:\s*([A-Za-z_]+)\s*\(\s*(.*?)\s*\)\s*$")
+# Matched with fullmatch. The argument is everything up to the line's last
+# ")", stripped after the match: a lazy argument between two whitespace runs,
+# as in r"\(\s*(.*?)\s*\)", backtracks in cubic time on a long run of spaces.
+_ACTION_LINE_RE = re.compile(r"\s*Action:\s*([A-Za-z_]+)\s*\((.*)\)\s*")
 _CELL_ARG_RE = re.compile(r"^(\d+)\s*,\s*(\d+)$")
 
 _GRAMMAR_LINES = (
@@ -85,17 +88,18 @@ def parse_action(text: str, world: World) -> HighLevelAction | ParseFailure:
     """Parse the first well-formed action line out of a backend reply.
 
     The argument must resolve against the step's world: either a visible
-    object label or an in-bounds cell.
+    object label or an in-bounds cell. Matching takes time linear in the
+    reply, so any reply, however long, is at worst a ParseFailure.
     """
     match = None
     for line in text.splitlines():
-        match = _ACTION_LINE_RE.match(line)
+        match = _ACTION_LINE_RE.fullmatch(line)
         if match:
             break
     if not match:
         return ParseFailure("bad-format", "no 'Action: <verb>(<argument>)' line found")
 
-    verb, arg = match.group(1), match.group(2)
+    verb, arg = match.group(1), match.group(2).strip()
     if verb not in HIGH_LEVEL_VERBS:
         return ParseFailure("unknown-verb", f"{verb!r} is not an available action")
 
@@ -108,8 +112,11 @@ def parse_action(text: str, world: World) -> HighLevelAction | ParseFailure:
         return ParseFailure("invalid-argument", f"{verb} requires a target")
     cell_match = _CELL_ARG_RE.match(arg)
     if cell_match:
-        cell = (int(cell_match.group(1)), int(cell_match.group(2)))
-        if not world.in_bounds(cell):
+        try:
+            cell = (int(cell_match.group(1)), int(cell_match.group(2)))
+        except ValueError:  # more digits than int() reads: rejected like any off-grid cell
+            cell = None
+        if cell is None or not world.in_bounds(cell):
             return ParseFailure("invalid-argument", f"cell {arg!r} is outside the grid")
         return HighLevelAction(verb, cell)
     if arg not in world.objects:

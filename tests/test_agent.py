@@ -12,14 +12,13 @@ import prag.agent as agent_module
 import prag.prompting as prompting_module
 
 from prag.agent import (
-    Decomposition,
     DecompositionError,
     PlannerFailure,
     decompose,
     plan_step,
     run_episode,
 )
-from prag.backends import BackendError, PlannerBackend, ReplayOracleBackend
+from prag.backends import BackendError, PlannerBackend, ReplayOracleBackend, ScriptedReplyBackend
 from prag.driver import RunConfig, run_iterations
 from prag.embedding import EncoderError, HashingEncoder
 from prag.gridworld.sim import Simulator
@@ -48,6 +47,11 @@ def run_low_level(world, actions):
     return out
 
 
+def executed(outcome):
+    """The actions an episode executed: its record's history, if it has one."""
+    return [action for action, _ in outcome.record.history] if outcome.record else []
+
+
 def make_bundle(world, goal="goal"):
     return PromptBundle(
         goal=goal,
@@ -59,26 +63,26 @@ def make_bundle(world, goal="goal"):
 class TestDecompose:
     def test_done_is_a_stop_marker(self):
         obs = make_ball_world().observe()
-        assert decompose(HighLevelAction("done"), obs) == Decomposition(stop=True)
+        assert decompose(HighLevelAction("done"), obs) == ()
 
     def test_navigate_to_cell_walks_onto_it(self):
         world = make_ball_world()
         obs = world.observe()
         plan = decompose(HighLevelAction("navigate", (2, 2)), obs)
-        after = run_low_level(world, plan.actions)
+        after = run_low_level(world, plan)
         assert after.agent_position == (2, 2)
 
     def test_navigate_to_own_cell_is_empty(self):
         world = make_ball_world()
         obs = world.observe()
         plan = decompose(HighLevelAction("navigate", world.agent_position), obs)
-        assert plan.actions == ()
+        assert plan == ()
 
     def test_navigate_to_object_stands_adjacent_and_faces_it(self):
         world = make_ball_world()
         obs = world.observe()
         plan = decompose(HighLevelAction("navigate", "table_1"), obs)
-        after = run_low_level(world, plan.actions)
+        after = run_low_level(world, plan)
         ax, ay = after.agent_position
         assert abs(ax - 3) + abs(ay - 1) == 1
         from prag.gridworld.world import HEADING_DELTAS
@@ -90,8 +94,8 @@ class TestDecompose:
         world = make_ball_world()
         obs = world.observe()
         plan = decompose(HighLevelAction("pickup", "ball_1"), obs)
-        assert plan.actions[-1] == "pickup"
-        after = run_low_level(world, plan.actions)
+        assert plan[-1] == "pickup"
+        after = run_low_level(world, plan)
         assert after.agent_inventory == "ball_1"
 
     def test_stand_cell_ties_resolve_north_first(self):
@@ -101,7 +105,7 @@ class TestDecompose:
         world = World(7, 7, walls=walls, agent_position=(5, 3), agent_heading="N")
         world.place_object("table_1", "table", (3, 3))
         plan = decompose(HighLevelAction("toggle", "table_1"), world.observe())
-        after = run_low_level(world, plan.actions[:-1])
+        after = run_low_level(world, plan[:-1])
         assert after.agent_position == (3, 2)
         assert after.agent_heading == "S"
 
@@ -119,7 +123,7 @@ class TestDecompose:
         world = make_ball_world()
         obs = world.observe()
         plan = decompose(HighLevelAction("pickup", "ball_1"), obs)
-        world = run_low_level(world, plan.actions)
+        world = run_low_level(world, plan)
         with pytest.raises(DecompositionError, match="held"):
             decompose(HighLevelAction("navigate", "ball_1"), world.observe())
 
@@ -160,7 +164,7 @@ class TestPlanStep:
         action, plan = plan_step(backend, make_bundle(obs), obs, 0)
         assert backend.calls == 1
         assert action == HighLevelAction("pickup", "ball_1")
-        assert plan.actions[-1] == "pickup"
+        assert plan[-1] == "pickup"
 
     def test_two_bad_replies_then_good_uses_three_calls(self):
         obs = make_ball_world().observe()
@@ -272,7 +276,7 @@ class TestRunEpisode:
         assert record.done is True
         assert [a for a, _ in record.history] == ["pickup(ball_1)", "drop(table_1)"]
         assert len(record.obs_embeddings) == len(record.history) == 2
-        assert outcome.actions == ["pickup(ball_1)", "drop(table_1)"]
+        assert executed(outcome) == ["pickup(ball_1)", "drop(table_1)"]
         assert outcome.result.shortest_steps == 6
         assert outcome.result.steps_taken >= 6
 
@@ -306,11 +310,23 @@ class TestRunEpisode:
         assert outcome.retrieval_calls == 2
         assert outcome.result.success is True
 
+    def test_a_coordinate_too_long_for_int_is_a_parse_failure(self, ball_task):
+        events = []
+        backend = ScriptedReplyBackend(["Action: navigate(" + "1" * 5000 + ",1)", *SOLVE_BALL])
+        outcome = episode(
+            ball_task, backend, self.encoder, self.db,
+            log=lambda event, **payload: events.append((event, payload)),
+        )
+        failures = [payload for event, payload in events if event == "parse-failure"]
+        assert [(f["step"], f["reason"]) for f in failures] == [(0, "invalid-argument")]
+        assert outcome.failure is None
+        assert outcome.result.success is True
+
     def test_done_only_episode_yields_no_record(self, ball_task):
         backend = ScriptedBackend(["Action: done()"])
         outcome = episode(ball_task, backend, self.encoder, self.db)
         assert outcome.record is None
-        assert outcome.actions == []
+        assert executed(outcome) == []
         assert outcome.result.success is False
         assert outcome.result.steps_taken == 0
 
@@ -370,7 +386,7 @@ class TestRunEpisode:
         backend = ScriptedBackend(["Action: navigate(1,3)"] * 100)
         outcome = episode(task, backend, self.encoder, self.db)
         assert outcome.result.success is False
-        assert len(outcome.actions) == 5
+        assert len(executed(outcome)) == 5
         assert backend.calls == 5
 
     def test_max_steps_override_caps_the_simulator(self, ball_task):
@@ -401,11 +417,11 @@ class TestRunEpisode:
         backend = ScriptedBackend(SOLVE_BALL)
         outcome = episode(ball_task, backend, self.encoder, self.db)
         assert outcome.result.success is True
-        assert outcome.result.steps_taken > len(outcome.actions) == 2
+        assert outcome.result.steps_taken > len(executed(outcome)) == 2
         # One per planning step plus one per episode (the initial scene) ...
         assert counts["extract"] == backend.calls + 1 == 3
         # ... and one world snapshot per executed action, plus the reset.
-        assert counts["observe"] == len(outcome.actions) + 1 == 3
+        assert counts["observe"] == len(executed(outcome)) + 1 == 3
 
     @pytest.mark.parametrize(
         "replies",
@@ -418,8 +434,8 @@ class TestRunEpisode:
     def test_stopped_episodes_snapshot_once_per_action(self, ball_task, monkeypatch, replies):
         counts = self.count_snapshots(monkeypatch)
         outcome = episode(ball_task, ScriptedBackend(replies), self.encoder, self.db)
-        assert len(outcome.actions) == len(replies) - 1
-        assert counts["extract"] == counts["observe"] == len(outcome.actions) + 1
+        assert len(executed(outcome)) == len(replies) - 1
+        assert counts["extract"] == counts["observe"] == len(executed(outcome)) + 1
 
     def test_episodes_are_deterministic(self, ball_task):
         def once():
@@ -430,7 +446,7 @@ class TestRunEpisode:
 
         a, b = once(), once()
         assert a.result == b.result
-        assert a.actions == b.actions
+        assert executed(a) == executed(b)
         assert a.record.history == b.record.history
         assert all(
             np.array_equal(x, y)
@@ -492,7 +508,7 @@ class TestNavigationMemo:
         sources, grids = self.count_navigation(monkeypatch)
         backend = ScriptedBackend(self.WANDER)
         outcome = episode(ball_task, backend, self.encoder, self.db)
-        assert outcome.actions == [
+        assert executed(outcome) == [
             "navigate(2,3)", "navigate(1,3)", "navigate(2,3)", "pickup(ball_1)"
         ]
         assert sources == [(1, 3), (2, 3)]

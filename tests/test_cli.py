@@ -174,6 +174,37 @@ class TestRunCommand:
         assert err.startswith(f"error: {line.split(':')[0]} must be ")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("agent:\n  at: [1, 1]\n  heading: S\n", "agent: 5\n", "agent must be dict, got 5"),
+            ("  at: [1, 1]\n", "  at: [[1], 1]\n", "bad cell spec: [[1], 1]"),
+            ("grid: |\n  #####\n  #..T#\n  #...#\n  #B..#\n  #####\n", "grid: [1, 2]\n",
+             "grid must be str, got [1, 2]"),
+            ("goal_predicate:\n  kind: placed_at\n  item: ball_1\n  target: table_1\n",
+             "goal_predicate: [1]\n", "goal_predicate must be dict, got [1]"),
+            ("  item: ball_1\n", "", "missing required key 'goal_predicate.item'"),
+            ("item: ball_1", "item: [ball_1]", "goal_predicate.item must be str, got ['ball_1']"),
+            ("max_steps: 40", "max_steps: [3]", "max_steps must be int, got [3]"),
+            ("goal: Put the ball on the table", "goal: [a]", "goal must be str, got ['a']"),
+            ("kind: ball,", "kind: [ball],", "objects.ball_1.kind must be str, got ['ball']"),
+            ("at: B}", "at: B, toggled: [x]}", "objects.ball_1.toggled must be bool, got ['x']"),
+        ],
+        ids=[
+            "agent", "agent-cell", "grid", "goal-predicate", "predicate-item-missing",
+            "predicate-item", "max-steps", "goal", "object-kind", "object-flag",
+        ],
+    )
+    def test_wrong_typed_task_field_exits_two(self, capsys, tmp_path, old, new, message):
+        task_dir = tmp_path / "tasks"
+        task_dir.mkdir()
+        assert old in TASK_A
+        (task_dir / "easy_ball.yaml").write_text(TASK_A.replace(old, new))
+        code, out, err = run_cli(capsys, "run", "--tasks", str(task_dir), "--iterations", "1")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {task_dir / 'easy_ball.yaml'}: {message}\n"
+
     def test_missing_task_dir_exits_two(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "run", "--tasks", str(tmp_path / "absent"), "--iterations", "1"

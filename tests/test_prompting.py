@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import re
+import signal
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import prag.prompting as prompting_module
 from prag.prompting import (
     DEFAULT_HISTORY_LIMIT,
     HIGH_LEVEL_VERBS,
@@ -25,6 +30,17 @@ from prag.trajectory_db import RetrievalHit, TaskRecord
 from tests.conftest import border_walls, make_ball_world
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "prompt_golden.txt"
+
+# The reference the parser's linear pattern must agree with. Its lazy
+# argument between two whitespace runs backtracks in cubic time on long runs.
+REFERENCE_ACTION_LINE_RE = re.compile(r"^\s*Action:\s*([A-Za-z_]+)\s*\(\s*(.*?)\s*\)\s*$")
+
+# Pieces of action lines, with whitespace that str.strip and \s both know
+# beyond the ASCII space, and no line breaks (parse_action splits on those).
+LINE_PIECES = (
+    " ", "  ", "\t", "\xa0", "\u2003", "\x1f", "Action:", "Action", ":", "(", ")",
+    "pickup", "done", "_", "x", "1", ",", "é",
+)
 
 
 def make_record(task_id, goal_text, history, done, iteration=1):
@@ -135,6 +151,41 @@ class TestParseAction:
         assert isinstance(failure, ParseFailure)
         assert failure.reason == "invalid-argument"
         assert "ghost_7" in failure.detail
+
+    def test_cell_with_more_digits_than_int_reads_is_invalid(self, observation):
+        failure = parse_action("Action: navigate(" + "1" * 5000 + ",1)", observation)
+        assert isinstance(failure, ParseFailure)
+        assert failure.reason == "invalid-argument"
+        assert "outside the grid" in failure.detail
+
+    def test_a_long_run_of_spaces_parses_in_linear_time(self, observation):
+        def timed_out(signum, frame):
+            raise TimeoutError("parse_action backtracked for over 5 s")
+
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(5)
+        try:
+            failure = parse_action("Action: a(" + " " * 100_000, observation)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert failure == ParseFailure("bad-format", "no 'Action: <verb>(<argument>)' line found")
+
+    @settings(max_examples=500)
+    @given(
+        st.one_of(
+            st.lists(st.sampled_from(LINE_PIECES), max_size=12).map("".join),
+            st.tuples(
+                *(st.lists(st.sampled_from(LINE_PIECES), max_size=4).map("".join) for _ in range(3))
+            ).map(lambda p: f"{p[0]}Action:{p[1]}pickup ({p[2]}) "),
+        )
+    )
+    def test_lines_split_as_the_reference_pattern_splits_them(self, line):
+        reference = REFERENCE_ACTION_LINE_RE.match(line)
+        match = prompting_module._ACTION_LINE_RE.fullmatch(line)
+        assert (match is None) == (reference is None)
+        if match is not None:
+            assert (match.group(1), match.group(2).strip()) == reference.groups()
 
     @pytest.mark.parametrize(
         "action",

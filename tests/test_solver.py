@@ -608,6 +608,64 @@ class TestBoundIsConsistent:
         for kind in ("placed_at", "items_in_container_toggled", "agent_holds"):
             assert goals.get(kind, 0) >= 5, goals
 
+    @staticmethod
+    def mug_room(width, height, agent, items, inner_walls=(), cabinet=None):
+        """Mugs to wash in a sink at the top right; a closed cabinet seals what it holds."""
+        walls = frozenset(border_walls(width, height) | set(inner_walls))
+        world = World(width, height, walls=walls, agent_position=agent, agent_heading="N")
+        world.place_object("sink_1", "sink", (width - 2, 1))
+        if cabinet is not None:
+            world.place_object("cabinet_1", "cabinet", cabinet)
+        labels = tuple(f"mug_{i}" for i in range(1, len(items) + 1))
+        for label, cell in zip(labels, items):
+            world.place_object(label, "mug", cell)
+        return Task(
+            id=f"wash_{len(items)}_mugs",
+            goal="Wash the mugs",
+            world=world,
+            predicate=ItemsInContainerToggled(labels, "sink_1"),
+            max_steps=60,
+        )
+
+    @pytest.mark.parametrize(
+        "room",
+        [
+            dict(width=5, height=5, agent=(1, 2), items=[(1, 1), (1, 1)]),
+            dict(width=5, height=5, agent=(2, 2), items=[(1, 1), (1, 3), (3, 3)]),
+            dict(
+                width=6, height=5, agent=(1, 1), items=[(1, 3), (4, 3), (1, 3)],
+                inner_walls=[(2, 2)], cabinet=(4, 3),
+            ),
+        ],
+        ids=["two-mugs-one-cell", "three-mugs", "three-mugs-one-sealed"],
+    )
+    def test_every_reachable_state(self, room):
+        # Random walks rarely reach a state holding one mug while facing the
+        # sink with others still away, where a bound that charges too much
+        # for each later delivery falls by more than one on the drop.
+        model = solver._Model(self.mug_room(**room))
+        far = solver._FAR
+        seen = {model.start}
+        frontier = deque(seen)
+        goals = 0
+        while frontier:
+            state = frontier.popleft()
+            bound = model.bound(state)
+            if model.is_goal(state):
+                assert bound == 0, state
+                goals += 1
+            for succ in model.successors(state):
+                after = model.bound(succ)
+                if bound >= far:
+                    assert after >= far, (state, succ)
+                else:
+                    assert bound <= 1 + after, (state, succ)
+                if succ not in seen:
+                    seen.add(succ)
+                    frontier.append(succ)
+        assert goals > 0
+        assert len(seen) > 3_000
+
 
 class TestDeliveryBound:
     def test_each_item_owed_after_the_next_costs_two_more_moves(self):
