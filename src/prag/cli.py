@@ -107,8 +107,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     db = TrajectoryDB.load(args.db)
-    out_dir = Path(config.out) if config.out else None
-    report = run_eval(config, db, out_dir=out_dir, db_path=str(Path(args.db).absolute()))
+    report = run_eval(config, db, db_path=str(Path(args.db).absolute()))
     sys.stdout.write(format_summary([report]))
     return 0
 

@@ -31,13 +31,12 @@ import dataclasses
 import functools
 import hashlib
 import json
+import reprlib
 import shutil
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Any
-
-import yaml
 
 from . import agent
 from .agent import DEFAULT_MAX_RETRIES, DEFAULT_TOP_K, run_episode
@@ -50,7 +49,7 @@ from .backends import (
 )
 from .embedding import DEFAULT_DIMENSION, Encoder, HashingEncoder, RemoteEncoder
 from .gridworld.sim import EpisodeResult
-from .gridworld.tasks import Task, bundled_suite, load_task_dir
+from .gridworld.tasks import Task, bundled_suite, load_task_dir, load_yaml_mapping
 from .metrics import TransitionReport, spl, task_sr, total_sr
 from .prompting import DEFAULT_HISTORY_LIMIT
 from .trajectory_db import TrajectoryDB
@@ -97,7 +96,7 @@ class RunConfig:
             if not isinstance(value, allowed) or (
                 isinstance(value, bool) and bool not in allowed
             ):
-                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+                raise ConfigError(f"{f.name} must be {f.type}, got {reprlib.repr(value)}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == "train-eval" and not self.eval_tasks:
@@ -127,19 +126,15 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path, overrides: dict[str, Any] | None = None) -> RunConfig:
-        """Load a YAML mapping of config fields, then apply overrides."""
+        """Load a YAML mapping of config fields (``load_yaml_mapping``), then apply overrides."""
         try:
-            raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+            raw = load_yaml_mapping(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
-        if raw is None:
-            raw = {}
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config file {path} must hold a mapping")
+        except ValueError as exc:
+            raise ConfigError(f"config file {path}: {exc}") from exc
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(raw) - known)
         if unknown:
@@ -414,10 +409,11 @@ class _Run:
         return report
 
 
-def _set_up(
-    config: RunConfig, phases: tuple[str, ...], out: str | Path | None, store_dimension: int | None
-) -> _Run:
-    """Validate, build, load and solve what the ``phases`` passes need, then write the config."""
+def _set_up(config: RunConfig, phases: tuple[str, ...], store_dimension: int | None) -> _Run:
+    """Validate, build, load and solve what the ``phases`` passes need, then write the config.
+
+    ``config.out`` names the output directory; empty or None writes nothing.
+    """
     config.validate()
     if config.mode == "train-eval" and "train" not in phases:
         raise ConfigError("a frozen eval pass runs tasks under mode 'self-iter', not 'train-eval'")
@@ -433,7 +429,7 @@ def _set_up(
     loaded = {source: load_tasks(source) for source in dict.fromkeys(sources.values())}
     solved = {source: (tasks, _solve_all(tasks)) for source, tasks in loaded.items()}
     passes = {phase: solved[source] for phase, source in sources.items()}
-    out_dir = None if out is None else Path(out)
+    out_dir = Path(config.out) if config.out else None
     if out_dir is not None:
         write_run_config(config, out_dir)
     return _Run(config, encoder, backend, passes, out_dir)
@@ -442,7 +438,7 @@ def _set_up(
 def run_iterations(config: RunConfig) -> list[IterationReport]:
     """Execute a full run per the configuration. Returns all reports."""
     phases = ("train", "eval") if config.mode == "train-eval" else ("train",)
-    run = _set_up(config, phases, config.out, None)
+    run = _set_up(config, phases, None)
     out_dir = run.out_dir
     db = TrajectoryDB(dimension=run.encoder.dimension)
     reports: list[IterationReport] = []
@@ -471,18 +467,12 @@ def run_iterations(config: RunConfig) -> list[IterationReport]:
     return reports
 
 
-def run_eval(
-    config: RunConfig,
-    db: TrajectoryDB,
-    *,
-    out_dir: Path | None = None,
-    db_path: str | None = None,
-) -> IterationReport:
+def run_eval(config: RunConfig, db: TrajectoryDB, *, db_path: str | None = None) -> IterationReport:
     """Frozen evaluation pass of ``tasks`` against an existing database.
 
-    A ``train-eval`` configuration is refused. With ``out_dir``, the
+    A ``train-eval`` configuration is refused. With ``config.out``, the
     configuration, the pass's event log and its report are written there;
     ``db_path`` names the file ``db`` was loaded from in every
     ``episode-start`` event, so ``prag prompt`` can find the store.
     """
-    return _set_up(config, ("eval",), out_dir, db.dimension).eval_pass(db, 1, db_path)
+    return _set_up(config, ("eval",), db.dimension).eval_pass(db, 1, db_path)

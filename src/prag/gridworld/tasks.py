@@ -9,6 +9,7 @@ such files under ``prag/gridworld/suite/``.
 from __future__ import annotations
 
 import re
+import reprlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from importlib import resources
@@ -23,6 +24,10 @@ DEFAULT_MAX_STEPS = 60
 # libyaml's parser when PyYAML was built with it: about 10x faster on task
 # files, same documents.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+# libyaml composes a document recursively in C, one call per level, and
+# overflows the stack somewhere past 20,000 levels; task files nest 4 deep.
+MAX_YAML_DEPTH = 1000
 
 _LABEL_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 _ANCHOR_RE = re.compile(r"^[A-Za-z]$")
@@ -112,7 +117,7 @@ def predicate_from_params(params: dict) -> GoalPredicate:
         )
     if kind == "agent_holds":
         return AgentHolds(item=_field(params, "item", str, where))
-    raise TaskFileError(f"unknown goal predicate kind: {kind!r}")
+    raise TaskFileError(f"unknown goal predicate kind: {reprlib.repr(kind)}")
 
 
 @dataclass
@@ -175,7 +180,7 @@ def _field(mapping: dict, key: str, kind: type, where: str = "", default=_REQUIR
     value = mapping[key]
     # YAML reads true and false as bools, which Python counts as ints.
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise TaskFileError(f"{where}{key} must be {kind.__name__}, got {value!r}")
+        raise TaskFileError(f"{where}{key} must be {kind.__name__}, got {reprlib.repr(value)}")
     return value
 
 
@@ -185,35 +190,81 @@ def _resolve_cell(spec, anchors: dict[str, Cell], placed: dict[str, Cell]) -> Ce
             return anchors[spec]
         if spec in placed:
             return placed[spec]
-        raise TaskFileError(f"unknown placement anchor or label: {spec!r}")
+        raise TaskFileError(f"unknown placement anchor or label: {reprlib.repr(spec)}")
     if (
         isinstance(spec, list)
         and len(spec) == 2
         and all(isinstance(v, int) and not isinstance(v, bool) for v in spec)
     ):
         return (spec[0], spec[1])
-    raise TaskFileError(f"bad cell spec: {spec!r}")
+    raise TaskFileError(f"bad cell spec: {reprlib.repr(spec)}")
+
+
+def _depth_bound(text: str) -> int:
+    """At least the depth to which ``text``'s YAML collections nest.
+
+    Each collection on a path from the root owns a character that no other
+    collection on the path owns: a flow ``[`` or ``{``, or the ``-``, ``?``
+    or ``:`` of its entry (block entry or flow pair) that the path goes
+    through.
+    """
+    return sum(map(text.count, "[{-?:"))
+
+
+def _nests_too_deep(text: str) -> bool:
+    """Whether ``text``'s collections nest past ``MAX_YAML_DEPTH``, found without composing it."""
+    if _depth_bound(text) <= MAX_YAML_DEPTH:
+        return False
+    depth = 0
+    for event in yaml.parse(text, Loader=_YAML_LOADER):  # one event at a time, no recursion
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            if depth > MAX_YAML_DEPTH:
+                return True
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
+    return False
+
+
+def load_yaml_mapping(text: str) -> dict:
+    """The mapping one YAML document holds, read as task and config files are.
+
+    An empty document is ``{}``. Raises ValueError, with a message that
+    names no file, when the text is not YAML, nests deeper than
+    ``MAX_YAML_DEPTH``, holds an integer too long for ``int()``, or is not a
+    mapping with string keys. Keys below the top level stay as YAML reads
+    them (a bare ``on:`` is ``True``).
+    """
+    try:
+        if _nests_too_deep(text):
+            raise ValueError(f"collections nest deeper than {MAX_YAML_DEPTH} levels")
+        data = yaml.load(text, Loader=_YAML_LOADER)
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
+        raise ValueError(f"not valid YAML: {exc}") from None
+    if data is None:
+        return {}
+    if not isinstance(data, dict):
+        raise ValueError("must hold a mapping")
+    for key in data:
+        if not isinstance(key, str):
+            raise ValueError(f"must hold a mapping with string keys, not {reprlib.repr(key)}")
+    return data
 
 
 def load_task_text(text: str, source: str = "<string>") -> Task:
     """Parse one task from YAML text. Raises TaskFileError with context.
 
-    Every key is checked for its type where it is read, so a malformed file
-    raises TaskFileError, never another exception.
+    The text is read by ``load_yaml_mapping``. Every key is checked for its
+    type where it is read, so a malformed file raises TaskFileError, never
+    another exception.
     """
     try:
-        data = yaml.load(text, Loader=_YAML_LOADER)
-    except yaml.YAMLError as exc:
-        raise TaskFileError(f"{source}: invalid YAML: {exc}")
-    if not isinstance(data, dict):
-        raise TaskFileError(f"{source}: task document must be a mapping")
-
-    try:
+        data = load_yaml_mapping(text)
         task_id = _field(data, "id", str)
         goal = _field(data, "goal", str)
         width, height, walls, anchors = _parse_grid(_field(data, "grid", str))
         agent_spec = _field(data, "agent", dict)
-        agent_cell = _resolve_cell(agent_spec.get("at"), anchors, {})
+        agent_cell = _resolve_cell(_field(agent_spec, "at", object, "agent."), anchors, {})
         world = World(
             width,
             height,
@@ -225,10 +276,10 @@ def load_task_text(text: str, source: str = "<string>") -> Task:
         placed: dict[str, Cell] = {}
         for label, spec in _field(data, "objects", dict, default={}).items():
             if not (isinstance(label, str) and _LABEL_RE.match(label)):
-                raise TaskFileError(f"illegal object label: {label!r}")
+                raise TaskFileError(f"illegal object label: {reprlib.repr(label)}")
             where = f"objects.{label}."
             if not isinstance(spec, dict):
-                raise TaskFileError(f"objects.{label} must be dict, got {spec!r}")
+                raise TaskFileError(f"objects.{label} must be dict, got {reprlib.repr(spec)}")
             # YAML 1.1 reads a bare `on:` key as boolean True.
             spec = {("on" if key is True else key): v for key, v in spec.items()}
             where_keys = [k for k in ("at", "on", "in") if k in spec]

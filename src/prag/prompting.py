@@ -21,6 +21,7 @@ functions.
 from __future__ import annotations
 
 import re
+import reprlib
 from dataclasses import dataclass
 
 from .gridworld.world import Cell, World
@@ -89,7 +90,9 @@ def parse_action(text: str, world: World) -> HighLevelAction | ParseFailure:
 
     The argument must resolve against the step's world: either a visible
     object label or an in-bounds cell. Matching takes time linear in the
-    reply, so any reply, however long, is at worst a ParseFailure.
+    reply, so any reply, however long, is at worst a ParseFailure. A
+    failure's detail quotes the verb and argument through ``reprlib``, so
+    the retry prompt that appends it grows by a bounded amount.
     """
     match = None
     for line in text.splitlines():
@@ -101,7 +104,7 @@ def parse_action(text: str, world: World) -> HighLevelAction | ParseFailure:
 
     verb, arg = match.group(1), match.group(2).strip()
     if verb not in HIGH_LEVEL_VERBS:
-        return ParseFailure("unknown-verb", f"{verb!r} is not an available action")
+        return ParseFailure("unknown-verb", f"{reprlib.repr(verb)} is not an available action")
 
     if verb == "done":
         if arg:
@@ -117,10 +120,10 @@ def parse_action(text: str, world: World) -> HighLevelAction | ParseFailure:
         except ValueError:  # more digits than int() reads: rejected like any off-grid cell
             cell = None
         if cell is None or not world.in_bounds(cell):
-            return ParseFailure("invalid-argument", f"cell {arg!r} is outside the grid")
+            return ParseFailure("invalid-argument", f"cell {reprlib.repr(arg)} is outside the grid")
         return HighLevelAction(verb, cell)
     if arg not in world.objects:
-        return ParseFailure("invalid-argument", f"no visible object named {arg!r}")
+        return ParseFailure("invalid-argument", f"no visible object named {reprlib.repr(arg)}")
     return HighLevelAction(verb, arg)
 
 

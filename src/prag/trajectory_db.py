@@ -574,12 +574,12 @@ class RetrievalMemo:
     float32, and every cut allows the index's ``margin``, so the exact
     re-score sees every record and step that can be a hit. A query scans
     the records whose goal term reaches a threshold, a prefix in goal-term
-    order: first set from the records of the k best goal terms, then
-    lowered when a query's k-th best demands. The prefix's step rows are
-    gathered into one matrix as it grows; once it would hold over half the
-    index's step rows, the index's own matrix is scanned in place instead.
-    It dies with its episode: nothing is kept on the store or in the
-    module.
+    order: first the k-th best goal term, so that k records are in reach,
+    then lowered until no record out of reach could join the query's k
+    best. The prefix's step rows are gathered into one matrix as it grows;
+    once it would hold over half the index's step rows, the index's own
+    matrix is scanned in place instead. It dies with its episode: nothing
+    is kept on the store or in the module.
     """
 
     def __init__(self) -> None:
@@ -627,21 +627,10 @@ class RetrievalMemo:
         unit = steps.unit(obs, obs_norm)
         count = all_terms.size
         if self._records is None or self._records.size < min(k, count):
-            # Any k records bound the k-th best from below. Those of the k
-            # best goal terms, each scanned in place, give the first bound.
-            kth_best = -np.inf
-            if k < count:
-                kth_goal = np.partition(all_terms, count - k)[count - k]
-                picked = np.flatnonzero(all_terms >= kth_goal)[:k]
-                kth_best = min(
-                    all_terms[i] + (steps.matrix[start : start + length] @ unit).max()
-                    for i, start, length in zip(
-                        picked.tolist(),
-                        steps.starts[picked].tolist(),
-                        index.lengths[picked].tolist(),
-                    )
-                )
-            self._reach(_goal_floor(kth_best, index.margin))
+            # At least k records, those of the k best goal terms: the loop
+            # below lowers the threshold until no other record can compete.
+            cut = max(count - k, 0)
+            self._reach(np.partition(all_terms, cut)[cut])
         while True:
             step_terms = self._rows @ unit
             best_steps = np.maximum.reduceat(step_terms, self._starts)

@@ -322,6 +322,27 @@ class TestRunEpisode:
         assert outcome.failure is None
         assert outcome.result.success is True
 
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            "Action: pickup(" + "x" * 100_000 + ")",
+            "Action: navigate(" + "1" * 100_000 + ",1)",
+            "Action: " + "x" * 100_000 + "(ball_1)",
+        ],
+        ids=["label", "cell", "verb"],
+    )
+    def test_a_long_reply_grows_the_retry_prompt_by_a_bounded_detail(self, ball_task, reply):
+        events = []
+        backend = ScriptedReplyBackend([reply] * 3 + SOLVE_BALL)
+        outcome = episode(
+            ball_task, backend, self.encoder, self.db, max_retries=3,
+            log=lambda event, **payload: events.append((event, payload)),
+        )
+        first, *retries = [payload["text"] for event, payload in events if event == "prompt"][:4]
+        assert len(retries) == 3
+        assert all(len(retry) <= len(first) + 200 for retry in retries)
+        assert outcome.result.success is True
+
     def test_done_only_episode_yields_no_record(self, ball_task):
         backend = ScriptedBackend(["Action: done()"])
         outcome = episode(ball_task, backend, self.encoder, self.db)

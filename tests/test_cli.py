@@ -5,10 +5,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import prag
 from prag.backends import ReplayOracleBackend
 from prag.cli import main
 from prag.driver import (
@@ -19,7 +23,7 @@ from prag.driver import (
     write_run_config,
 )
 from prag.gridworld.sim import EpisodeResult
-from prag.gridworld.tasks import bundled_suite
+from prag.gridworld.tasks import MAX_YAML_DEPTH, bundled_suite
 
 from tests.test_driver import TASK_A, TASK_B
 from tests.conftest import MISTYPED_STORE_FIELDS, write_mistyped_store
@@ -179,6 +183,7 @@ class TestRunCommand:
         [
             ("agent:\n  at: [1, 1]\n  heading: S\n", "agent: 5\n", "agent must be dict, got 5"),
             ("  at: [1, 1]\n", "  at: [[1], 1]\n", "bad cell spec: [[1], 1]"),
+            ("  at: [1, 1]\n", "", "missing required key 'agent.at'"),
             ("grid: |\n  #####\n  #..T#\n  #...#\n  #B..#\n  #####\n", "grid: [1, 2]\n",
              "grid must be str, got [1, 2]"),
             ("goal_predicate:\n  kind: placed_at\n  item: ball_1\n  target: table_1\n",
@@ -191,8 +196,9 @@ class TestRunCommand:
             ("at: B}", "at: B, toggled: [x]}", "objects.ball_1.toggled must be bool, got ['x']"),
         ],
         ids=[
-            "agent", "agent-cell", "grid", "goal-predicate", "predicate-item-missing",
-            "predicate-item", "max-steps", "goal", "object-kind", "object-flag",
+            "agent", "agent-cell", "agent-cell-missing", "grid", "goal-predicate",
+            "predicate-item-missing", "predicate-item", "max-steps", "goal", "object-kind",
+            "object-flag",
         ],
     )
     def test_wrong_typed_task_field_exits_two(self, capsys, tmp_path, old, new, message):
@@ -631,6 +637,84 @@ class TestInputsNestedTooDeeply:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
         assert named in err
+
+
+_GOAL = "goal: Put the ball on the table"
+
+
+def _nested(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+def _holding(value: str) -> tuple[str, str]:
+    """A task file whose goal is ``value``, and a config whose tasks are."""
+    return TASK_A.replace(_GOAL, f"goal: {value}"), f"tasks: {value}"
+
+
+# Within the depth limit, but PyYAML flattens merge keys recursively.
+_MERGES = "a: " + "{<<: " * 990 + "{}" + "}" * 990
+
+# YAML that made a loader raise, or crash, as (task file, --config file).
+_YAML_INPUTS = {
+    "integer-too-long": (
+        TASK_A.replace("max_steps: 40", "max_steps: " + "9" * 5001), "k: " + "9" * 5001
+    ),
+    "value-nested-20000-deep": _holding(_nested(20_000)),
+    "bare-on-key": (TASK_A + "on: 1\n", "on: 1"),
+    "integer-key": (TASK_A + "1: 2\n", "1: 2"),
+    "merge-keys-nested-990-deep": (TASK_A + _MERGES, _MERGES),
+}
+
+
+def _write_yaml_input(tmp_path, kind, texts):
+    """Write the task-file or the config text of ``texts``; returns argv and the file."""
+    task_text, config_text = texts
+    if kind == "task-file":
+        tasks = tmp_path / "tasks"
+        tasks.mkdir()
+        path = tasks / "easy_ball.yaml"
+        path.write_text(task_text)
+        return ["run", "--tasks", str(tasks), "--iterations", "1"], path
+    path = tmp_path / "run.yaml"
+    path.write_text(config_text + "\n")
+    return ["run", "--config", str(path), "--iterations", "1"], path
+
+
+class TestYamlInputsThatLoadersRaisedOn:
+    @pytest.mark.parametrize("case", list(_YAML_INPUTS))
+    @pytest.mark.parametrize("kind", ["task-file", "config"])
+    def test_exits_two_naming_the_file(self, capsys, tmp_path, kind, case):
+        argv, path = _write_yaml_input(tmp_path, kind, _YAML_INPUTS[case])
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert f"{path}: " in err
+
+    @pytest.mark.parametrize("kind, key", [("task-file", "goal"), ("config", "tasks")])
+    def test_a_value_nested_to_the_limit_is_quoted_in_short(self, capsys, tmp_path, kind, key):
+        # Inside the top-level mapping, this nests exactly to the limit.
+        argv, _ = _write_yaml_input(tmp_path, kind, _holding(_nested(MAX_YAML_DEPTH - 1)))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert err.endswith(f"{key} must be str, got [[[[[[[...]]]]]]]\n")
+
+    @pytest.mark.parametrize("kind", ["task-file", "config"])
+    def test_30000_nested_brackets_exit_two_in_a_child(self, tmp_path, kind):
+        # libyaml composes recursively in C, and this many levels overflowed
+        # its stack and killed the interpreter: run it in a child process.
+        argv, path = _write_yaml_input(tmp_path, kind, _holding(_nested(30_000)))
+        src = str(Path(prag.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        result = subprocess.run(
+            [sys.executable, "-m", "prag.cli", *argv],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert (result.returncode, result.stdout) == (2, ""), result.stderr
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error: ")
+        too_deep = f"not valid YAML: collections nest deeper than {MAX_YAML_DEPTH} levels"
+        assert line.endswith(f"{path}: {too_deep}")
 
 
 class TestParser:

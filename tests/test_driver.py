@@ -605,7 +605,7 @@ class TestRunEval:
 
         db = TrajectoryDB.load(out / "db_iter_02.jsonl")
         eval_dir = tmp_path / "eval"
-        report = run_eval(mini_config(task_dir), db, out_dir=eval_dir)
+        report = run_eval(mini_config(task_dir, out=str(eval_dir)), db)
         assert report.phase == "eval"
         assert report.total_sr == 1.0
         assert (eval_dir / "report_eval.json").exists()

@@ -8,17 +8,23 @@ import textwrap
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prag.gridworld.sim import EpisodeResult, SimulationError, Simulator
 from prag.gridworld.tasks import (
+    MAX_YAML_DEPTH,
     AgentHolds,
     ItemsInContainerToggled,
     PlacedAt,
     Task,
     TaskFileError,
     bundled_suite,
+    _depth_bound,
     bundled_task,
     load_task_text,
+    load_yaml_mapping,
 )
 from prag.gridworld.world import (
     CELL_ITEM_CAPACITY,
@@ -411,6 +417,58 @@ class TestTaskLoading:
         text = self.GOOD.replace("id: sample_task", "id: Sample-Task")
         with pytest.raises(TaskFileError):
             load_task_text(text, source="<test>")
+
+
+def _event_depth(text: str) -> int:
+    """How deep the collections of ``text`` nest, as libyaml's parse events say."""
+    depth = deepest = 0
+    for event in yaml.parse(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            deepest = max(deepest, depth)
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
+    return deepest
+
+
+# YAML's indicators with a little else, so random texts that parse hold flow
+# and block collections, compact entries, flow pairs and explicit keys.
+_YAML_CHARACTERS = "[]{}-?:, \n\tab#&*!'\""
+
+_YAML_DATA = st.recursive(
+    st.none() | st.integers() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=20,
+)
+
+
+class TestYamlDepth:
+    @settings(max_examples=500)
+    @given(st.text(alphabet=_YAML_CHARACTERS, max_size=40))
+    def test_the_bound_is_never_below_the_depth_of_a_text(self, text):
+        try:
+            depth = _event_depth(text)
+        except yaml.YAMLError:
+            return
+        assert _depth_bound(text) >= depth
+
+    @given(_YAML_DATA, st.sampled_from([False, True, None]), st.booleans())
+    def test_the_bound_is_never_below_the_depth_of_a_dumped_document(
+        self, data, flow_style, canonical
+    ):
+        text = yaml.safe_dump(data, default_flow_style=flow_style, canonical=canonical)
+        assert _depth_bound(text) >= _event_depth(text)
+
+    @pytest.mark.parametrize(
+        "nested", [lambda n: "[" * n + "]" * n, lambda n: "- " * n + "x"], ids=["flow", "block"]
+    )
+    def test_collections_may_nest_as_deep_as_the_limit_and_no_deeper(self, nested):
+        at_limit = "a:\n  " + nested(MAX_YAML_DEPTH - 1)
+        assert _event_depth(at_limit) == MAX_YAML_DEPTH
+        assert list(load_yaml_mapping(at_limit)) == ["a"]
+        with pytest.raises(ValueError, match=f"nest deeper than {MAX_YAML_DEPTH} levels"):
+            load_yaml_mapping("a:\n  " + nested(MAX_YAML_DEPTH))
 
 
 class TestBundledSuite:
