@@ -191,8 +191,8 @@ class ReplayOracleBackend(SeededExplorerBackend):
         if bundle.experiences:
             top = bundle.experiences[0].record
             if top.done and top.goal_text == bundle.goal:
-                if self._replay_cursor < len(top.history):
-                    action_text = top.history[self._replay_cursor][0]
+                if self._replay_cursor < len(top.actions):
+                    action_text = top.actions[self._replay_cursor]
                     self._replay_cursor += 1
                     return f"Action: {action_text}"
                 return "Action: done()"

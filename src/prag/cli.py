@@ -112,19 +112,23 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_report(path: Path) -> IterationReport:
+    try:
+        return IterationReport.from_dict(json.loads(path.read_text(encoding="utf-8")))
+    except (ConfigError, KeyError, TypeError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot parse reports under {path.parent}: {path.name}: {exc}") from exc
+
+
 def _load_reports(run_dir: Path) -> list[IterationReport]:
     """The run's iteration reports in iteration order, then its eval report."""
     # By the ``iteration`` field: file names sort 100 before 11.
     reports = sorted(
-        (
-            IterationReport.from_dict(json.loads(path.read_text(encoding="utf-8")))
-            for path in run_dir.glob("report_iter_*.json")
-        ),
+        map(_load_report, run_dir.glob("report_iter_*.json")),
         key=lambda report: report.iteration,
     )
     eval_path = run_dir / "report_eval.json"
     if eval_path.exists():
-        reports.append(IterationReport.from_dict(json.loads(eval_path.read_text(encoding="utf-8"))))
+        reports.append(_load_report(eval_path))
     return reports
 
 
@@ -132,10 +136,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
     if not run_dir.is_dir():
         raise ConfigError(f"{run_dir} is not a directory")
-    try:
-        reports = _load_reports(run_dir)
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
-        raise ConfigError(f"cannot parse reports under {run_dir}: {exc}") from exc
+    reports = _load_reports(run_dir)
     if not reports:
         raise ConfigError(f"no report files found under {run_dir}")
     sys.stdout.write(format_summary(reports))
@@ -167,7 +168,7 @@ def _cmd_db(args: argparse.Namespace) -> int:
     for record in records:
         sys.stdout.write(
             f"  {record.task_id}: iteration={record.iteration}"
-            f" steps={len(record.history)} done={record.done}\n"
+            f" steps={len(record.actions)} done={record.done}\n"
         )
     if args.validate:
         sys.stdout.write("validation: OK\n")

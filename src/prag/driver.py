@@ -33,6 +33,7 @@ import hashlib
 import json
 import reprlib
 import shutil
+import types
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -65,6 +66,28 @@ class ConfigError(Exception):
     """A run configuration that cannot be executed."""
 
 
+def _check_types(cls: type, values: dict[str, Any], where: str = "") -> None:
+    """Refuse a value in ``values`` that is not of its ``cls`` field's declared type.
+
+    ``where`` prefixes the field's name in the message. A bool is no int
+    (``k: true`` is not a count), an int is a float, and a generic type is
+    checked as its container.
+    """
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        if f.name not in values:
+            continue
+        value = values[f.name]
+        origin = typing.get_origin(hints[f.name])
+        allowed = (
+            typing.get_args(hints[f.name]) if origin is types.UnionType else (origin or hints[f.name],)
+        )
+        if float in allowed:
+            allowed += (int,)
+        if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+            raise ConfigError(f"{where}{f.name} must be {f.type}, got {reprlib.repr(value)}")
+
+
 @dataclass
 class RunConfig:
     """Everything a run needs. Field names double as config-file keys."""
@@ -88,15 +111,7 @@ class RunConfig:
     out: str | None = None
 
     def validate(self) -> None:
-        hints = typing.get_type_hints(type(self))
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            allowed = typing.get_args(hints[f.name]) or (hints[f.name],)
-            # bool is a subclass of int, but ``k: true`` is not a count.
-            if not isinstance(value, allowed) or (
-                isinstance(value, bool) and bool not in allowed
-            ):
-                raise ConfigError(f"{f.name} must be {f.type}, got {reprlib.repr(value)}")
+        _check_types(type(self), vars(self))
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == "train-eval" and not self.eval_tasks:
@@ -126,7 +141,12 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path, overrides: dict[str, Any] | None = None) -> RunConfig:
-        """Load a YAML mapping of config fields (``load_yaml_mapping``), then apply overrides."""
+        """Load a YAML mapping of config fields (``load_yaml_mapping``), then apply overrides.
+
+        An override that is not None replaces the file's value. An unknown
+        key, or a file value of the wrong type that no override replaces,
+        raises ``ConfigError`` naming the file.
+        """
         try:
             raw = load_yaml_mapping(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
@@ -138,11 +158,13 @@ class RunConfig:
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(raw) - known)
         if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        merged = dict(raw)
-        if overrides:
-            merged.update({k: v for k, v in overrides.items() if v is not None})
-        return cls(**merged)
+            raise ConfigError(f"config file {path}: unknown config keys: {', '.join(unknown)}")
+        overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
+        try:
+            _check_types(cls, {k: v for k, v in raw.items() if k not in overrides})
+        except ConfigError as exc:
+            raise ConfigError(f"config file {path}: {exc}") from None
+        return cls(**{**raw, **overrides})
 
 
 @dataclass
@@ -167,23 +189,28 @@ class IterationReport:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> IterationReport:
-        results = [
-            EpisodeResult(
-                task_id=r["task_id"],
-                success=bool(r["success"]),
-                steps_taken=int(r["steps_taken"]),
-                shortest_steps=int(r["shortest_steps"]),
+        """The report ``to_dict`` gave ``data``, each field checked for its type.
+
+        A field of the wrong type raises ``ConfigError`` naming it: ``"no"``
+        is no success flag, and 7.9 or 1e400 no step count.
+        """
+        _check_types(cls, data)
+        results = []
+        for i, r in enumerate(data["results"]):
+            if not isinstance(r, dict):
+                raise ConfigError(f"results[{i}] must be an object, got {reprlib.repr(r)}")
+            _check_types(EpisodeResult, r, f"results[{i}].")
+            results.append(
+                EpisodeResult(r["task_id"], r["success"], r["steps_taken"], r["shortest_steps"])
             )
-            for r in data["results"]
-        ]
         return cls(
-            iteration=int(data["iteration"]),
-            phase=str(data["phase"]),
+            iteration=data["iteration"],
+            phase=data["phase"],
             results=results,
-            total_sr=float(data["total_sr"]),
-            task_sr=float(data["task_sr"]),
-            spl=float(data["spl"]),
-            retrieval_calls=int(data["retrieval_calls"]),
+            total_sr=data["total_sr"],
+            task_sr=data["task_sr"],
+            spl=data["spl"],
+            retrieval_calls=data["retrieval_calls"],
             failures=dict(data.get("failures", {})),
         )
 

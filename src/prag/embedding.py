@@ -7,13 +7,14 @@ which is what the retrieval math and the test suite need. Each encoder
 instance memoizes the hashed bucket and sign of every token it has seen
 (scene texts reuse a small vocabulary) and sums the signs with one
 ``np.bincount``; sums of +-1.0 are exact in any order, so the vectors equal
-the per-token accumulation bit for bit. It also remembers the vector of each
-distinct text it has encoded, up to ``_TEXT_MEMO_LIMIT`` texts (a run's scene
-texts repeat: about three in four household encodes are of a text already
-seen). A scene text fills about 14 of 384 columns, so it remembers only the
-columns whose entries are not all zero bits and their values, and lays out
-a fresh dense vector, with the same bytes, each time the text is asked for
-again. Every vector it returns is read-only. A remote HTTP encoder with the
+the per-token accumulation bit for bit. It also remembers the buckets and
+signs of each distinct line (split on ``"\\n"``) it has encoded, up to
+``_LINE_MEMO_LIMIT`` lines: a scene text is relation lines, and scene
+texts combine a few lines anew (the 1,000-record benchmark store's 3,387
+distinct scene texts hold 802 distinct lines). A text's vector is the
+``bincount`` of its lines' tokens. No token spans a ``"\\n"``, so those
+are the whole text's tokens, and the vector keeps its bits. Every vector
+it returns is read-only. A remote HTTP encoder with the
 same interface can be swapped in for real runs; it remembers nothing, and
 it refuses any reply that is not an object holding a list of ``dimension``
 finite JSON numbers. It and the chat backend make their HTTP calls through
@@ -46,11 +47,12 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 # "plant_1" contribute the tokens "plant" and "1".
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
-# Texts one HashingEncoder remembers; past this, the oldest is forgotten.
-# Kept as their used columns and values, a scene text of about 14 columns
-# takes about 500 bytes, so the cap holds about 2 MB where dense vectors at
-# the default dimension would take 12.6 MB.
-_TEXT_MEMO_LIMIT = 4096
+# Lines one HashingEncoder remembers; past this, the oldest is forgotten. A
+# relation line of about 8 tokens takes about 160 bytes as ``_TOKEN_PAIR``s,
+# so the cap holds under 1 MB.
+_LINE_MEMO_LIMIT = 4096
+# A token's bucket and its sign, the weight ``np.bincount`` adds there.
+_TOKEN_PAIR = np.dtype([("bucket", np.int64), ("sign", np.float64)])
 
 
 class EncoderError(Exception):
@@ -112,58 +114,53 @@ class HashingEncoder:
     Each token is hashed with FNV-1a 64. Bit 0 of the hash selects the sign
     and the remaining bits select the bucket, so the sign bit is disjoint
     from the index computation. Token contributions accumulate and the result
-    is L2-normalized; text with no tokens stays the all-zero vector. A text
-    encoded before is not hashed again: its vector is laid out from the
-    columns and values remembered for it. Every returned vector is a fresh,
-    read-only array.
+    is L2-normalized; text with no tokens stays the all-zero vector. A line
+    encoded before is not tokenized again: its tokens' buckets and signs
+    are remembered. Every returned vector is a fresh, read-only array.
     """
 
     dimension: int = DEFAULT_DIMENSION
-    # token -> bucket * 2 + sign bit; depends only on the token and dimension.
-    _codes: dict[str, int] = field(
+    # token -> its bucket and sign, one ``_TOKEN_PAIR``; depends only on the
+    # token and dimension.
+    _codes: dict[str, bytes] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    # text -> the columns of its vector whose bits are not all zero, and their
-    # values, oldest first; depends only on the text and dimension.
-    _vectors: dict[str, tuple[np.ndarray, np.ndarray]] = field(
+    # line -> its tokens' ``_TOKEN_PAIR``s, oldest first; depends only on the
+    # line and dimension.
+    _lines: dict[str, bytes] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
         check_dimension(self.dimension)
 
-    def _code(self, token: str) -> int:
+    def _code(self, token: str) -> bytes:
         h = fnv1a64(token.encode("utf-8"))
-        code = ((h >> 1) % self.dimension) * 2 + (h & 1)
-        self._codes[token] = code
+        pair = np.array(((h >> 1) % self.dimension, 1.0 if h & 1 else -1.0), dtype=_TOKEN_PAIR)
+        code = self._codes[token] = pair.tobytes()
         return code
 
-    def encode(self, text: str) -> np.ndarray:
-        kept = self._vectors.get(text)
-        if kept is None:
-            vec = self._encode(text)
-            columns = vec.view(np.uint64).nonzero()[0].copy()  # a view would keep its base
-            if len(self._vectors) >= _TEXT_MEMO_LIMIT:
-                del self._vectors[next(iter(self._vectors))]
-            self._vectors[text] = (columns, vec[columns])
-        else:
-            vec = np.zeros(self.dimension)
-            vec[kept[0]] = kept[1]
-        vec.setflags(write=False)
-        return vec
-
-    def _encode(self, text: str) -> np.ndarray:
+    def _remember(self, line: str) -> bytes:
         codes = self._codes
-        packed = np.array(
-            [codes[t] if t in codes else self._code(t) for t in tokenize(text)],
-            dtype=np.int64,
-        )
-        weights = (packed & 1) * 2.0 - 1.0
-        vec = np.bincount(packed >> 1, weights=weights, minlength=self.dimension)
+        pairs = b"".join([codes[t] if t in codes else self._code(t) for t in tokenize(line)])
+        if len(self._lines) >= _LINE_MEMO_LIMIT:
+            del self._lines[next(iter(self._lines))]
+        self._lines[line] = pairs
+        return pairs
+
+    def encode(self, text: str) -> np.ndarray:
+        remembered = self._lines
+        parts = []
+        for line in text.split("\n"):
+            pairs = remembered.get(line)
+            parts.append(self._remember(line) if pairs is None else pairs)
+        pairs = np.frombuffer(b"".join(parts), dtype=_TOKEN_PAIR)
+        vec = np.bincount(pairs["bucket"], weights=pairs["sign"], minlength=self.dimension)
         vec = vec.astype(np.float64, copy=False)  # bincount of no tokens is int64
         norm = vector_norm(vec)
         if norm > 0.0:
             vec /= norm
+        vec.setflags(write=False)
         return vec
 
 

@@ -160,8 +160,9 @@ ExperienceMemo = dict[tuple[TaskRecord, int], str]
 
 def _render_experience_body(record: TaskRecord, history_limit: int) -> str:
     lines = [f"goal: {record.goal_text}"]
-    total = len(record.history)
-    shown = record.history[-history_limit:]
+    history = record.history
+    total = len(history)
+    shown = history[-history_limit:]
     if len(shown) < total:
         lines.append(f"steps (last {len(shown)} of {total}):")
     else:

@@ -6,8 +6,11 @@ done flag. The vectors are kept once, cut to the columns they use: a
 sorted column list and a read-only matrix of their values, the goal's row
 first. Hashed texts fill about 20 of 384 columns, so the 1,000-record
 benchmark store holds 1.05 MB of columns and values where dense rows would
-take 17.3 MB. Dense vectors are laid out only when read. Retrieval is exact
-and scores every record as
+take 17.3 MB. Dense vectors are laid out only when read. The history's
+scenes are kept the same way, as relation lines: a record holds its
+distinct scene lines once and each step's scene as the indexes of its
+lines, and lays a scene out as text only when the history is read.
+Retrieval is exact and scores every record as
 
     score = cosine(query_goal, record_goal)
           + max over steps t of cosine(query_obs, record_obs[t])
@@ -84,16 +87,20 @@ are parsed as JSON; the goal and step vectors are read as one byte buffer,
 where numpy finds every entry that is not exactly ``0.0`` and only those
 are parsed, by one ``json.loads``, into a zeroed matrix. A line laid out
 any other way is parsed whole. Either way the record is built by the
-constructor, which keeps the used columns, so only the line being read is
-ever held at full width. Records repeat goal, action and scene texts (the
-1,000-record benchmark store's 9,250 history texts hold 3,446 distinct
-ones), so a load keeps one object per distinct text. A record line must be
-an object that gives no key twice and whose vector entries are numbers.
+constructor, which keeps the used columns and the scene lines, so only the
+line being read is ever held at full width. Records repeat goal texts,
+actions and scene lines (the 1,000-record benchmark store's 3,387 distinct
+scene texts, 1.9 MB as Python strings, hold 802 distinct lines, 63 KB), so
+a load keeps one object per distinct goal text, action and line. A load of
+that store retains 2.0 MB (tracemalloc), 3.7 MB when records kept whole
+scene texts. A record line must be an object that gives no key twice and
+whose vector entries are numbers.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import InitVar, dataclass, field
 from itertools import accumulate
 from pathlib import Path
@@ -126,9 +133,34 @@ def _as_vector(values, name: str) -> np.ndarray:
     vec = np.asarray(values, dtype=np.float64)
     if vec.ndim != 1 or vec.size == 0:
         raise ValueError(f"{name} must be a non-empty 1-D vector")
-    if not np.isfinite(vec).all():
-        raise ValueError(f"{name} contains non-finite values")
     return vec
+
+
+def _check_finite(values: np.ndarray, name: str) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} contains non-finite values")
+
+
+def _index_code(count: int) -> str:
+    """The ``array`` type code of an index into ``count`` lines: 1 byte up to 256."""
+    return "B" if count <= 1 << 8 else "H" if count <= 1 << 16 else "L"
+
+
+def _scene_lines(scenes: list[str]) -> tuple[tuple[str, ...], tuple[bytes, ...]]:
+    """The distinct lines of ``scenes`` in first-seen order, and each scene as their indexes.
+
+    A scene is its ``split("\\n")``, which ``"\\n".join`` inverts for any
+    string. Each distinct scene is converted once, and equal scenes share
+    one ``bytes`` of indexes.
+    """
+    places: dict[str, int] = {}
+    indexes: dict[str, list[int]] = {}
+    for scene in scenes:
+        if scene not in indexes:
+            indexes[scene] = [places.setdefault(line, len(places)) for line in scene.split("\n")]
+    code = _index_code(len(places))
+    packed = {scene: array(code, found).tobytes() for scene, found in indexes.items()}
+    return tuple(places), tuple([packed[scene] for scene in scenes])
 
 
 def _rows_json(columns: list[int], dimension: int, rows: list[list[float]]) -> list[str]:
@@ -157,16 +189,26 @@ class TaskRecord:
     A record keeps its goal and step vectors once, cut to the columns they
     use. ``columns`` lists, in order, every column where the goal or a step
     holds an entry other than ``0.0`` (``-0.0`` counts: JSON writes its
-    sign), and ``values`` is a ``(1 + len(history), len(columns))`` matrix:
+    sign), and ``values`` is a ``(1 + len(actions), len(columns))`` matrix:
     row 0 is the goal, row t + 1 is step t. Both are read-only copies, so a
     caller's later writes reach no stored record. Hashed scene texts fill
     about 20 of 384 columns, so a record holds about a twentieth of its
     dense bytes.
 
-    ``goal_embedding`` and ``obs_embeddings`` are what the constructor
-    takes, the steps as any sequence of step vectors. Read back, they are
-    read-only dense arrays built on each read: the goal vector and one
-    ``(len(history), dimension)`` step matrix. ``row`` builds one row.
+    Its scenes are kept as relation lines, as its vectors are kept as
+    columns: ``actions`` holds each step's action text, ``lines`` the
+    record's distinct scene lines (split on ``"\\n"``) in first-seen order,
+    and ``scenes`` each step's scene as the indexes of its lines, a
+    ``bytes`` of 1-byte indexes up to 256 lines and wider past that. Scene
+    texts repeat a few hundred relation lines, so the lines are a small
+    part of the texts they make up.
+
+    ``goal_embedding``, ``obs_embeddings`` and ``history`` are what the
+    constructor takes, the steps as any sequence of step vectors and the
+    history as (action, scene) pairs. Read back, they are built on each
+    read: the goal vector and one ``(len(actions), dimension)`` step matrix,
+    read-only and dense, and a fresh list of (action, scene) pairs, each
+    scene its lines joined by ``"\\n"``. ``row`` builds one vector row.
     Records compare by identity: their fields hold arrays, whose ``==`` has
     no single truth value. Content equality is ``to_json_line()`` equality.
     Every field is type-checked, since ``load`` builds records from a file:
@@ -178,13 +220,16 @@ class TaskRecord:
     goal_text: str
     goal_embedding: InitVar[np.ndarray]
     obs_embeddings: InitVar[np.ndarray]
-    history: list[tuple[str, str]]
+    history: InitVar[list[tuple[str, str]]]
     done: bool
+    actions: tuple[str, ...] = field(init=False)
+    lines: tuple[str, ...] = field(init=False, repr=False)
+    scenes: tuple[bytes, ...] = field(init=False, repr=False)
     dimension: int = field(init=False)
     columns: np.ndarray = field(init=False, repr=False)
     values: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self, goal_embedding, obs_embeddings) -> None:
+    def __post_init__(self, goal_embedding, obs_embeddings, history) -> None:
         if not isinstance(self.task_id, str) or not self.task_id:
             raise ValueError(f"task_id must be a non-empty string, got {self.task_id!r}")
         if not isinstance(self.goal_text, str):
@@ -196,29 +241,32 @@ class TaskRecord:
         if not all(
             isinstance(step, (tuple, list)) and len(step) == 2
             and isinstance(step[0], str) and isinstance(step[1], str)
-            for step in self.history
+            for step in history
         ):
             raise ValueError("history must hold (action, scene) pairs of strings")
-        self.history = [(a, o) for a, o in self.history]
-        if len(self.history) < 1:
+        if len(history) < 1:
             raise ValueError("history must contain at least one step")
         goal = _as_vector(goal_embedding, "goal_embedding")
         steps = np.asarray(obs_embeddings, dtype=np.float64)  # ragged input fails here
-        shape = (len(self.history), goal.size)
+        shape = (len(history), goal.size)
         if steps.shape != shape:
             raise ValueError(f"obs_embeddings has shape {steps.shape}, expected {shape}")
-        if not np.isfinite(steps).all():
-            raise ValueError("obs_embeddings contains non-finite values")
         # A column is kept where some entry's bits are not all zero: 0.0 is
         # the one float64 whose bits are, and JSON writes -0.0 with its sign.
+        # A non-finite entry's bits are never all zero, so it is kept and
+        # checked among the kept values.
         used = (goal.view(np.uint64) != 0) | steps.view(np.uint64).any(axis=0)
         columns = used.nonzero()[0].copy()  # a view would keep ``used`` alive
         values = np.empty((1 + len(steps), columns.size))
         goal.take(columns, out=values[0])
         steps.take(columns, axis=1, out=values[1:])
+        _check_finite(values[0], "goal_embedding")
+        _check_finite(values[1:], "obs_embeddings")
         columns.setflags(write=False)
         values.setflags(write=False)
         self.dimension, self.columns, self.values = goal.size, columns, values
+        self.actions = tuple([action for action, _ in history])
+        self.lines, self.scenes = _scene_lines([scene for _, scene in history])
 
     def row(self, index: int) -> np.ndarray:
         """Row ``index`` of ``values`` at full width: 0 is the goal, t + 1 step t."""
@@ -236,6 +284,13 @@ class TaskRecord:
         steps[:, self.columns] = self.values[1:]
         steps.setflags(write=False)
         return steps
+
+    def _history(self) -> list[tuple[str, str]]:
+        lines, code = self.lines, _index_code(len(self.lines))
+        return [
+            (action, "\n".join([lines[i] for i in memoryview(scene).cast(code)]))
+            for action, scene in zip(self.actions, self.scenes)
+        ]
 
     def to_json_line(self) -> str:
         """The record as one JSON object, without the newline.
@@ -272,11 +327,12 @@ class TaskRecord:
         )
 
 
-# The constructor's vector keywords read back as dense arrays. Set once the
-# dataclass is built: in the class body a property would be the InitVar's
-# default value.
+# The constructor's vector and history keywords read back as dense arrays and
+# (action, scene) pairs. Set once the dataclass is built: in the class body a
+# property would be the InitVar's default value.
 TaskRecord.goal_embedding = property(TaskRecord._goal_embedding)
 TaskRecord.obs_embeddings = property(TaskRecord._obs_embeddings)
+TaskRecord.history = property(TaskRecord._history)
 
 
 # ``to_json_line`` writes the vectors between these texts. Each holds a
@@ -413,12 +469,10 @@ class RetrievalQuery:
     obs_embedding: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "goal_embedding", _as_vector(self.goal_embedding, "goal_embedding")
-        )
-        object.__setattr__(
-            self, "obs_embedding", _as_vector(self.obs_embedding, "obs_embedding")
-        )
+        for name in ("goal_embedding", "obs_embedding"):
+            vector = _as_vector(getattr(self, name), name)
+            _check_finite(vector, name)
+            object.__setattr__(self, name, vector)
 
 
 @dataclass(frozen=True)
@@ -558,7 +612,7 @@ class _MatrixIndex:
         dimension = records[0].dimension
         self.goals = _UsedColumns([(r.columns, r.values[:1]) for r in records], dimension)
         self.observations = _UsedColumns([(r.columns, r.values[1:]) for r in records], dimension)
-        self.lengths = np.array([len(r.history) for r in records])
+        self.lengths = np.array([len(r.actions) for r in records])
         # A score adds a goal cosine to a step cosine, and a cut compares two.
         self.margin = self.goals.margin + self.observations.margin
 
@@ -662,7 +716,7 @@ class RetrievalMemo:
             first = int(steps.starts[i])
             obs_term = max(
                 steps.cosine(obs, obs_norm, first + t, record.row(t + 1))
-                for t, term in enumerate(step_terms[start : start + len(record.history)].tolist())
+                for t, term in enumerate(step_terms[start : start + len(record.actions)].tolist())
                 if term >= best - steps.margin
             )
             hits.append(RetrievalHit(score=goal_term + obs_term, record=record))
@@ -776,10 +830,10 @@ class TrajectoryDB:
         Each record line goes through ``_read_record``: a line in ``save``'s
         layout has its vectors read from bytes, with only their non-zero
         entries parsed as JSON, and any other line is parsed whole, with
-        identical records either way. Equal texts of the loaded records are
-        one object. A malformed header or record line raises
-        ``DatabaseFormatError`` naming its line number; a file that is not
-        UTF-8 text raises it without one.
+        identical records either way. Equal goal texts, actions and scene
+        lines of the loaded records are one object. A malformed header or
+        record line raises ``DatabaseFormatError`` naming its line number; a
+        file that is not UTF-8 text raises it without one.
         """
         path = Path(path)
         # Read line by line: the whole text at once would add its size (and a
@@ -813,7 +867,7 @@ class TrajectoryDB:
                     )
 
                 db = cls(dimension=dimension)
-                # Records repeat goal, action and scene texts; each is held once.
+                # Records repeat goal texts, actions and scene lines; each is held once.
                 texts: dict[str, str] = {}
                 for lineno, line in enumerate(fh, start=2):
                     if line.isspace():
@@ -838,9 +892,8 @@ class TrajectoryDB:
                             f"duplicate task_id {record.task_id!r}", line_number=lineno
                         )
                     record.goal_text = texts.setdefault(record.goal_text, record.goal_text)
-                    record.history = [
-                        (texts.setdefault(a, a), texts.setdefault(o, o)) for a, o in record.history
-                    ]
+                    record.actions = tuple([texts.setdefault(a, a) for a in record.actions])
+                    record.lines = tuple([texts.setdefault(line, line) for line in record.lines])
                     db._records[record.task_id] = record
                 return db
         except UnicodeDecodeError as exc:

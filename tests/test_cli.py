@@ -161,6 +161,20 @@ class TestRunCommand:
         assert code == 0
         assert len(out.splitlines()) == 2  # header plus exactly one iteration row
 
+    def test_unknown_config_key_names_the_file(self, capsys, tmp_path):
+        config = tmp_path / "run.yaml"
+        config.write_text("bogus: 1\n")
+        code, out, err = run_cli(capsys, "run", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == f"error: config file {config}: unknown config keys: bogus\n"
+
+    def test_a_flag_replaces_a_mistyped_file_value(self, capsys, task_dir, tmp_path):
+        config = tmp_path / "run.yaml"
+        config.write_text(f'tasks: {task_dir}\niterations: 1\nk: "3"\n')
+        code, out, err = run_cli(capsys, "run", "--config", str(config), "--k", "2")
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 2
+
     def test_invalid_config_value_exits_two(self, capsys, task_dir):
         code, _, err = run_cli(
             capsys, "run", "--tasks", str(task_dir), "--iterations", "0"
@@ -175,7 +189,7 @@ class TestRunCommand:
         code, out, err = run_cli(capsys, "run", "--config", str(config))
         assert code == 2
         assert out == ""
-        assert err.startswith(f"error: {line.split(':')[0]} must be ")
+        assert err.startswith(f"error: config file {config}: {line.split(':')[0]} must be ")
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
@@ -458,6 +472,43 @@ class TestReportCommand:
         assert err.startswith("error: cannot parse reports")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ('"steps_taken": 6', '"steps_taken": 1e400',
+             "results[0].steps_taken must be int, got inf"),
+            ('"steps_taken": 6', '"steps_taken": 7.9',
+             "results[0].steps_taken must be int, got 7.9"),
+            ('"success": true', '"success": "no"', "results[0].success must be bool, got 'no'"),
+            ('"iteration": 1', '"iteration": true', "iteration must be int, got True"),
+            ('"total_sr": 1.0', '"total_sr": "1.0"', "total_sr must be float, got '1.0'"),
+            ('"results": [', '"results": [7, ', "results[0] must be an object, got 7"),
+        ],
+        ids=[
+            "steps-past-float", "fractional-steps", "success-string", "boolean-iteration",
+            "rate-string", "result-not-an-object",
+        ],
+    )
+    def test_a_mistyped_field_exits_two_naming_its_file(self, capsys, tmp_path, old, new, message):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        report = IterationReport(
+            iteration=1,
+            phase="train",
+            results=[EpisodeResult("t1", True, 6, 6)],
+            total_sr=1.0,
+            task_sr=1.0,
+            spl=1.0,
+            retrieval_calls=3,
+        )
+        text = json.dumps(report.to_dict())
+        assert old in text
+        (run_dir / "report_iter_01.json").write_text(text.replace(old, new))
+        code, out, err = run_cli(capsys, "report", str(run_dir))
+        assert (code, out) == (2, "")
+        named = f"cannot parse reports under {run_dir}: report_iter_01.json"
+        assert err == f"error: {named}: {message}\n"
+
 
 class TestDbCommand:
     def test_db_summarises_records(self, capsys, task_dir, tmp_path):
@@ -693,11 +744,11 @@ class TestYamlInputsThatLoadersRaisedOn:
     @pytest.mark.parametrize("kind, key", [("task-file", "goal"), ("config", "tasks")])
     def test_a_value_nested_to_the_limit_is_quoted_in_short(self, capsys, tmp_path, kind, key):
         # Inside the top-level mapping, this nests exactly to the limit.
-        argv, _ = _write_yaml_input(tmp_path, kind, _holding(_nested(MAX_YAML_DEPTH - 1)))
+        argv, path = _write_yaml_input(tmp_path, kind, _holding(_nested(MAX_YAML_DEPTH - 1)))
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), err
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
-        assert err.endswith(f"{key} must be str, got [[[[[[[...]]]]]]]\n")
+        assert err.endswith(f"{path}: {key} must be str, got [[[[[[[...]]]]]]]\n")
 
     @pytest.mark.parametrize("kind", ["task-file", "config"])
     def test_30000_nested_brackets_exit_two_in_a_child(self, tmp_path, kind):

@@ -144,6 +144,15 @@ class TestHashingEncoder:
                 assert vector.dtype == np.float64 and vector.shape == (dimension,)
                 assert vector.tobytes() == loop_encode(text, dimension).tobytes(), text
 
+    # A final sigma lowercases by its neighbours, and a text's tokens are
+    # found line by line.
+    @given(st.lists(st.sampled_from(["ΟΔΟΣ", "Σ", "ΑΣ\u0301"]) | st.text(max_size=8)))
+    def test_a_text_of_lines_has_the_bits_of_the_whole_text(self, lines):
+        encoder = HashingEncoder(dimension=16)
+        text = "\n".join(lines)
+        for _ in range(2):  # tokenized, then read from the line memo
+            assert encoder.encode(text).tobytes() == loop_encode(text, 16).tobytes()
+
     def test_cancelling_tokens_give_the_zero_vector(self):
         a, b = cancelling_pair(16)
         vector = HashingEncoder(dimension=16).encode(f"{a} {b}")
@@ -152,7 +161,7 @@ class TestHashingEncoder:
     def test_token_memo_is_not_part_of_identity(self):
         used = HashingEncoder(dimension=16)
         used.encode("plant sink mug")
-        assert used._codes and used._vectors
+        assert used._codes and used._lines
         assert used == HashingEncoder(dimension=16)
         assert hash(used) == hash(HashingEncoder(dimension=16))
         assert repr(used) == "HashingEncoder(dimension=16)"
@@ -162,23 +171,25 @@ class TestHashingEncoder:
         with pytest.raises(ValueError, match="dimension must be a positive integer"):
             HashingEncoder(dimension=dimension)
 
-    def test_remembered_vector_equals_a_fresh_encoding(self, monkeypatch):
+    def test_remembered_lines_give_a_fresh_encoding(self, monkeypatch):
         encoder = HashingEncoder()
         text = "mug_1 on table_1: True\nagent at (2, 3)"
         first = encoder.encode(text)
 
-        def encode_again(self, text):
-            raise AssertionError(f"{text!r} was encoded twice")
+        def tokenize_again(self, line):
+            raise AssertionError(f"{line!r} was tokenized twice")
 
         with monkeypatch.context() as patch:
-            patch.setattr(HashingEncoder, "_encode", encode_again)
+            patch.setattr(HashingEncoder, "_remember", tokenize_again)
             again = encoder.encode(text)
-        assert again.tobytes() == first.tobytes()
+            # The same lines in another text are not tokenized again either.
+            swapped = encoder.encode("agent at (2, 3)\nmug_1 on table_1: True")
+        assert again.tobytes() == first.tobytes() == swapped.tobytes()
         assert first.tobytes() == HashingEncoder().encode(text).tobytes()
 
-    def test_remembered_texts_take_a_fraction_of_their_dense_bytes(self):
+    def test_remembered_lines_take_a_fraction_of_their_texts_dense_bytes(self):
         rng = random.Random(11)
-        labels = [f"{kind}_{i}" for kind in ("mug", "plant", "sink", "table", "ball") for i in range(1, 4)]
+        labels = [f"{kind}_{i}" for kind in ("mug", "plant", "sink") for i in range(1, 3)]
         relations = ["on_top_of", "next_to", "inside", "held_by"]
         texts = set()
         while len(texts) < 1000:
@@ -196,8 +207,9 @@ class TestHashingEncoder:
             retained, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(encoder._vectors) == len(texts)
-        assert retained < len(texts) * encoder.dimension * 8 / 4
+        distinct = dict.fromkeys(line for text in texts for line in text.split("\n"))
+        assert list(encoder._lines) == list(distinct)
+        assert retained < len(texts) * encoder.dimension * 8 / 40
         for text in texts[:50]:  # laid out again, with the bytes of a fresh encoding
             assert encoder.encode(text).tobytes() == loop_encode(text, encoder.dimension).tobytes()
 
@@ -210,15 +222,15 @@ class TestHashingEncoder:
             with pytest.raises(ValueError):
                 vector *= 2.0
 
-    def test_text_memo_keeps_at_most_its_cap(self, monkeypatch):
-        monkeypatch.setattr(embedding, "_TEXT_MEMO_LIMIT", 3)
+    def test_line_memo_keeps_at_most_its_cap(self, monkeypatch):
+        monkeypatch.setattr(embedding, "_LINE_MEMO_LIMIT", 3)
         encoder = HashingEncoder(dimension=16)
         texts = [f"mug_{i} sink_{i % 3}" for i in range(10)]
         for text in texts + texts[::-1]:
             vector = encoder.encode(text)
-            assert len(encoder._vectors) <= 3
+            assert len(encoder._lines) <= 3
             assert vector.tobytes() == loop_encode(text, 16).tobytes()
-        assert list(encoder._vectors) == texts[2::-1]  # the three newest
+        assert list(encoder._lines) == texts[2::-1]  # the three newest
 
 
 class TestCosine:

@@ -6,17 +6,21 @@ import dataclasses
 import json
 import math
 import random
+import sys
+import tempfile
 import tracemalloc
 import types
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prag.embedding import HashingEncoder
+from prag.prompting import _render_experience_body
 from prag.trajectory_db import (
     DatabaseFormatError,
     RetrievalMemo,
@@ -1494,9 +1498,47 @@ class TestStoreMemory:
         assert retained < dense / 2
         assert peak < dense
 
+    def test_scenes_that_share_lines_load_in_under_their_texts_bytes(self, tmp_path):
+        # 1,000 distinct scenes of 20 lines each, drawn from 60 relation lines.
+        rng = random.Random(3)
+        kinds = ("mug", "plant", "sink", "table", "cabinet")
+        labels = [f"{kind}_{i}" for kind in kinds for i in (1, 2)]
+        pool = [f"{a}/{b}/next_to: True" for a in labels for b in labels if a != b][:60]
+        encoder = HashingEncoder(dimension=16)
+        records = []
+        for i in range(100):
+            history = [
+                (f"navigate({rng.choice(labels)})", "\n".join(sorted(rng.sample(pool, 20))))
+                for _ in range(10)
+            ]
+            records.append(
+                TaskRecord(
+                    task_id=f"t{i:03d}",
+                    iteration=1,
+                    goal_text="put the mug in the sink",
+                    goal_embedding=encoder.encode("put the mug in the sink"),
+                    obs_embeddings=[encoder.encode(scene) for _, scene in history],
+                    history=history,
+                    done=i % 2 == 0,
+                )
+            )
+        scenes = {scene for record in records for _, scene in record.history}
+        db = TrajectoryDB()
+        db.update_after_iteration(records)
+        db.save(tmp_path / "db.jsonl")
+        tracemalloc.start()
+        try:
+            loaded = TrajectoryDB.load(tmp_path / "db.jsonl")
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(scenes) == 1000 and len(loaded) == 100
+        # Holding each distinct scene text once would take this much alone.
+        assert retained < sum(map(sys.getsizeof, scenes))
+
 
 class TestSharedTexts:
-    """A load holds each distinct goal, action and scene text once."""
+    """A load holds each distinct goal text, action and scene line once."""
 
     def test_a_load_holds_one_object_per_distinct_text(self, tmp_path):
         encoder = HashingEncoder(dimension=64)
@@ -1528,8 +1570,9 @@ class TestSharedTexts:
         loaded = TrajectoryDB.load(tmp_path / "db.jsonl")
 
         texts = [r.goal_text for r in loaded.records()]
-        texts += [text for r in loaded.records() for step in r.history for text in step]
-        assert len({id(text) for text in texts}) == len(set(texts)) == 2 + 4 + 4
+        texts += [text for r in loaded.records() for text in (*r.actions, *r.lines)]
+        # Five lines: the second scene has two, and the empty scene is one.
+        assert len({id(text) for text in texts}) == len(set(texts)) == 2 + 4 + 5
         assert [r.to_json_line() for r in loaded.records()] == [
             r.to_json_line() for r in live.records()
         ]
@@ -1541,6 +1584,89 @@ class TestSharedTexts:
                 assert [(h.record.task_id, repr(h.score)) for h in hits] == [
                     (h.record.task_id, repr(h.score)) for h in live.retrieve_top_k(query, 5)
                 ]
+
+
+# Scene lines that split every way: empty, carriage returns, non-ASCII, and
+# any text, newlines in it.
+_LINES = st.sampled_from(["", "\r", " ", "mug_1/table_1/on_top_of: True", "ΟΔΟΣ/ünï: True"])
+_SCENES = st.lists(_LINES | st.text(max_size=10), min_size=1, max_size=6).map("\n".join)
+# Steps draw their scenes from a few per history, so lines and scenes repeat.
+_HISTORIES = st.lists(_SCENES, min_size=1, max_size=4).flatmap(
+    lambda scenes: st.lists(
+        st.tuples(st.text(max_size=8), st.sampled_from(scenes)), min_size=1, max_size=8
+    )
+)
+
+
+def reference_render(goal_text: str, history: list, history_limit: int) -> str:
+    """An experience's body from whole scene texts, each flattened by ``replace``."""
+    lines = [f"goal: {goal_text}"]
+    total = len(history)
+    shown = history[-history_limit:]
+    lines.append(f"steps (last {len(shown)} of {total}):" if len(shown) < total else "steps:")
+    for i, (action_text, obs_text) in enumerate(shown, start=total - len(shown) + 1):
+        flat_obs = obs_text.replace("\n", "; ") if obs_text else "(nothing visible)"
+        lines.append(f"{i}. {action_text} => {flat_obs}")
+    return "\n".join(lines)
+
+
+def record_of(history: list, dimension: int = 4) -> TaskRecord:
+    return TaskRecord(
+        task_id="t",
+        iteration=1,
+        goal_text="g",
+        goal_embedding=np.ones(dimension),
+        obs_embeddings=np.ones((len(history), dimension)),
+        history=history,
+        done=True,
+    )
+
+
+class TestSceneLines:
+    """A record keeps its scenes as lines and gives back the texts it was given."""
+
+    def round_trip(self, history: list) -> TaskRecord:
+        pairs = [tuple(step) for step in history]
+        record = record_of(history)
+        assert record.history == pairs
+        assert record.actions == tuple(a for a, _ in pairs)
+        line = record.to_json_line()
+        assert line == reference_line(record)
+        assert json.loads(line)["history"] == [list(step) for step in pairs]
+        with tempfile.TemporaryDirectory() as tmp:
+            db = TrajectoryDB()
+            db.update_after_iteration([record])
+            db.save(Path(tmp) / "db.jsonl")
+            loaded = TrajectoryDB.load(Path(tmp) / "db.jsonl").get("t")
+        assert loaded.history == pairs
+        assert loaded.to_json_line() == line
+        for limit in (1, 3, 20):
+            assert _render_experience_body(loaded, limit) == reference_render("g", pairs, limit)
+        return record
+
+    @given(_HISTORIES)
+    @settings(max_examples=300)
+    @example([("a", ""), ("b", "\n"), ("c", "x\n"), ("d", "\n\nx\n\n"), ("e", "x\n")])
+    def test_histories_come_back_equal(self, history):
+        self.round_trip(history)
+
+    def test_a_record_of_more_than_256_lines_keeps_wider_indexes(self):
+        history = [(f"a{i}", f"line {i}\nshared\nline {i + 1}") for i in range(300)]
+        record = self.round_trip(history)
+        assert len(record.lines) == 302
+        assert {len(scene) for scene in record.scenes} == {3 * 2}
+
+    def test_a_scene_of_more_than_65536_lines_keeps_wider_indexes(self):
+        scene = "\n".join(map(str, range(70_000)))
+        record = self.round_trip([("a", scene), ("b", "0\n69999")])
+        assert len(record.lines) == 70_000
+        assert len(record.scenes[1]) >= 2 * 4  # two indexes of at least 4 bytes
+
+    def test_equal_scenes_of_a_record_share_their_indexes(self):
+        record = record_of([("a", "x\ny"), ("b", "y"), ("c", "x\ny")])
+        assert record.lines == ("x", "y")
+        assert record.scenes == (b"\x00\x01", b"\x01", b"\x00\x01")
+        assert record.scenes[0] is record.scenes[2]
 
 
 class TestIndexBuildMemory:
