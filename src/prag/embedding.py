@@ -9,16 +9,16 @@ instance memoizes the hashed bucket and sign of every token it has seen
 ``np.bincount``; sums of +-1.0 are exact in any order, so the vectors equal
 the per-token accumulation bit for bit. It also remembers the buckets and
 signs of each distinct line (split on ``"\\n"``) it has encoded, up to
-``_LINE_MEMO_LIMIT`` lines: a scene text is relation lines, and scene
-texts combine a few lines anew (the 1,000-record benchmark store's 3,387
-distinct scene texts hold 802 distinct lines). A text's vector is the
-``bincount`` of its lines' tokens. No token spans a ``"\\n"``, so those
-are the whole text's tokens, and the vector keeps its bits. Every vector
-it returns is read-only. A remote HTTP encoder with the
-same interface can be swapped in for real runs; it remembers nothing, and
-it refuses any reply that is not an object holding a list of ``dimension``
-finite JSON numbers. It and the chat backend make their HTTP calls through
-``post_json``, the one place that sends a request and reads its reply.
+``_LINE_MEMO_LIMIT`` lines: a scene text is relation lines, and scene texts
+combine a few lines anew (the 1,000-record benchmark store's 3,387 distinct
+scene texts hold 802 distinct lines). A text's vector is the ``bincount`` of
+its lines' tokens. No token spans a ``"\\n"``, so those are the whole text's
+tokens, and the vector keeps its bits. Every vector it returns is read-only.
+A remote HTTP encoder with the same interface can be swapped in for real
+runs; it remembers nothing, and it refuses any reply that is not an object
+holding a list of ``dimension`` finite JSON numbers. It and the chat backend
+make their HTTP calls through ``post_json``, the one place that sends a
+request and reads its reply.
 
 ``cosine`` is the one similarity formula. Retrieval re-scores with
 ``cosine_from_parts`` and norms from ``vector_norm``, the same expressions,
