@@ -271,11 +271,18 @@ def build_backend(config: RunConfig) -> PlannerBackend:
 
 
 def load_tasks(source: str) -> list[Task]:
-    """Resolve a task source: the literal name "suite" or a directory path."""
+    """Resolve a task source: the literal name "suite" or a directory path.
+
+    A source that holds no task raises ``ConfigError``: a run over it would
+    report rates of zero episodes.
+    """
     try:
-        return bundled_suite() if source == "suite" else load_task_dir(source)
+        tasks = bundled_suite() if source == "suite" else load_task_dir(source)
     except OSError as exc:
         raise ConfigError(f"cannot load tasks from {source!r}: {exc}") from exc
+    if not tasks:
+        raise ConfigError(f"no task files in {source!r}: only *.yaml files are read")
+    return tasks
 
 
 def task_source(config: RunConfig, phase: str) -> str:

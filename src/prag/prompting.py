@@ -6,9 +6,10 @@ EXPERIENCES (retrieved trajectories, best first), then one output-format
 instruction. Rendering is deterministic down to the byte so prompts can be
 golden-file tested and replayed. A ``PromptBundle`` holds a step's inputs,
 and the planner hands the backend the bundle beside the text it renders.
-Experiences are the retrieval hits as the database returned them; each
-record's history is cut to its last ``history_limit`` steps only as it is
-rendered. Parsing and the action vocabulary read the step's world snapshot.
+Experiences are the retrieval hits as the database returned them; each is
+rendered from its record's actions and scene lines, only the last
+``history_limit`` steps, a scene's lines joined by "; ". Parsing and the
+action vocabulary read the step's world snapshot.
 
 The reply grammar is a single line ``Action: <verb>(<argument>)``. Parsing
 never raises on bad model output; it returns a ParseFailure value with one of
@@ -159,17 +160,14 @@ ExperienceMemo = dict[tuple[TaskRecord, int], str]
 
 
 def _render_experience_body(record: TaskRecord, history_limit: int) -> str:
-    lines = [f"goal: {record.goal_text}"]
-    history = record.history
-    total = len(history)
-    shown = history[-history_limit:]
-    if len(shown) < total:
-        lines.append(f"steps (last {len(shown)} of {total}):")
-    else:
-        lines.append("steps:")
-    for i, (action_text, obs_text) in enumerate(shown, start=total - len(shown) + 1):
-        flat_obs = obs_text.replace("\n", "; ") if obs_text else "(nothing visible)"
-        lines.append(f"{i}. {action_text} => {flat_obs}")
+    total = len(record.actions)
+    first = max(total - history_limit, 0)
+    header = f"steps (last {total - first} of {total}):" if first else "steps:"
+    lines = [f"goal: {record.goal_text}", header]
+    for t in range(first, total):
+        # A scene's lines joined by "; "; an empty scene is one empty line.
+        scene = "; ".join(record.scene_lines(t)) or "(nothing visible)"
+        lines.append(f"{t + 1}. {record.actions[t]} => {scene}")
     return "\n".join(lines)
 
 

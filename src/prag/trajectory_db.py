@@ -9,7 +9,7 @@ benchmark store holds 1.05 MB of columns and values where dense rows would
 take 17.3 MB. Dense vectors are laid out only when read. The history's
 scenes are kept the same way, as relation lines: a record holds its
 distinct scene lines once and each step's scene as the indexes of its
-lines, and lays a scene out as text only when the history is read.
+lines, and decodes a step's lines only when they are read.
 Retrieval is exact and scores every record as
 
     score = cosine(query_goal, record_goal)
@@ -101,7 +101,7 @@ from __future__ import annotations
 
 import json
 from array import array
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
 
@@ -146,7 +146,7 @@ def _index_code(count: int) -> str:
     return "B" if count <= 1 << 8 else "H" if count <= 1 << 16 else "L"
 
 
-def _scene_lines(scenes: list[str]) -> tuple[tuple[str, ...], tuple[bytes, ...]]:
+def _pack_scenes(scenes: list[str]) -> tuple[tuple[str, ...], tuple[bytes, ...]]:
     """The distinct lines of ``scenes`` in first-seen order, and each scene as their indexes.
 
     A scene is its ``split("\\n")``, which ``"\\n".join`` inverts for any
@@ -182,7 +182,6 @@ def _rows_json(columns: list[int], dimension: int, rows: list[list[float]]) -> l
     return [template.format(*map(repr, row)) for row in rows]
 
 
-@dataclass(eq=False)
 class TaskRecord:
     """One task's latest trajectory, as stored in the database.
 
@@ -199,45 +198,38 @@ class TaskRecord:
     columns: ``actions`` holds each step's action text, ``lines`` the
     record's distinct scene lines (split on ``"\\n"``) in first-seen order,
     and ``scenes`` each step's scene as the indexes of its lines, a
-    ``bytes`` of 1-byte indexes up to 256 lines and wider past that. Scene
-    texts repeat a few hundred relation lines, so the lines are a small
-    part of the texts they make up.
+    ``bytes`` of 1-byte indexes up to 256 lines and wider past that.
+    ``scene_lines`` decodes one step's indexes; it is the one reader of
+    ``scenes``. Scene texts repeat a few hundred relation lines, so the
+    lines are a small part of the texts they make up.
 
-    ``goal_embedding``, ``obs_embeddings`` and ``history`` are what the
-    constructor takes, the steps as any sequence of step vectors and the
-    history as (action, scene) pairs. Read back, they are built on each
-    read: the goal vector and one ``(len(actions), dimension)`` step matrix,
-    read-only and dense, and a fresh list of (action, scene) pairs, each
-    scene its lines joined by ``"\\n"``. ``row`` builds one vector row.
-    Records compare by identity: their fields hold arrays, whose ``==`` has
-    no single truth value. Content equality is ``to_json_line()`` equality.
-    Every field is type-checked, since ``load`` builds records from a file:
-    a JSON ``true`` is no iteration, and ``"no"`` is no done flag.
+    The constructor takes the goal vector, the steps as any sequence of
+    step vectors and the history as (action, scene) pairs. The properties
+    of those names build them on each read: the goal vector and one
+    ``(len(actions), dimension)`` step matrix, read-only and dense, and a
+    fresh list of (action, scene) pairs. ``row`` builds one vector row.
+    Records compare by identity: they hold arrays, whose ``==`` has no
+    single truth value. Content equality is ``to_json_line()`` equality.
+    Every argument is type-checked, since ``load`` builds records from a
+    file: a JSON ``true`` is no iteration, and ``"no"`` is no done flag.
     """
 
-    task_id: str
-    iteration: int
-    goal_text: str
-    goal_embedding: InitVar[np.ndarray]
-    obs_embeddings: InitVar[np.ndarray]
-    history: InitVar[list[tuple[str, str]]]
-    done: bool
-    actions: tuple[str, ...] = field(init=False)
-    lines: tuple[str, ...] = field(init=False, repr=False)
-    scenes: tuple[bytes, ...] = field(init=False, repr=False)
-    dimension: int = field(init=False)
-    columns: np.ndarray = field(init=False, repr=False)
-    values: np.ndarray = field(init=False, repr=False)
+    __slots__ = (
+        "task_id", "iteration", "goal_text", "done",
+        "actions", "lines", "scenes", "dimension", "columns", "values",
+    )
 
-    def __post_init__(self, goal_embedding, obs_embeddings, history) -> None:
-        if not isinstance(self.task_id, str) or not self.task_id:
-            raise ValueError(f"task_id must be a non-empty string, got {self.task_id!r}")
-        if not isinstance(self.goal_text, str):
-            raise ValueError(f"goal_text must be a string, got {self.goal_text!r}")
-        if not is_int(self.iteration) or self.iteration < 1:
-            raise ValueError(f"iteration must be an integer >= 1, got {self.iteration!r}")
-        if not isinstance(self.done, bool):
-            raise ValueError(f"done must be true or false, got {self.done!r}")
+    def __init__(
+        self, task_id, iteration, goal_text, goal_embedding, obs_embeddings, history, done
+    ) -> None:
+        if not isinstance(task_id, str) or not task_id:
+            raise ValueError(f"task_id must be a non-empty string, got {task_id!r}")
+        if not isinstance(goal_text, str):
+            raise ValueError(f"goal_text must be a string, got {goal_text!r}")
+        if not is_int(iteration) or iteration < 1:
+            raise ValueError(f"iteration must be an integer >= 1, got {iteration!r}")
+        if not isinstance(done, bool):
+            raise ValueError(f"done must be true or false, got {done!r}")
         if not all(
             isinstance(step, (tuple, list)) and len(step) == 2
             and isinstance(step[0], str) and isinstance(step[1], str)
@@ -264,9 +256,14 @@ class TaskRecord:
         _check_finite(values[1:], "obs_embeddings")
         columns.setflags(write=False)
         values.setflags(write=False)
+        self.task_id, self.iteration, self.goal_text = task_id, iteration, goal_text
+        self.done = done
         self.dimension, self.columns, self.values = goal.size, columns, values
         self.actions = tuple([action for action, _ in history])
-        self.lines, self.scenes = _scene_lines([scene for _, scene in history])
+        self.lines, self.scenes = _pack_scenes([scene for _, scene in history])
+
+    def __repr__(self) -> str:
+        return f"TaskRecord({self.task_id!r}, iteration={self.iteration}, done={self.done})"
 
     def row(self, index: int) -> np.ndarray:
         """Row ``index`` of ``values`` at full width: 0 is the goal, t + 1 step t."""
@@ -274,22 +271,28 @@ class TaskRecord:
         vector[self.columns] = self.values[index]
         return vector
 
-    def _goal_embedding(self) -> np.ndarray:
+    def scene_lines(self, t: int) -> list[str]:
+        """Step ``t``'s scene as its lines; ``"\\n".join`` gives the scene text."""
+        lines = self.lines
+        return [lines[i] for i in memoryview(self.scenes[t]).cast(_index_code(len(lines)))]
+
+    @property
+    def goal_embedding(self) -> np.ndarray:
         goal = self.row(0)
         goal.setflags(write=False)
         return goal
 
-    def _obs_embeddings(self) -> np.ndarray:
+    @property
+    def obs_embeddings(self) -> np.ndarray:
         steps = np.zeros((len(self.values) - 1, self.dimension))
         steps[:, self.columns] = self.values[1:]
         steps.setflags(write=False)
         return steps
 
-    def _history(self) -> list[tuple[str, str]]:
-        lines, code = self.lines, _index_code(len(self.lines))
+    @property
+    def history(self) -> list[tuple[str, str]]:
         return [
-            (action, "\n".join([lines[i] for i in memoryview(scene).cast(code)]))
-            for action, scene in zip(self.actions, self.scenes)
+            (action, "\n".join(self.scene_lines(t))) for t, action in enumerate(self.actions)
         ]
 
     def to_json_line(self) -> str:
@@ -325,14 +328,6 @@ class TaskRecord:
             history=data["history"],
             done=data["done"],
         )
-
-
-# The constructor's vector and history keywords read back as dense arrays and
-# (action, scene) pairs. Set once the dataclass is built: in the class body a
-# property would be the InitVar's default value.
-TaskRecord.goal_embedding = property(TaskRecord._goal_embedding)
-TaskRecord.obs_embeddings = property(TaskRecord._obs_embeddings)
-TaskRecord.history = property(TaskRecord._history)
 
 
 # ``to_json_line`` writes the vectors between these texts. Each holds a

@@ -24,6 +24,7 @@ from prag.driver import (
 )
 from prag.gridworld.sim import EpisodeResult
 from prag.gridworld.tasks import MAX_YAML_DEPTH, bundled_suite
+from prag.trajectory_db import TrajectoryDB
 
 from tests.test_driver import TASK_A, TASK_B
 from tests.conftest import MISTYPED_STORE_FIELDS, write_mistyped_store
@@ -392,6 +393,30 @@ class TestEvalCommand:
         )
         assert code == 2
         assert "line 1" in err
+
+
+class TestEmptyTaskSource:
+    """A task source with no ``*.yaml`` file is refused before anything is written."""
+
+    @pytest.mark.parametrize("files", [{}, {"easy_ball.yml": TASK_A}], ids=["empty", "yml-only"])
+    @pytest.mark.parametrize("command", ["run", "eval"])
+    def test_a_source_without_yaml_files_exits_two(self, capsys, tmp_path, command, files):
+        source = tmp_path / "tasks"
+        source.mkdir()
+        for name, text in files.items():
+            (source / name).write_text(text)
+        store = tmp_path / "store.jsonl"
+        TrajectoryDB().save(store)
+        out_dir = tmp_path / "out"
+        args = ["--db", str(store)] if command == "eval" else ["--iterations", "3"]
+        code, out, err = run_cli(
+            capsys, command, "--tasks", str(source), *args, "--out", str(out_dir)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert str(source) in err and "*.yaml" in err
+        assert not out_dir.exists()
 
 
 class TestReportCommand:

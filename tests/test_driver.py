@@ -34,7 +34,7 @@ from prag.driver import (
 from prag.embedding import HashingEncoder
 from prag.gridworld.sim import EpisodeResult
 from prag.gridworld.solver import shortest_solution_steps
-from prag.gridworld.tasks import load_task_text
+from prag.gridworld.tasks import load_task_dir, load_task_text
 from prag.trajectory_db import RetrievalHit, TrajectoryDB
 
 from tests.conftest import ScriptedBackend, make_ball_task
@@ -581,16 +581,14 @@ class TestRunIterations:
             ("easy_ball", eval_optimum)
         ]
 
-    def test_empty_task_dir_reports_zero_tasks(self, tmp_path):
+    def test_empty_task_dir_is_refused_before_running(self, tmp_path):
         empty = tmp_path / "none"
         empty.mkdir()
-        with pytest.warns(UserWarning):
-            reports = run_iterations(
-                RunConfig(tasks=str(empty), iterations=1, early_stop=False)
-            )
-        assert len(reports) == 1
-        assert reports[0].results == []
-        assert reports[0].total_sr == 0.0
+        assert load_task_dir(empty) == []
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=r"no task files in '.*none': only \*\.yaml"):
+            run_iterations(RunConfig(tasks=str(empty), iterations=1, out=str(out)))
+        assert not out.exists()
 
     def test_invalid_config_raises_before_running(self, task_dir):
         with pytest.raises(ConfigError):

@@ -264,6 +264,19 @@ class TestExperiences:
         assert "\n25. navigate(24,1) => obs 24\n" in text
         assert "\n5. navigate(4,1)" not in text
 
+    def test_experiences_render_from_the_lines_without_reading_history(self, monkeypatch):
+        history = [("a()", "x\ny"), ("b()", ""), ("c()", "\n"), ("d()", "z\n")]
+        record = make_record("t", "goal", history, done=True)
+
+        def unread(self):
+            raise AssertionError("history is laid out for an experience")
+
+        monkeypatch.setattr(TaskRecord, "history", property(unread))
+        assert experiences_text(record, history_limit=3) == (
+            "EXPERIENCES\n[1] done=True\ngoal: goal\nsteps (last 3 of 4):\n"
+            "2. b() => (nothing visible)\n3. c() => ; \n4. d() => z; \n\n"
+        )
+
     def test_limit_below_one_rejected(self):
         with pytest.raises(ValueError, match="history_limit"):
             PromptBundle(goal="g", scene_text="", action_space_text="", history_limit=0)

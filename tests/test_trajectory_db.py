@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import random
@@ -1385,7 +1384,7 @@ class TestCompactRecord:
         for array in (record.goal_embedding, record.obs_embeddings, record.obs_embeddings[0]):
             assert not array.flags.writeable
         assert not record.columns.flags.writeable and not record.values.flags.writeable
-        assert set(vars(record)) == {f.name for f in dataclasses.fields(TaskRecord)}
+        assert not hasattr(record, "__dict__")
         # A saved line reads back into the same columns and values.
         read = _read_record(line + "\n")
         assert read.columns.tolist() == columns
@@ -1630,6 +1629,8 @@ class TestSceneLines:
         record = record_of(history)
         assert record.history == pairs
         assert record.actions == tuple(a for a, _ in pairs)
+        for t, (_, scene) in enumerate(pairs):
+            assert "\n".join(record.scene_lines(t)) == scene
         line = record.to_json_line()
         assert line == reference_line(record)
         assert json.loads(line)["history"] == [list(step) for step in pairs]
