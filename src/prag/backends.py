@@ -58,8 +58,8 @@ class RemoteChatBackend(PlannerBackend):
 
     The API key is read from the environment (PRAG_CHAT_API_KEY by default)
     at request time; it is never taken as a constructor argument and never
-    logged. Requests use temperature 0 so reruns are as stable as the remote
-    model allows.
+    logged. Every request sends temperature 0, so reruns are as stable as the
+    remote model allows.
     """
 
     def __init__(
@@ -67,7 +67,6 @@ class RemoteChatBackend(PlannerBackend):
         base_url: str,
         model: str,
         *,
-        temperature: float = 0.0,
         timeout: float = DEFAULT_CHAT_TIMEOUT,
         api_key_env: str = CHAT_API_KEY_ENV,
     ) -> None:
@@ -77,7 +76,6 @@ class RemoteChatBackend(PlannerBackend):
             raise ValueError("model must be a non-empty name")
         self.base_url = base_url.rstrip("/")
         self.model = model
-        self.temperature = temperature
         self.timeout = timeout
         self.api_key_env = api_key_env
 
@@ -88,7 +86,7 @@ class RemoteChatBackend(PlannerBackend):
                 {"role": "system", "content": SYSTEM_PROMPT},
                 {"role": "user", "content": prompt},
             ],
-            "temperature": self.temperature,
+            "temperature": 0.0,
         }
         body = post_json(
             f"{self.base_url}/chat/completions", payload, timeout=self.timeout,

@@ -447,8 +447,13 @@ def _set_up(config: RunConfig, phases: tuple[str, ...], store_dimension: int | N
     """Validate, build, load and solve what the ``phases`` passes need, then write the config.
 
     ``config.out`` names the output directory; empty or None writes nothing.
+    A directory that already holds a run's ``run_config.json`` is refused
+    before anything is written, so two runs never mix their files in one.
     """
     config.validate()
+    out_dir = Path(config.out) if config.out else None
+    if out_dir is not None and (out_dir / RUN_CONFIG_NAME).exists():
+        raise ConfigError(f"{out_dir} already holds a run; choose a new output directory")
     if config.mode == "train-eval" and "train" not in phases:
         raise ConfigError("a frozen eval pass runs tasks under mode 'self-iter', not 'train-eval'")
     encoder = build_encoder(config)
@@ -463,7 +468,6 @@ def _set_up(config: RunConfig, phases: tuple[str, ...], store_dimension: int | N
     loaded = {source: load_tasks(source) for source in dict.fromkeys(sources.values())}
     solved = {source: (tasks, _solve_all(tasks)) for source, tasks in loaded.items()}
     passes = {phase: solved[source] for phase, source in sources.items()}
-    out_dir = Path(config.out) if config.out else None
     if out_dir is not None:
         write_run_config(config, out_dir)
     return _Run(config, encoder, backend, passes, out_dir)

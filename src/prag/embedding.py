@@ -4,16 +4,15 @@ The default encoder is a deterministic feature-hashing embedder: it needs no
 network, no model weights, and produces bitwise-identical vectors for equal
 input on every platform. It is not semantically meaningful, but it is exact,
 which is what the retrieval math and the test suite need. Each encoder
-instance memoizes the hashed bucket and sign of every token it has seen
-(scene texts reuse a small vocabulary) and sums the signs with one
-``np.bincount``; sums of +-1.0 are exact in any order, so the vectors equal
-the per-token accumulation bit for bit. It also remembers the buckets and
-signs of each distinct line (split on ``"\\n"``) it has encoded, up to
-``_LINE_MEMO_LIMIT`` lines: a scene text is relation lines, and scene texts
+instance has one memo: the hashed bucket and sign of every token of each
+distinct line (split on ``"\\n"``) it has encoded, up to
+``_LINE_MEMO_LIMIT`` lines. A scene text is relation lines, and scene texts
 combine a few lines anew (the 1,000-record benchmark store's 3,387 distinct
-scene texts hold 802 distinct lines). A text's vector is the ``bincount`` of
-its lines' tokens. No token spans a ``"\\n"``, so those are the whole text's
-tokens, and the vector keeps its bits. Every vector it returns is read-only.
+scene texts hold 802 distinct lines), so a new line is rare and its tokens
+are hashed afresh. A text's vector sums its lines' signs with one
+``np.bincount``; sums of +-1.0 are exact in any order, and no token spans a
+``"\\n"``, so the vector equals the per-token accumulation over the whole
+text bit for bit. Every vector it returns is read-only.
 A remote HTTP encoder with the same interface can be swapped in for real
 runs; it remembers nothing, and it refuses any reply that is not an object
 holding a list of ``dimension`` finite JSON numbers. It and the chat backend
@@ -114,17 +113,13 @@ class HashingEncoder:
     Each token is hashed with FNV-1a 64. Bit 0 of the hash selects the sign
     and the remaining bits select the bucket, so the sign bit is disjoint
     from the index computation. Token contributions accumulate and the result
-    is L2-normalized; text with no tokens stays the all-zero vector. A line
-    encoded before is not tokenized again: its tokens' buckets and signs
-    are remembered. Every returned vector is a fresh, read-only array.
+    is L2-normalized; text with no tokens stays the all-zero vector. The one
+    memo is per line: a line encoded before is not tokenized again, its
+    tokens' buckets and signs are remembered. Every returned vector is a
+    fresh, read-only array.
     """
 
     dimension: int = DEFAULT_DIMENSION
-    # token -> its bucket and sign, one ``_TOKEN_PAIR``; depends only on the
-    # token and dimension.
-    _codes: dict[str, bytes] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
     # line -> its tokens' ``_TOKEN_PAIR``s, oldest first; depends only on the
     # line and dimension.
     _lines: dict[str, bytes] = field(
@@ -134,15 +129,12 @@ class HashingEncoder:
     def __post_init__(self) -> None:
         check_dimension(self.dimension)
 
-    def _code(self, token: str) -> bytes:
-        h = fnv1a64(token.encode("utf-8"))
-        pair = np.array(((h >> 1) % self.dimension, 1.0 if h & 1 else -1.0), dtype=_TOKEN_PAIR)
-        code = self._codes[token] = pair.tobytes()
-        return code
-
     def _remember(self, line: str) -> bytes:
-        codes = self._codes
-        pairs = b"".join([codes[t] if t in codes else self._code(t) for t in tokenize(line)])
+        hashes = [fnv1a64(token.encode("utf-8")) for token in tokenize(line)]
+        pairs = np.array(
+            [((h >> 1) % self.dimension, 1.0 if h & 1 else -1.0) for h in hashes],
+            dtype=_TOKEN_PAIR,
+        ).tobytes()
         if len(self._lines) >= _LINE_MEMO_LIMIT:
             del self._lines[next(iter(self._lines))]
         self._lines[line] = pairs

@@ -1,55 +1,1 @@
 """Bundled grid world: dynamics, tasks, simulator, and the optimal-step solver."""
-
-from .sim import EpisodeResult, SimulationError, Simulator
-from .tasks import (
-    AgentHolds,
-    GoalPredicate,
-    ItemsInContainerToggled,
-    PlacedAt,
-    Task,
-    TaskFileError,
-    bundled_suite,
-    bundled_task,
-    load_task_dir,
-    load_task_file,
-    load_task_text,
-)
-from .world import (
-    CELL_ITEM_CAPACITY,
-    HEADING_DELTAS,
-    HEADING_ORDER,
-    KINDS,
-    LOW_LEVEL_ACTIONS,
-    Cell,
-    Kind,
-    ObjectState,
-    World,
-    turn,
-)
-
-__all__ = [
-    "AgentHolds",
-    "CELL_ITEM_CAPACITY",
-    "Cell",
-    "EpisodeResult",
-    "GoalPredicate",
-    "HEADING_DELTAS",
-    "HEADING_ORDER",
-    "ItemsInContainerToggled",
-    "KINDS",
-    "Kind",
-    "LOW_LEVEL_ACTIONS",
-    "ObjectState",
-    "PlacedAt",
-    "SimulationError",
-    "Simulator",
-    "Task",
-    "TaskFileError",
-    "World",
-    "bundled_suite",
-    "bundled_task",
-    "load_task_dir",
-    "load_task_file",
-    "load_task_text",
-    "turn",
-]

@@ -218,63 +218,50 @@ class _Model:
             )
         relevant_set = set(relevant)
 
-        # Scenery: portable objects the goal does not mention. They must not
-        # sit on top of a relevant item, otherwise the relevant item is
-        # unreachable under the immovable-scenery model.
+        # One pass over the stacks fills the per-cell tables and the start
+        # flags. Scenery: portable objects the goal does not mention. They
+        # must not sit on top of a relevant item, otherwise the relevant item
+        # is unreachable under the immovable-scenery model. Dynamic flags pack
+        # into one bitmask: bit 0 is the goal container's toggled flag when
+        # the predicate needs one, and each openable object takes the next
+        # free bit as the pass reaches it (open flags gate pickup and drop at
+        # their cells). Bit numbers only name states; no order depends on them.
+        goal_container = predicate.container if self._need_toggle else None
+        next_bit = int(self._need_toggle)
+        flags0 = int(goal_container is not None and world.objects[goal_container].toggled)
         static_count = [0] * ncells
         has_scenery = False
-        for cell, stack in world.stacks().items():
-            seen_relevant = False
-            for label in stack:
-                obj = world.objects[label]
-                if obj.landmark:
-                    continue
-                if label in relevant_set:
-                    seen_relevant = True
-                else:
-                    if seen_relevant:
-                        raise SolverLimitation(
-                            f"task {task.id!r}: scenery item {label!r} rests on"
-                            f" a goal item at {cell}"
-                        )
-                    static_count[cell_index[cell]] += 1
-                    has_scenery = True
-
-        # Dynamic flags, packed into one bitmask. Bit 0 is the goal
-        # container's toggled flag when the predicate needs one; open flags of
-        # every openable object follow (they gate pickup and drop at their
-        # cells).
-        flag_bits: dict[tuple[str, str], int] = {}
-        next_bit = 0
-        if isinstance(predicate, ItemsInContainerToggled):
-            flag_bits[("toggled", predicate.container)] = 0
-            next_bit = 1
-        openables = [label for label, obj in world.objects.items() if obj.openable]
-        for label in openables:
-            flag_bits[("open", label)] = next_bit
-            next_bit += 1
-
-        flags0 = 0
-        for (flag, label), bit in flag_bits.items():
-            obj = world.objects[label]
-            if obj.toggled if flag == "toggled" else obj.open:
-                flags0 |= 1 << bit
-
-        # Per-cell interaction tables.
         sealed_mask = [0] * ncells  # open-flag bits that must be set for access
         toggle_bit = [-1] * ncells  # tracked toggle target, -1 when toggling is a no-op
         open_bit = [-1] * ncells  # first openable in the stack
         for cell, stack in world.stacks().items():
             ci = cell_index[cell]
+            seen_relevant = False
             for label in stack:
                 obj = world.objects[label]
-                if obj.openable and obj.container:
-                    sealed_mask[ci] |= 1 << flag_bits[("open", label)]
-                if obj.openable and open_bit[ci] < 0:
-                    open_bit[ci] = flag_bits[("open", label)]
+                if obj.openable:
+                    bit = next_bit
+                    next_bit += 1
+                    if obj.open:
+                        flags0 |= 1 << bit
+                    if obj.container:
+                        sealed_mask[ci] |= 1 << bit
+                    if open_bit[ci] < 0:
+                        open_bit[ci] = bit
                 if obj.toggleable and toggle_bit[ci] == -1:
-                    key = ("toggled", label)
-                    toggle_bit[ci] = flag_bits.get(key, -2)  # -2: untracked, pure no-op
+                    toggle_bit[ci] = 0 if label == goal_container else -2  # -2: untracked, pure no-op
+                if obj.landmark:
+                    continue
+                if label in relevant_set:
+                    seen_relevant = True
+                elif seen_relevant:
+                    raise SolverLimitation(
+                        f"task {task.id!r}: scenery item {label!r} rests on"
+                        f" a goal item at {cell}"
+                    )
+                else:
+                    static_count[ci] += 1
+                    has_scenery = True
 
         # Pose graph: the cell each pose faces (-1 for a wall) and the poses
         # one turn or forward move away.

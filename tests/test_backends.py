@@ -296,11 +296,6 @@ class TestRemoteChatBackend:
         self.make_backend().complete("p", make_bundle(obs))
         assert capture_post[0]["headers"]["Authorization"] == "Bearer sekret"
 
-    def test_custom_temperature(self, capture_post):
-        obs = make_ball_world().observe()
-        self.make_backend(temperature=0.7).complete("p", make_bundle(obs))
-        assert capture_post[0]["json"]["temperature"] == 0.7
-
     @pytest.mark.parametrize(
         "body",
         [

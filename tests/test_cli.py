@@ -395,6 +395,49 @@ class TestEvalCommand:
         assert "line 1" in err
 
 
+class TestUsedOutputDirectory:
+    """An ``--out`` that already holds a run is refused; its files keep their bytes."""
+
+    @staticmethod
+    def snapshot(directory):
+        return {path: path.read_bytes() for path in sorted(directory.rglob("*")) if path.is_file()}
+
+    @pytest.mark.parametrize("command", ["run", "eval"])
+    def test_a_second_run_or_eval_into_a_run_directory_exits_two(
+        self, capsys, task_dir, tmp_path, command
+    ):
+        run_dir = tmp_path / "run_out"
+        code, _, _ = run_cli(
+            capsys, "run", "--tasks", str(task_dir), "--iterations", "3", "--no-early-stop",
+            "--out", str(run_dir),
+        )
+        assert code == 0
+        before = self.snapshot(run_dir)
+        assert run_dir / "report_iter_03.json" in before
+        one = tmp_path / "one"
+        one.mkdir()
+        (one / "easy_ball.yaml").write_text(TASK_A)
+        second = {
+            "run": ("run", "--tasks", str(task_dir), "--iterations", "2", "--seed", "5"),
+            "eval": ("eval", "--db", str(run_dir / "db.jsonl"), "--tasks", str(one)),
+        }[command]
+        code, out, err = run_cli(capsys, *second, "--out", str(run_dir))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {run_dir} already holds a run")
+        assert len(err.splitlines()) == 1
+        assert self.snapshot(run_dir) == before
+
+    def test_an_existing_empty_directory_is_accepted(self, capsys, task_dir, tmp_path):
+        out_dir = tmp_path / "empty"
+        out_dir.mkdir()
+        code, _, _ = run_cli(
+            capsys, "run", "--tasks", str(task_dir), "--iterations", "1", "--out", str(out_dir)
+        )
+        assert code == 0
+        assert (out_dir / "run_config.json").exists()
+
+
 class TestEmptyTaskSource:
     """A task source with no ``*.yaml`` file is refused before anything is written."""
 

@@ -138,7 +138,7 @@ class TestHashingEncoder:
             )
         for dimension in (1, 16, 384):
             encoder = HashingEncoder(dimension=dimension)
-            # Twice over, so the second pass reads every token from the memo.
+            # Twice over, so the second pass reads every line from the memo.
             for text in texts + texts:
                 vector = encoder.encode(text)
                 assert vector.dtype == np.float64 and vector.shape == (dimension,)
@@ -158,10 +158,10 @@ class TestHashingEncoder:
         vector = HashingEncoder(dimension=16).encode(f"{a} {b}")
         assert vector.tobytes() == np.zeros(16).tobytes()  # +0.0, not -0.0
 
-    def test_token_memo_is_not_part_of_identity(self):
+    def test_line_memo_is_not_part_of_identity(self):
         used = HashingEncoder(dimension=16)
         used.encode("plant sink mug")
-        assert used._codes and used._lines
+        assert used._lines
         assert used == HashingEncoder(dimension=16)
         assert hash(used) == hash(HashingEncoder(dimension=16))
         assert repr(used) == "HashingEncoder(dimension=16)"
